@@ -8,6 +8,7 @@ coverage questions have exact answers.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -55,68 +56,53 @@ def arcs_intersect(a: ArcLike, b: ArcLike) -> bool:
     )
 
 
-def covers_circle(arcs: Sequence[ArcLike]) -> bool:
-    """Exact coverage test: closed arcs cover the circle iff they cover every
-    endpoint and the midpoint of every gap between consecutive endpoints."""
-    if any(isinstance(a, FullCircle) for a in arcs):
-        return True
-    proper = [a for a in arcs if isinstance(a, Arc)]
-    if not proper:
-        return False
-    points = sorted({a.start for a in proper} | {a.end for a in proper})
-    probes = list(points)
-    for i, p in enumerate(points):
-        q = points[(i + 1) % len(points)]
-        gap = (q - p) % 1
-        if gap == 0:
-            gap = Fraction(1)
-        probes.append((p + gap / 2) % 1)
-    return all(any(a.contains(x) for a in proper) for x in probes)
-
-
 def min_circle_cover(arcs: Sequence[ArcLike]) -> Optional[int]:
     """Size of the smallest sub-multiset of arcs covering the circle.
 
     Returns None when even the full multiset leaves a point uncovered.
-    Greedy sweep: anchor at each arc in turn, unroll every arc into the two
-    candidate intervals it induces on the line, and repeatedly extend the
-    covered prefix by the interval reaching farthest.  The minimum over
-    anchors is exact by the usual exchange argument.
+
+    Sort-and-double sweep after C. C. Lee and D. T. Lee, "On a circle-cover
+    minimization problem", Inform. Process. Lett. 18 (1984), in O(n log n)
+    exact comparisons for n arcs.  Each arc is unrolled onto the line as two
+    closed intervals, its own and its copy shifted by +1, sorted by start.
+    The greedy successor of an interval is the one reaching farthest among
+    those starting no later than its end: a prefix maximum of the ends and
+    one bisection find it.  Composing successors by doubling counts in
+    O(log n) steps the greedy jumps that take an anchor, an arc starting at
+    a in [0, 1), to a + 1; the answer is the fewest over all anchors.
+
+    This is exact.  Anchor an optimal cover at any of its arcs A = [a, e].
+    No other arc B of it contains A, so the part of the circle B must cover
+    beyond A lies in B's lift starting in [a, a + 1), which is one of the
+    two intervals; the greedy covers [e, a + 1] with no more of them than
+    the cover does.  Conversely every greedy chain is a cover.  A chain
+    that stalls below a + 1 has met a gap, and the arcs cover the circle
+    iff some anchor gets through, so no separate coverage test is needed.
     """
     if any(isinstance(a, FullCircle) for a in arcs):
         return 1
-    proper = [a for a in arcs if isinstance(a, Arc)]
-    if not covers_circle(proper):
-        return None
+    intervals = sorted(
+        (a.start + shift, a.start + a.length + shift) for a in arcs for shift in (0, 1)
+    )
+    starts = [lo for lo, _ in intervals]
+    ends = [hi for _, hi in intervals]
+    farthest: list[int] = []
+    for i, hi in enumerate(ends):
+        farthest.append(i if not farthest or hi > ends[farthest[-1]] else farthest[-1])
+    jumps = [[farthest[bisect_right(starts, hi) - 1] for hi in ends]]
+    while 1 << len(jumps) <= len(intervals):  # a chain makes fewer than len(intervals) jumps
+        prev = jumps[-1]
+        jumps.append([prev[j] for j in prev])
     best: Optional[int] = None
-    one = Fraction(1)
-    for anchor in proper:
-        intervals: list[tuple[Fraction, Fraction]] = []
-        for a in proper:
-            if a is anchor:
-                continue
-            left = (a.start - anchor.start) % 1
-            right = left + a.length
-            intervals.append((left, right))
-            intervals.append((left - 1, right - 1))
-        reach = anchor.length
-        count = 1
-        while reach < one:
-            extend = max(
-                (right for left, right in intervals if left <= reach), default=reach
-            )
-            if extend <= reach:
-                count = -1  # gap from this anchor; another anchor will do better
-                break
-            reach = extend
-            count += 1
-        if count > 0 and (best is None or count < best):
-            best = count
+    for i, lo in enumerate(starts):
+        if lo >= 1:
+            break
+        goal = lo + 1
+        cur, count = i, 1
+        for level in range(len(jumps) - 1, -1, -1):
+            j = jumps[level][cur]
+            if ends[j] < goal:
+                cur, count = j, count + (1 << level)
+        if ends[jumps[0][cur]] >= goal and (best is None or count + 1 < best):
+            best = count + 1
     return best
-
-
-def arc_to_json(a: ArcLike) -> dict:
-    if isinstance(a, FullCircle):
-        return {"full_circle": True}
-    return {"start": f"{a.start.numerator}/{a.start.denominator}",
-            "end": f"{a.end.numerator}/{a.end.denominator}"}

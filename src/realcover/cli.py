@@ -4,8 +4,9 @@ and batch enumeration.
 
 Every invocation writes a single JSON document to standard output.  Exit
 codes: 0 for success, 2 for a definitive negative answer (not admissible,
-no plan, verification failed), 1 for malformed input.  Output is
-deterministic: identical invocations produce identical bytes.
+no plan, verification failed, plan seed outside the catalog), 1 for
+malformed input.  Output is deterministic: identical invocations produce
+identical bytes.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import sys
 from typing import List, Optional
 
 from . import brill_noether, covering4, planner, plsim, topology
+from .constructions import SeedNotInCatalog
 from .topology import CoverSpec
 
 
@@ -84,7 +86,11 @@ def _cmd_verify(args) -> int:
 
 def _cmd_realize(args) -> int:
     plan_ = _read_plan_file(args.plan_file)
-    cover = plsim.realize(plan_.seed, plan_.steps)
+    try:
+        cover = plsim.realize(plan_.seed, plan_.steps)
+    except SeedNotInCatalog as exc:
+        _emit({"rejected": f"seed not in catalog: {exc}"})
+        return 2
     if args.format == "csv":
         sys.stdout.write("x,fiber_count\n")
         for x in plsim.regular_samples(cover):

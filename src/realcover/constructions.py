@@ -26,7 +26,15 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence, Union
 
-from .topology import CoverSpec, CoverTarget, DegreeVector, TopType, weichold_admissible
+from .topology import (
+    CoverSpec,
+    CoverTarget,
+    DegreeVector,
+    TopType,
+    check_deg_field,
+    check_int_fields,
+    weichold_admissible,
+)
 
 
 class StepKind(str, Enum):
@@ -177,7 +185,8 @@ class GenericR0Pencil:
 BaseSeed = Union[Hyperelliptic, HyperellipticToR0, GenericPencil, GenericR0Pencil]
 
 
-def _check_seed(seed: BaseSeed) -> None:
+def check_seed(seed: BaseSeed) -> None:
+    """Raise SeedNotInCatalog unless the seed is a base covering known to exist."""
     if isinstance(seed, Hyperelliptic):
         top, deg = seed.top, seed.degrees
         if not weichold_admissible(top.g, top.s, top.a):
@@ -211,7 +220,7 @@ def _check_seed(seed: BaseSeed) -> None:
 
 def seed_state(seed: BaseSeed) -> LabeledState:
     """Initial labeled state of a seed; circles are labeled C1, C2, ... in order."""
-    _check_seed(seed)
+    check_seed(seed)
     if isinstance(seed, Hyperelliptic):
         comps = tuple((f"C{i + 1}", d) for i, d in enumerate(seed.degrees))
         return LabeledState(seed.top.g, seed.top.a, 2, CoverTarget.PROJ_LINE, comps)
@@ -321,24 +330,36 @@ def seed_to_json(seed: BaseSeed) -> dict:
     return {"kind": "GenericR0Pencil", "g": seed.g, "k": seed.k}
 
 
+# Integer fields of each seed kind; Hyperelliptic also carries "deg".
+_SEED_FIELDS = {
+    "Hyperelliptic": ("g", "s", "a"),
+    "HyperellipticToR0": ("g",),
+    "GenericPencil": ("g", "k"),
+    "GenericR0Pencil": ("g", "k"),
+}
+
+
 def seed_from_json(obj: object) -> BaseSeed:
+    """Parse the seed wire object, reporting the offending field on error.
+
+    Only field types are checked here; check_seed decides catalog membership.
+    """
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ValueError("seed: expected an object with a 'kind' field")
     kind = obj["kind"]
-    try:
-        if kind == "Hyperelliptic":
-            return Hyperelliptic(
-                TopType(obj["g"], obj["s"], obj["a"]), DegreeVector(tuple(obj["deg"]))
-            )
-        if kind == "HyperellipticToR0":
-            return HyperellipticToR0(obj["g"])
-        if kind == "GenericPencil":
-            return GenericPencil(obj["g"], obj["k"])
-        if kind == "GenericR0Pencil":
-            return GenericR0Pencil(obj["g"], obj["k"])
-    except KeyError as exc:
-        raise ValueError(f"seed.{exc.args[0]}: missing") from None
-    raise ValueError(f"seed.kind: unknown seed kind {kind!r}")
+    if kind not in _SEED_FIELDS:
+        raise ValueError(f"seed.kind: unknown seed kind {kind!r}")
+    check_int_fields(obj, "seed", _SEED_FIELDS[kind])
+    if kind == "Hyperelliptic":
+        check_deg_field(obj, "seed")
+        return Hyperelliptic(
+            TopType(obj["g"], obj["s"], obj["a"]), DegreeVector(tuple(obj["deg"]))
+        )
+    if kind == "HyperellipticToR0":
+        return HyperellipticToR0(obj["g"])
+    if kind == "GenericPencil":
+        return GenericPencil(obj["g"], obj["k"])
+    return GenericR0Pencil(obj["g"], obj["k"])
 
 
 def step_to_json(step: ConstructionStep) -> dict:

@@ -35,6 +35,7 @@ from .constructions import (
     PreconditionViolated,
     StepKind,
     Variant,
+    check_seed,
     next_new_label,
 )
 from .topology import CoverTarget
@@ -497,8 +498,9 @@ def seed_cover(seed: BaseSeed) -> PLCover:
     The winding-(2) double covering is one double wrap; (1, 1) is two
     monotone wraps; the all-zero pattern is one fold per circle over
     disjoint arcs.  Pencil seeds and coverings of R0 contribute only their
-    sheet budget.
+    sheet budget.  A seed outside the catalog raises SeedNotInCatalog.
     """
+    check_seed(seed)
     if isinstance(seed, Hyperelliptic):
         e = seed.degrees.entries
         if e == (2,):

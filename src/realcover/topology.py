@@ -241,6 +241,28 @@ def spec_to_json(spec: CoverSpec) -> dict:
     }
 
 
+def check_int_fields(obj: dict, where: str, fields: Iterable[str]) -> None:
+    """Require each field to be present and an integer (JSON booleans excluded)."""
+    for field_name in fields:
+        if field_name not in obj:
+            raise ValueError(f"{where}.{field_name}: missing")
+        if not isinstance(obj[field_name], int) or isinstance(obj[field_name], bool):
+            raise ValueError(f"{where}.{field_name}: expected an integer")
+
+
+def check_deg_field(obj: dict, where: str) -> None:
+    """Require a "deg" field holding a list of nonnegative integers."""
+    if "deg" not in obj:
+        raise ValueError(f"{where}.deg: missing")
+    if not isinstance(obj["deg"], list):
+        raise ValueError(f"{where}.deg: expected a list")
+    for i, d in enumerate(obj["deg"]):
+        if not isinstance(d, int) or isinstance(d, bool):
+            raise ValueError(f"{where}.deg[{i}]: expected an integer")
+        if d < 0:
+            raise ValueError(f"{where}.deg[{i}]: negative entry")
+
+
 def spec_from_json(obj: object) -> CoverSpec:
     """Parse the CoverSpec wire object, reporting the offending field on error."""
     if not isinstance(obj, dict):
@@ -248,23 +270,15 @@ def spec_from_json(obj: object) -> CoverSpec:
     for field_name in ("g", "s", "a", "target", "k", "deg"):
         if field_name not in obj:
             raise ValueError(f"spec.{field_name}: missing")
-    for field_name in ("g", "s", "a", "k"):
-        if not isinstance(obj[field_name], int) or isinstance(obj[field_name], bool):
-            raise ValueError(f"spec.{field_name}: expected an integer")
+    check_int_fields(obj, "spec", ("g", "s", "a", "k"))
     if obj["a"] not in (0, 1):
         raise ValueError("spec.a: expected 0 or 1")
     try:
         target = CoverTarget(obj["target"])
     except ValueError:
         raise ValueError('spec.target: expected "P1" or "R0"') from None
+    check_deg_field(obj, "spec")
     deg = obj["deg"]
-    if not isinstance(deg, list):
-        raise ValueError("spec.deg: expected a list")
-    for i, d in enumerate(deg):
-        if not isinstance(d, int) or isinstance(d, bool):
-            raise ValueError(f"spec.deg[{i}]: expected an integer")
-        if d < 0:
-            raise ValueError(f"spec.deg[{i}]: negative entry")
     vec = DegreeVector(tuple(deg))
     if not vec.is_canonical():
         raise ValueError("spec.deg: entries must be sorted non-increasing")

@@ -55,6 +55,43 @@ def brute_min_circle_cover(arcset):
     return None
 
 
+def greedy_min_circle_cover(arcset):
+    """Minimal covering sub-multiset by the anchor-by-anchor greedy, O(n^3).
+
+    Anchor at each arc in turn, unroll every other arc into the two
+    intervals it induces on the line from the anchor's start, and extend
+    the covered prefix by the interval reaching farthest until it spans the
+    circle.  An anchor that meets a gap gives no answer; the minimum over
+    the others is exact by the usual exchange argument, and None when every
+    anchor meets a gap.
+    """
+    if any(isinstance(a, FullCircle) for a in arcset):
+        return 1
+    proper = [a for a in arcset if isinstance(a, Arc)]
+    best = None
+    for anchor in proper:
+        intervals = []
+        for a in proper:
+            if a is anchor:
+                continue
+            left = (a.start - anchor.start) % 1
+            right = left + a.length
+            intervals.append((left, right))
+            intervals.append((left - 1, right - 1))
+        reach = anchor.length
+        count = 1
+        while reach < 1:
+            extend = max((right for left, right in intervals if left <= reach), default=reach)
+            if extend <= reach:
+                count = None
+                break
+            reach = extend
+            count += 1
+        if count is not None and (best is None or count < best):
+            best = count
+    return best
+
+
 def oracle_admissible_tuples(g_max, k_min, k_max):
     """Admissible raw tuples (g, s, a, target, k, degrees) by nested loops.
 

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from realcover.cli import run
 
 
@@ -12,6 +14,12 @@ def invoke(capsys, *argv):
 def invoke_json(capsys, *argv):
     code, out = invoke(capsys, *argv)
     return code, json.loads(out)
+
+
+def write_plan(tmp_path, seed):
+    plan_file = tmp_path / "plan.json"
+    plan_file.write_text(json.dumps({"seed": seed, "steps": [], "provenance": "Case1"}))
+    return str(plan_file)
 
 
 SPEC_431 = '{"g":4,"s":0,"a":1,"target":"P1","k":3,"deg":[]}'
@@ -90,6 +98,24 @@ class TestPlanVerifyRealize:
         assert lines[0] == "x,fiber_count"
         assert len(lines) >= 101
         assert all(line.endswith(",3") for line in lines[1:])
+
+    @pytest.mark.parametrize("command", ["verify", "realize"])
+    @pytest.mark.parametrize(
+        "field, value, path",
+        [("g", "2", "seed.g"), ("deg", 5, "seed.deg"), ("deg", [True], "seed.deg[0]")],
+    )
+    def test_mistyped_plan_seed_exits_one(self, capsys, tmp_path, command, field, value, path):
+        seed = {"kind": "Hyperelliptic", "g": 2, "s": 1, "a": 0, "deg": [2], field: value}
+        extra = [SPEC_6333] if command == "verify" else []
+        code, doc = invoke_json(capsys, command, write_plan(tmp_path, seed), *extra)
+        assert code == 1
+        assert doc["error"].startswith(path + ":")
+
+    def test_realize_refuses_uncataloged_seed(self, capsys, tmp_path):
+        seed = {"kind": "Hyperelliptic", "g": 2, "s": 1, "a": 0, "deg": [3]}
+        code, doc = invoke_json(capsys, "realize", write_plan(tmp_path, seed))
+        assert code == 2
+        assert "catalog" in doc["rejected"]
 
     def test_missing_plan_file(self, capsys):
         code, doc = invoke_json(capsys, "verify", "/nonexistent/plan.json", SPEC_6333)

@@ -125,6 +125,10 @@ class TestBuilds:
         assert spec.top == TopType(5, 3, 1)
         assert fiber_budget_violations(cover) == []
 
+    def test_maximal_type_at_genus_1000(self):
+        cover, _ = build_covnum(target(1000, 1001, 0, 1001))
+        assert covering_number(cover) == 1001
+
     def test_tight_cover_needs_every_circle(self):
         for tgt in (target(3, 4, 0, 4), target(4, 4, 1, 4), target(2, 3, 0, 3)):
             cover, _ = build_covnum(tgt)

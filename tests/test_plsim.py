@@ -135,7 +135,7 @@ class TestImageArcs:
         assert image_arcs(cover) == [("C1", FullCircle())]
 
     def test_zero_seed_arcs_disjoint(self):
-        cover = seed_cover(hyper(3, 4, 1, (0, 0, 0, 0)))
+        cover = seed_cover(hyper(4, 4, 1, (0, 0, 0, 0)))
         arcs = [a for _, a in image_arcs(cover)]
         assert all(isinstance(a, Arc) for a in arcs)
         for i, a in enumerate(arcs):
