@@ -16,7 +16,6 @@ from .constructions import (
     StepKind,
     Variant,
     apply_step,
-    execute,
     seed_state,
 )
 from .covering4 import CoveringNumberTarget, InfeasibleTarget, build_covnum, covering_number
@@ -25,12 +24,10 @@ from .plsim import (
     BudgetExceeded,
     PLCover,
     PLMap,
-    SingularValue,
-    fiber,
+    fiber_profile,
     image_arcs,
     realize,
     surgery,
-    winding,
 )
 from .topology import (
     CoverSpec,

@@ -45,17 +45,6 @@ ArcLike = Union[Arc, FullCircle]
 FULL_CIRCLE = FullCircle()
 
 
-def arcs_intersect(a: ArcLike, b: ArcLike) -> bool:
-    if isinstance(a, FullCircle) or isinstance(b, FullCircle):
-        return True
-    return (
-        a.contains(b.start)
-        or a.contains(b.end)
-        or b.contains(a.start)
-        or b.contains(a.end)
-    )
-
-
 def min_circle_cover(arcs: Sequence[ArcLike]) -> Optional[int]:
     """Size of the smallest sub-multiset of arcs covering the circle.
 

@@ -4,8 +4,8 @@ and batch enumeration.
 
 Every invocation writes a single JSON document to standard output.  Exit
 codes: 0 for success, 2 for a definitive negative answer (not admissible,
-no plan, verification failed, plan seed outside the catalog), 1 for
-malformed input.  Output is deterministic: identical invocations produce
+no plan, verification failed, plan seed outside the catalog, a plan step
+that cannot be applied), 1 for malformed input.  Output is deterministic: identical invocations produce
 identical bytes.
 """
 
@@ -18,7 +18,7 @@ import sys
 from typing import List, Optional
 
 from . import brill_noether, covering4, planner, plsim, topology
-from .constructions import SeedNotInCatalog
+from .constructions import PreconditionViolated, SeedNotInCatalog
 from .topology import CoverSpec
 
 
@@ -91,12 +91,14 @@ def _cmd_realize(args) -> int:
     except SeedNotInCatalog as exc:
         _emit({"rejected": f"seed not in catalog: {exc}"})
         return 2
+    except (PreconditionViolated, plsim.BudgetExceeded) as exc:
+        _emit({"rejected": str(exc)})
+        return 2
     if args.format == "csv":
         sys.stdout.write("x,fiber_count\n")
-        for x in plsim.regular_samples(cover):
-            sys.stdout.write(
-                f"{x.numerator}/{x.denominator},{plsim.fiber_count(cover, x)}\n"
-            )
+        rows = sorted(((a + length / 2) % 1, n) for a, length, n in plsim.fiber_profile(cover))
+        for x, n in rows:
+            sys.stdout.write(f"{x.numerator}/{x.denominator},{n}\n")
         return 0
     _emit(plsim.cover_to_json(cover))
     return 0

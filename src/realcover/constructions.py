@@ -298,18 +298,6 @@ def execute_states(seed: BaseSeed, steps: Sequence[ConstructionStep]):
         yield state
 
 
-def execute(seed: BaseSeed, steps: Sequence[ConstructionStep]) -> CoverSpec:
-    """Fold the steps over the seed and canonicalize the outcome.
-
-    The result is whatever the bookkeeping says, admissible or not; plans
-    are judged by comparing it against their target.
-    """
-    state = None
-    for state in execute_states(seed, steps):
-        pass
-    return state.canonical_spec()
-
-
 # ---------------------------------------------------------------------------
 # JSON wire format for seeds and steps.
 

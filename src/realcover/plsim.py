@@ -41,10 +41,6 @@ from .constructions import (
 from .topology import CoverTarget
 
 
-class SingularValue(ValueError):
-    """The queried value is the image of a breakpoint; fibers there are ambiguous."""
-
-
 class BudgetExceeded(Exception):
     """A surgery would force more real preimages than the sheet budget allows."""
 
@@ -89,11 +85,6 @@ def pl_map(values: Sequence[Fraction], closure: int) -> PLMap:
     )
 
 
-def winding(m: PLMap) -> int:
-    """Lift difference over one period; the topological degree up to orientation."""
-    return m.closure
-
-
 def reverse(m: PLMap) -> PLMap:
     """The same circle map with the source traversed backwards; winding negates."""
     xs = [x for _, x in m.breakpoints]
@@ -130,86 +121,64 @@ def critical_values(cover: PLCover) -> List[Fraction]:
     return sorted(vals)
 
 
-def _segment_crossings(u: Fraction, v: Fraction, x: Fraction) -> int:
-    """Number of lifts x + j strictly inside the segment from u to v."""
-    lo, hi = (u, v) if u < v else (v, u)
-    count = floor(hi - x) - ceil(lo - x) + 1
-    if count <= 0:
-        return 0
-    if ceil(lo - x) + x == lo:
-        count -= 1
-    if floor(hi - x) + x == hi:
-        count -= 1
-    return max(count, 0)
+def fiber_profile(cover: PLCover) -> List[Tuple[Fraction, Fraction, int]]:
+    """Exact fiber count on every maximal regular interval of the target circle.
 
-
-def fiber(cover: PLCover, x: Fraction) -> List[Tuple[str, Fraction]]:
-    """All real preimages of a regular value, as (label, source parameter)."""
-    x = Fraction(x)
-    if (x % 1) in critical_values(cover):
-        raise SingularValue(f"{x} is the image of a breakpoint")
-    out: List[Tuple[str, Fraction]] = []
-    for lbl, m in cover.components:
-        ts = [t for t, _ in m.breakpoints] + [m.breakpoints[0][0] + 1]
-        for i, (u, v) in enumerate(m.segments()):
-            lo, hi = (u, v) if u < v else (v, u)
-            for j in range(ceil(lo - x), floor(hi - x) + 1):
-                val = x + j
-                if lo < val < hi:
-                    ta, tb = ts[i], ts[i + 1]
-                    t = ta + (tb - ta) * (val - u) / (v - u)
-                    out.append((lbl, t % 1))
-    out.sort()
-    return out
-
-
-def fiber_count(cover: PLCover, x: Fraction) -> int:
-    x = Fraction(x)
-    total = 0
-    for _, m in cover.components:
-        for u, v in m.segments():
-            total += _segment_crossings(u, v, x)
-    return total
-
-
-def regular_samples(cover: PLCover, min_count: int = 100) -> List[Fraction]:
-    """Regular values hitting every interval between consecutive critical values.
-
-    One sample per interval is exhaustive (fiber counts are locally
-    constant); when there are fewer intervals than min_count the intervals
-    are subdivided evenly until at least min_count samples exist, which
-    also puts samples on both sides of every fold image.
+    Returns (start, length, count) per interval, in the order of
+    critical_values: the intervals start at the critical values and tile
+    the circle.  A segment from lo to hi (lo < hi) passes over every value
+    floor(hi - lo) times, plus once more over the open residue arc from
+    lo % 1 to hi % 1 when hi - lo is not an integer.  Both ends of that arc
+    are critical values, so one difference array over the sorted residues
+    and one prefix sum give every count in O(B log B) for B breakpoints.
     """
     crit = critical_values(cover)
     if not crit:
-        return [Fraction(2 * i + 1, 2 * min_count) for i in range(min_count)]
+        return [(Fraction(0), Fraction(1), 0)]
+    index = {c: i for i, c in enumerate(crit)}
     n = len(crit)
-    per_interval = max(1, -(-min_count // n))
-    samples: List[Fraction] = []
+    delta = [0] * n
+    count = 0
+    for _, m in cover.components:
+        for u, v in m.segments():
+            lo, hi = (u, v) if u < v else (v, u)
+            sheets, extra = divmod(hi - lo, 1)
+            count += sheets
+            if extra:
+                a, b = index[lo % 1], index[hi % 1]
+                delta[a] += 1
+                delta[b] -= 1
+                if a > b:  # the arc wraps through 0, so it covers interval 0 too
+                    count += 1
+    out = []
     for i, a in enumerate(crit):
-        gap = (crit[(i + 1) % n] - a) % 1
-        if gap == 0:
-            gap = Fraction(1)
-        for r in range(per_interval):
-            samples.append((a + gap * Fraction(2 * r + 1, 2 * per_interval)) % 1)
-    return sorted(samples)
+        count += delta[i]
+        length = (crit[i + 1] if i + 1 < n else crit[0] + 1) - a
+        out.append((a, length, count))
+    return out
 
 
-def fiber_budget_violations(cover: PLCover, min_count: int = 100) -> List[str]:
-    """Sampled violations of the budget/parity invariant; empty when clean.
+def regular_samples(cover: PLCover) -> List[Fraction]:
+    """One regular value per maximal regular interval, its midpoint; sorted."""
+    return sorted((a + length / 2) % 1 for a, length, _ in fiber_profile(cover))
+
+
+def fiber_budget_violations(cover: PLCover) -> List[str]:
+    """Violations of the budget/parity invariant on any regular interval;
+    empty when clean.
 
     Only meaningful for coverings of the projective line; for R0 there is
-    no target circle to sample.
+    no target circle to check.
     """
     if cover.target is not CoverTarget.PROJ_LINE:
         return []
     bad = []
-    for x in regular_samples(cover, min_count):
-        n = fiber_count(cover, x)
+    for a, length, n in fiber_profile(cover):
+        where = f"fiber over ({a}, {a + length})"
         if n > cover.k:
-            bad.append(f"fiber at {x} has {n} > {cover.k} real points")
+            bad.append(f"{where} has {n} > {cover.k} real points")
         if (cover.k - n) % 2 != 0:
-            bad.append(f"fiber at {x} has {n} real points, parity differs from {cover.k}")
+            bad.append(f"{where} has {n} real points, parity differs from {cover.k}")
     return bad
 
 
@@ -233,20 +202,10 @@ def image_arcs(cover: PLCover) -> List[Tuple[str, ArcLike]]:
 # Surgeries mirroring the symbolic constructions.
 
 
-def _rising_segment(m: PLMap, site: Optional[Fraction] = None) -> int:
-    """Index of the increasing segment to splice into.
-
-    Default: the widest climb (ties to the earliest).  With a site, the
-    first increasing segment whose interior contains the site's residue.
-    """
-    segs = m.segments()
-    if site is not None:
-        for i, (u, v) in enumerate(segs):
-            if v > u and _segment_crossings(u, v, Fraction(site)) > 0:
-                return i
-        raise ValueError(f"no climb passes through {site}")
+def _rising_segment(m: PLMap) -> int:
+    """Index of the widest increasing segment (ties to the earliest)."""
     best, best_span = -1, None
-    for i, (u, v) in enumerate(segs):
+    for i, (u, v) in enumerate(m.segments()):
         if v > u and (best_span is None or v - u > best_span):
             best, best_span = i, v - u
     if best < 0:
@@ -263,18 +222,16 @@ def _splice_wrap(m: PLMap) -> PLMap:
     return pl_map(values, m.closure + 1)
 
 
-def _splice_fold(m: PLMap, site: Optional[Fraction] = None) -> PLMap:
+def _splice_fold(m: PLMap) -> PLMap:
     """Splice a backward turn with a fold gap into a climb: winding - 1.
 
     Outside the small gap every value gains one preimage; inside the gap it
     loses one (the two local sheets become a conjugate pair).  The result
     is orientation-normalized, so a winding-0 circle flips to winding 1.
     """
-    i = _rising_segment(m, site)
+    i = _rising_segment(m)
     u, v = m.segments()[i]
-    center = Fraction(site) if site is not None else (u + v) / 2
-    if site is not None:
-        center = u + ((center - u) % 1)
+    center = (u + v) / 2
     # the backward turn drops by 1 - 2h, so h must stay below 1/2 even on
     # segments that climb several full turns
     h = min(center - u, v - center, Fraction(1)) / 4
@@ -287,47 +244,21 @@ def _splice_fold(m: PLMap, site: Optional[Fraction] = None) -> PLMap:
     return orient(pl_map(values, m.closure - 1))
 
 
-def _slack_intervals(cover: PLCover) -> List[Tuple[Fraction, Fraction, int]]:
-    """Maximal regular intervals (start, length, fiber count) sorted by position."""
-    crit = critical_values(cover)
-    if not crit:
-        return [(Fraction(0), Fraction(1), 0)]
-    out = []
-    n = len(crit)
-    for i, a in enumerate(crit):
-        gap = (crit[(i + 1) % n] - a) % 1
-        if gap == 0:
-            gap = Fraction(1)
-        mid = (a + gap / 2) % 1
-        out.append((a, gap, fiber_count(cover, mid)))
-    return out
-
-
-def _new_fold_component(cover: PLCover, site: Optional[Fraction]) -> PLMap:
+def _new_fold_component(cover: PLCover) -> PLMap:
     """A fresh winding-0 fold over an interval where two more sheets fit."""
-    slack = [iv for iv in _slack_intervals(cover) if iv[2] <= cover.k - 2]
+    slack = [iv for iv in fiber_profile(cover) if iv[2] <= cover.k - 2]
     if not slack:
         raise BudgetExceeded("no regular interval has room for two more real sheets")
-    if site is not None:
-        residue = Fraction(site) % 1
-        for a, gap, _ in slack:
-            off = (residue - a) % 1
-            if 0 < off < gap:
-                width = min(off, gap - off) / 2
-                return pl_map([a + off - width, a + off + width], 0)
-        raise BudgetExceeded(f"no room for a fold at {site}")
     a, gap, _ = max(slack, key=lambda iv: (iv[1], -iv[0]))
     return pl_map([a + gap / 4, a + 3 * gap / 4], 0)
 
 
-def surgery(
-    cover: PLCover, step: ConstructionStep, site: Optional[Fraction] = None
-) -> PLCover:
+def surgery(cover: PLCover, step: ConstructionStep) -> PLCover:
     """Apply the PL surgery mirroring one construction step.
 
     Kinds I, II and III operate on the real locus; IV and V have no real
-    picture and only update the sheet budget.  Sites are chosen canonically
-    when not given, so realizations are deterministic.
+    picture and only update the sheet budget.  Sites are chosen canonically,
+    so realizations are deterministic.
     """
     kind, variant = step.kind, step.variant
     if kind in (StepKind.I, StepKind.II, StepKind.III, StepKind.IV):
@@ -341,7 +272,7 @@ def surgery(
         for lbl, m in cover.components:
             if lbl == step.placement:
                 if variant is Variant.WITH_REAL_RAM:
-                    m = _splice_fold(m, site)
+                    m = _splice_fold(m)
                 else:
                     m = _splice_wrap(m)
             comps.append((lbl, m))
@@ -353,7 +284,7 @@ def surgery(
             )
         if variant is Variant.WITHOUT_REAL_RAM:
             return cover  # happens away from the real locus
-        fold = _new_fold_component(cover, site)
+        fold = _new_fold_component(cover)
         label = next_new_label(cover.components)
         return PLCover(cover.components + ((label, fold),), cover.k, cover.target)
     if kind is StepKind.III:

@@ -1,16 +1,64 @@
 """Brute-force oracles, written independently of the package internals.
 
 These re-derive the answers from first principles (subset enumeration,
-nested loops over raw tuples) so the package's algorithms have something
-honest to be compared against.
+nested loops over raw tuples, per-point lattice counts) so the package's
+algorithms have something honest to be compared against.  A few small
+helpers that only tests need live here too.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import ceil, floor
 
 from realcover.arcs import Arc, FullCircle
+from realcover.constructions import execute_states
+
+
+def arcs_intersect(a, b):
+    """Whether two arcs (or full circles) share a point."""
+    if isinstance(a, FullCircle) or isinstance(b, FullCircle):
+        return True
+    return (
+        a.contains(b.start)
+        or a.contains(b.end)
+        or b.contains(a.start)
+        or b.contains(a.end)
+    )
+
+
+def execute(seed, steps):
+    """Fold the steps over the seed and canonicalize the outcome.
+
+    The result is whatever the bookkeeping says, admissible or not; plans
+    are judged by comparing it against their target.
+    """
+    state = None
+    for state in execute_states(seed, steps):
+        pass
+    return state.canonical_spec()
+
+
+def _segment_crossings(u, v, x):
+    """Number of lifts x + j strictly inside the segment from u to v."""
+    lo, hi = (u, v) if u < v else (v, u)
+    count = floor(hi - x) - ceil(lo - x) + 1
+    if count <= 0:
+        return 0
+    if ceil(lo - x) + x == lo:
+        count -= 1
+    if floor(hi - x) + x == hi:
+        count -= 1
+    return max(count, 0)
+
+
+def brute_fiber_count(cover, x):
+    """Real preimages of the value x, counted segment by segment."""
+    x = Fraction(x)
+    return sum(
+        _segment_crossings(u, v, x) for _, m in cover.components for u, v in m.segments()
+    )
 
 
 def brute_min_circle_cover(arcset):

@@ -137,7 +137,7 @@ def test_criterion_2_construction_deltas():
 
 def test_criterion_3_symbolic_pl_agreement():
     failures = []
-    for spec, result in _box_plans(6, 3, 5):
+    for spec, result in _box_plans(8, 3, 6):
         if not isinstance(result, Plan) or spec.target is not CoverTarget.PROJ_LINE:
             continue
         cover = realize(result.seed, result.steps)

@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from realcover.arcs import FULL_CIRCLE, Arc, arcs_intersect, min_circle_cover
+from realcover.arcs import FULL_CIRCLE, Arc, min_circle_cover
 
-from oracles import brute_min_circle_cover, greedy_min_circle_cover
+from oracles import arcs_intersect, brute_min_circle_cover, greedy_min_circle_cover
 
 F = Fraction
 

@@ -1,8 +1,11 @@
 import json
+from fractions import Fraction
 
 import pytest
 
 from realcover.cli import run
+from realcover.planner import plan_from_json
+from realcover.plsim import fiber_profile, realize
 
 
 def invoke(capsys, *argv):
@@ -16,14 +19,17 @@ def invoke_json(capsys, *argv):
     return code, json.loads(out)
 
 
-def write_plan(tmp_path, seed):
+def write_plan(tmp_path, seed, steps=()):
     plan_file = tmp_path / "plan.json"
-    plan_file.write_text(json.dumps({"seed": seed, "steps": [], "provenance": "Case1"}))
+    plan_file.write_text(
+        json.dumps({"seed": seed, "steps": list(steps), "provenance": "Case1"})
+    )
     return str(plan_file)
 
 
 SPEC_431 = '{"g":4,"s":0,"a":1,"target":"P1","k":3,"deg":[]}'
 SPEC_6333 = '{"g":6,"s":3,"a":0,"target":"P1","k":3,"deg":[1,1,1]}'
+HYPER_2 = {"kind": "Hyperelliptic", "g": 2, "s": 1, "a": 0, "deg": [2]}
 
 
 class TestAdmissible:
@@ -96,7 +102,11 @@ class TestPlanVerifyRealize:
         assert code == 0
         lines = out.strip().splitlines()
         assert lines[0] == "x,fiber_count"
-        assert len(lines) >= 101
+        # one row per regular interval, at its midpoint, sorted by x
+        p = plan_from_json(plan_doc)
+        profile = fiber_profile(realize(p.seed, p.steps))
+        xs = [Fraction(line.split(",")[0]) for line in lines[1:]]
+        assert xs == sorted((a + length / 2) % 1 for a, length, _ in profile)
         assert all(line.endswith(",3") for line in lines[1:])
 
     @pytest.mark.parametrize("command", ["verify", "realize"])
@@ -105,17 +115,38 @@ class TestPlanVerifyRealize:
         [("g", "2", "seed.g"), ("deg", 5, "seed.deg"), ("deg", [True], "seed.deg[0]")],
     )
     def test_mistyped_plan_seed_exits_one(self, capsys, tmp_path, command, field, value, path):
-        seed = {"kind": "Hyperelliptic", "g": 2, "s": 1, "a": 0, "deg": [2], field: value}
+        seed = {**HYPER_2, field: value}
         extra = [SPEC_6333] if command == "verify" else []
         code, doc = invoke_json(capsys, command, write_plan(tmp_path, seed), *extra)
         assert code == 1
         assert doc["error"].startswith(path + ":")
 
     def test_realize_refuses_uncataloged_seed(self, capsys, tmp_path):
-        seed = {"kind": "Hyperelliptic", "g": 2, "s": 1, "a": 0, "deg": [3]}
+        seed = {**HYPER_2, "deg": [3]}
         code, doc = invoke_json(capsys, "realize", write_plan(tmp_path, seed))
         assert code == 2
         assert "catalog" in doc["rejected"]
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize(
+        "seed, step",
+        [
+            (HYPER_2, {"kind": "I", "variant": "ram", "placement": "C9"}),
+            (HYPER_2, {"kind": "II", "variant": "ram", "placement": None}),
+            (
+                {"kind": "GenericPencil", "g": 2, "k": 4},
+                {"kind": "I", "variant": "noram", "placement": "C1"},
+            ),
+        ],
+        ids=["missing_circle", "winding_sum_is_k", "pencil_has_no_circle"],
+    )
+    def test_realize_refuses_inapplicable_step(self, capsys, tmp_path, seed, step, fmt):
+        plan_file = write_plan(tmp_path, seed, [step])
+        code, doc = invoke_json(capsys, "realize", plan_file, "--format", fmt)
+        assert code == 2
+        assert doc["rejected"].startswith(f"construction {step['kind']} (step 0): ")
+        code, verdict = invoke_json(capsys, "verify", plan_file, SPEC_6333)
+        assert code == 2 and verdict["verified"] is False
 
     def test_missing_plan_file(self, capsys):
         code, doc = invoke_json(capsys, "verify", "/nonexistent/plan.json", SPEC_6333)

@@ -14,12 +14,13 @@ from realcover.constructions import (
     StepKind,
     Variant,
     apply_step,
-    execute,
     seed_state,
     step_from_json,
     step_to_json,
 )
 from realcover.topology import CoverSpec, CoverTarget, DegreeVector, TopType, weichold_admissible
+
+from oracles import execute
 
 RAM = Variant.WITH_REAL_RAM
 NORAM = Variant.WITHOUT_REAL_RAM

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from realcover.arcs import Arc, FullCircle, arcs_intersect
+from realcover.arcs import Arc, FullCircle
 from realcover.covering4 import (
     CoveringNumberTarget,
     InfeasibleTarget,
@@ -23,7 +23,7 @@ from realcover.plsim import (
 from realcover.topology import CoverSpec, CoverTarget, DegreeVector, TopType
 from realcover.constructions import GenericPencil, Hyperelliptic
 
-from oracles import brute_min_circle_cover
+from oracles import arcs_intersect, brute_min_circle_cover
 
 F = Fraction
 

@@ -8,7 +8,6 @@ from realcover.constructions import (
     Hyperelliptic,
     StepKind,
     Variant,
-    execute,
 )
 from realcover.planner import (
     Infeasible,
@@ -19,6 +18,8 @@ from realcover.planner import (
     verify_plan,
 )
 from realcover.topology import CoverSpec, CoverTarget, DegreeVector, TopType, enumerate_admissible
+
+from oracles import execute
 
 
 def spec(g, s, a, target, k, deg=()):

@@ -1,6 +1,9 @@
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from realcover.arcs import Arc, FullCircle
 from realcover.constructions import (
@@ -12,16 +15,15 @@ from realcover.constructions import (
     StepKind,
     Variant,
 )
+from realcover.covering4 import CoveringNumberTarget, build_covnum
 from realcover.planner import plan
 from realcover.plsim import (
     BudgetExceeded,
     PLCover,
     PLMap,
-    SingularValue,
     critical_values,
-    fiber,
     fiber_budget_violations,
-    fiber_count,
+    fiber_profile,
     fold_split,
     image_arcs,
     merge_components,
@@ -31,9 +33,10 @@ from realcover.plsim import (
     reverse,
     seed_cover,
     surgery,
-    winding,
 )
-from realcover.topology import CoverSpec, CoverTarget, DegreeVector, TopType
+from realcover.topology import CoverSpec, CoverTarget, DegreeVector, TopType, weichold_admissible
+
+from oracles import brute_fiber_count
 
 F = Fraction
 RAM = Variant.WITH_REAL_RAM
@@ -52,15 +55,85 @@ def single(m, k=None, target=CoverTarget.PROJ_LINE):
     return PLCover((("C1", m),), k if k is not None else abs(m.closure), target)
 
 
+def counts(cover):
+    return {n for _, _, n in fiber_profile(cover)}
+
+
+def count_at(cover, x):
+    """The profile's count on the regular interval containing x."""
+    for a, length, n in fiber_profile(cover):
+        if 0 < (x - a) % 1 < length:
+            return n
+    raise AssertionError(f"{x} is a critical value")
+
+
+def merged_tents():
+    cover = PLCover(
+        (("C1", tent(0, F(1, 2))), ("C2", tent(F(3, 8), F(7, 8)))),
+        4,
+        CoverTarget.PROJ_LINE,
+    )
+    return merge_components(cover, "C1", "C2", F(7, 16), F(1, 64))
+
+
+def split_tent():
+    return fold_split(single(tent(0, F(1, 2)), 4), "C1", F(1, 4), F(1, 64))
+
+
+@lru_cache(maxsize=None)
+def covnum_builds(g_max):
+    """Every degree-4 build with prescribed covering number for g <= g_max."""
+    out = []
+    for g in range(g_max + 1):
+        for s in range(1, g + 2):
+            for a in (0, 1):
+                if weichold_admissible(g, s, a):
+                    for kcov in range(1, s + 1):
+                        target = CoveringNumberTarget(TopType(g, s, a), kcov)
+                        out.append(build_covnum(target)[0])
+    return out
+
+
+@st.composite
+def pl_covers(draw):
+    """One to three circle maps with mixed windings and small denominators."""
+    comps = []
+    for i in range(draw(st.integers(1, 3))):
+        den = draw(st.sampled_from([1, 2, 3, 4, 6]))
+        closure = draw(st.integers(-2, 2))
+        nums = draw(st.lists(st.integers(-2 * den, 2 * den), min_size=1, max_size=6))
+        values = [F(n, den) for n in nums]
+        lifts = values + [values[0] + closure]
+        assume(all(u != v for u, v in zip(lifts, lifts[1:])))
+        comps.append((f"C{i + 1}", pl_map(values, closure)))
+    return PLCover(tuple(comps), draw(st.integers(0, 12)), CoverTarget.PROJ_LINE)
+
+
+# where inside each regular interval the oracle is asked, as a share of its length
+inner_shares = st.fractions(min_value=0, max_value=1, max_denominator=97).filter(
+    lambda r: 0 < r < 1
+)
+
+
+def assert_profile_matches_oracle(cover, r):
+    profile = fiber_profile(cover)
+    assert [a for a, _, _ in profile] == (critical_values(cover) or [0])
+    assert sum(length for _, length, _ in profile) == 1
+    for a, length, n in profile:
+        assert length > 0
+        assert brute_fiber_count(cover, a + length / 2) == n
+        assert brute_fiber_count(cover, a + length * r) == n
+
+
 class TestPLMap:
     def test_winding_of_monotone_map(self):
-        assert winding(pl_map([F(0)], 1)) == 1
+        assert pl_map([F(0)], 1).closure == 1
 
     def test_winding_of_tent_is_zero(self):
-        assert winding(tent(0, F(1, 4))) == 0
+        assert tent(0, F(1, 4)).closure == 0
 
     def test_double_wrap(self):
-        assert winding(pl_map([F(0), F(1)], 2)) == 2
+        assert pl_map([F(0), F(1)], 2).closure == 2
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -73,35 +146,24 @@ class TestPLMap:
     def test_reverse_negates_winding_keeps_fibers(self):
         m = pl_map([F(0), F(1)], 2)
         r = reverse(m)
-        assert winding(r) == -2
-        cover_m, cover_r = single(m, 2), single(r, 2)
-        for x in (F(1, 7), F(3, 7), F(6, 7)):
-            assert fiber_count(cover_m, x) == fiber_count(cover_r, x)
+        assert r.closure == -2
+        assert fiber_profile(single(m, 2)) == fiber_profile(single(r, 2))
 
 
 class TestFiber:
     def test_double_wrap_two_preimages(self):
         cover = single(pl_map([F(0), F(1)], 2), 2)
-        pts = fiber(cover, F(1, 3))
-        assert len(pts) == 2
-        assert all(lbl == "C1" for lbl, _ in pts)
-
-    def test_singular_value_rejected(self):
-        cover = single(tent(0, F(1, 4)), 2)
-        with pytest.raises(SingularValue):
-            fiber(cover, F(1, 4))
+        assert fiber_profile(cover) == [(F(0), F(1), 2)]
 
     def test_full_winding_cover_has_full_fibers(self):
         cover = seed_cover(hyper(3, 2, 0, (1, 1)))
-        for x in regular_samples(cover, 20):
-            assert fiber_count(cover, x) == 2
+        assert counts(cover) == {2}
 
     def test_fold_gap_drops_count_by_two(self):
         before = single(pl_map([F(0), F(1)], 2), 2)
         after = surgery(before, ConstructionStep(StepKind.I, RAM, "C1"))
         assert after.k == 3
-        assert winding(after.map_of("C1")) == 1
-        crit = critical_values(after)
+        assert after.map_of("C1").closure == 1
         assert fiber_budget_violations(after) == []
         # the count changes by exactly 2 across a fold image, 0 elsewhere
         m = after.map_of("C1")
@@ -114,10 +176,9 @@ class TestFiber:
             if (incoming > 0) != (outgoing > 0):
                 folds.add(xs[j] % 1)
         assert folds
-        eps = min((b - a) % 1 for a in crit for b in crit if a != b) / 4
-        for c in crit:
-            left = fiber_count(after, (c - eps) % 1)
-            right = fiber_count(after, (c + eps) % 1)
+        profile = fiber_profile(after)
+        for i, (c, _, right) in enumerate(profile):
+            left = profile[i - 1][2]
             assert abs(left - right) == (2 if c in folds else 0)
 
 
@@ -147,14 +208,13 @@ class TestSurgery:
     def test_wrap_raises_winding_everywhere(self):
         before = single(pl_map([F(0), F(1)], 2), 2)
         after = surgery(before, ConstructionStep(StepKind.I, NORAM, "C1"))
-        assert winding(after.map_of("C1")) == 3
-        for x in regular_samples(after, 30):
-            assert fiber_count(after, x) == 3
+        assert after.map_of("C1").closure == 3
+        assert counts(after) == {3}
 
     def test_fold_flips_zero_winding(self):
         before = single(tent(F(1, 8), F(3, 8)), 2)
         after = surgery(before, ConstructionStep(StepKind.I, RAM, "C1"))
-        assert winding(after.map_of("C1")) == 1
+        assert after.map_of("C1").closure == 1
 
     def test_new_fold_component(self):
         before = single(tent(F(1, 8), F(3, 8)), 4)
@@ -182,7 +242,7 @@ class TestSurgery:
         before = single(tent(F(1, 8), F(3, 8)), 4)
         after = surgery(before, ConstructionStep(StepKind.III))
         assert after.k == 5
-        assert winding(after.map_of("N1")) == 1
+        assert after.map_of("N1").closure == 1
 
     def test_budget_only_kinds(self):
         empty = seed_cover(GenericPencil(3, 4))
@@ -207,26 +267,19 @@ class TestSurgery:
 
 class TestNodeSmoothings:
     def test_merge_two_tents(self):
-        cover = PLCover(
-            (("C1", tent(0, F(1, 2))), ("C2", tent(F(3, 8), F(7, 8)))),
-            4,
-            CoverTarget.PROJ_LINE,
-        )
-        merged = merge_components(cover, "C1", "C2", F(7, 16), F(1, 64))
+        merged = merged_tents()
         assert [lbl for lbl, _ in merged.components] == ["C1"]
-        m = merged.map_of("C1")
-        assert winding(m) == 0
+        assert merged.map_of("C1").closure == 0
         assert image_arcs(merged) == [("C1", Arc(F(0), F(7, 8)))]
         assert fiber_budget_violations(merged) == []
         # inside the smoothing gap two sheets became non-real
-        assert fiber_count(merged, F(7, 16)) == 2
-        assert fiber_count(merged, F(5, 16)) == 2
-        assert fiber_count(merged, F(13, 32)) == 4
-        assert fiber_count(merged, F(31, 64)) == 4
+        assert count_at(merged, F(7, 16)) == 2
+        assert count_at(merged, F(5, 16)) == 2
+        assert count_at(merged, F(13, 32)) == 4
+        assert count_at(merged, F(31, 64)) == 4
 
     def test_split_tent(self):
-        cover = single(tent(0, F(1, 2)), 4)
-        split, new_label = fold_split(cover, "C1", F(1, 4), F(1, 64))
+        split, new_label = split_tent()
         assert new_label == "N1"
         arcs = dict(image_arcs(split))
         assert arcs["C1"] == Arc(F(0), F(1, 4) - F(1, 64))
@@ -240,8 +293,7 @@ class TestRealize:
         p = plan(target)
         cover = realize(p.seed, p.steps)
         assert [abs(m.closure) for _, m in cover.components] == [3]
-        for x in regular_samples(cover, 30):
-            assert fiber_count(cover, x) == 3
+        assert counts(cover) == {3}
 
     def test_all_zero_plan(self):
         target = CoverSpec(
@@ -273,13 +325,37 @@ class TestRealize:
 
 
 class TestSampling:
-    def test_samples_avoid_critical_values_and_reach_minimum(self):
+    def test_samples_are_interval_midpoints(self):
         cover = seed_cover(hyper(3, 2, 0, (1, 1)))
-        samples = regular_samples(cover, 100)
-        crit = set(critical_values(cover))
-        assert len(samples) >= 100
-        assert not crit.intersection(samples)
+        assert critical_values(cover) == [F(0), F(1, 2)]
+        assert regular_samples(cover) == [F(1, 4), F(3, 4)]
 
     def test_empty_cover_sampling(self):
         cover = seed_cover(GenericPencil(3, 4))
-        assert len(regular_samples(cover, 50)) == 50
+        assert fiber_profile(cover) == [(F(0), F(1), 0)]
+        assert regular_samples(cover) == [F(1, 2)]
+
+
+class TestFiberProfile:
+    """The sweep against the per-point oracle: the intervals tile the circle
+    from the critical values, and each count holds everywhere inside."""
+
+    @given(pl_covers(), inner_shares)
+    def test_random_pl_covers(self, cover, r):
+        assert_profile_matches_oracle(cover, r)
+
+    @settings(max_examples=5, deadline=None)
+    @given(inner_shares)
+    def test_covnum_builds(self, r):
+        for cover in covnum_builds(7):
+            assert_profile_matches_oracle(cover, r)
+
+    @given(inner_shares)
+    def test_node_smoothings(self, r):
+        assert_profile_matches_oracle(merged_tents(), r)
+        assert_profile_matches_oracle(split_tent()[0], r)
+
+    def test_wrapping_arc_counts_interval_zero(self):
+        # the climb from 3/4 to 5/4 passes over [0, 1/4) after wrapping
+        cover = single(pl_map([F(3, 4), F(5, 4)], 0), 2)
+        assert fiber_profile(cover) == [(F(1, 4), F(1, 2), 0), (F(3, 4), F(1, 2), 2)]
