@@ -2,27 +2,38 @@
 verification, PL realization, covering-number builds, dimension formulas
 and batch enumeration.
 
-Every invocation writes a single JSON document to standard output.  Exit
-codes: 0 for success, 2 for a definitive negative answer (not admissible,
-no plan, verification failed, plan seed outside the catalog, a plan step
-that cannot be applied), 1 for malformed input.  Output is deterministic: identical invocations produce
-identical bytes.
+Every invocation writes a single JSON document to standard output (the
+CSV form of realize aside); -h/--help answers {"help": <usage text>}.  Exit
+codes: 0 for success and help, 2 for a definitive negative answer (not
+admissible, no plan, verification failed, plan seed outside the catalog, a
+plan step that cannot be applied), 1 for malformed input.  Output is
+deterministic: identical invocations produce identical bytes.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
-from typing import List, Optional
+from typing import Iterable, List, Optional
 
 from . import brill_noether, covering4, planner, plsim, topology
 from .constructions import PreconditionViolated, SeedNotInCatalog
 from .topology import CoverSpec
 
 
+# Help text is wrapped at this width whatever the terminal, so that stdout
+# does not depend on COLUMNS.
+_HELP_WIDTH = 80
+
+
 class _UsageError(Exception):
+    pass
+
+
+class _HelpRequested(Exception):
     pass
 
 
@@ -31,6 +42,14 @@ class _Parser(argparse.ArgumentParser):
     # negative" here, so route usage problems to exit 1 instead.
     def error(self, message):
         raise _UsageError(message)
+
+    # -h/--help prints and exits inside parse_args; hand the text to run()
+    # instead, which emits it as JSON.  Subparsers are _Parser too.
+    def print_help(self, file=None):
+        raise _HelpRequested(self.format_help())
+
+    def _get_formatter(self):
+        return self.formatter_class(prog=self.prog, width=_HELP_WIDTH)
 
 
 def _emit(doc: dict) -> None:
@@ -131,28 +150,48 @@ def _cmd_covnum(args) -> int:
     return 0
 
 
-def _enum_block(args_tuple) -> List[dict]:
+def _enum_block(args_tuple) -> str:
+    """The genus block's specs as a JSON array without its brackets."""
     g, k_max = args_tuple
-    return [topology.spec_to_json(s) for s in topology.enumerate_admissible_genus(g, k_max)]
+    specs = [topology.spec_to_json(s) for s in topology.enumerate_admissible_genus(g, k_max)]
+    return json.dumps(specs, separators=(",", ":"))[1:-1]
+
+
+def _scan_workers(blocks: int) -> int:
+    try:
+        workers = int(os.environ.get("REALCOVER_SCAN_WORKERS", "1"))
+    except ValueError:
+        raise ValueError("REALCOVER_SCAN_WORKERS: expected an integer") from None
+    # A process pool starts all its workers at the first submit, so never ask
+    # for more than there are blocks or CPUs.
+    return min(workers, blocks, os.cpu_count() or 1)
+
+
+def _write_blocks(blocks: Iterable[str]) -> None:
+    """Stream the blocks as one JSON array, the same bytes as dumping the
+    whole list at once, holding one block at a time."""
+    sys.stdout.write("[")
+    sep = ""
+    for block in blocks:
+        if block:
+            sys.stdout.write(sep)
+            sys.stdout.write(block)
+            sep = ","
+    sys.stdout.write("]\n")
 
 
 def _cmd_enumerate(args) -> int:
     if args.g_max < 0 or args.k_max < 2:
         raise ValueError("enumerate: need g_max >= 0 and k_max >= 2")
-    workers = int(os.environ.get("REALCOVER_SCAN_WORKERS", "1"))
-    gs = list(range(args.g_max + 1))
-    if workers > 1 and len(gs) > 1:
+    tasks = [(g, args.k_max) for g in range(args.g_max + 1)]
+    workers = _scan_workers(len(tasks))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            blocks = list(pool.map(_enum_block, [(g, args.k_max) for g in gs]))
+            _write_blocks(pool.map(_enum_block, tasks))
     else:
-        blocks = [_enum_block((g, args.k_max)) for g in gs]
-    out: List[dict] = []
-    for block in blocks:
-        out.extend(block)
-    sys.stdout.write(json.dumps(out, separators=(",", ":")))
-    sys.stdout.write("\n")
+        _write_blocks(map(_enum_block, tasks))
     return 0
 
 
@@ -221,11 +260,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Built on the first request, not at import; parse_args leaves it as it
+    # was, so every later request in the process reuses it.
+    return build_parser()
+
+
 def run(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
+    except _HelpRequested as exc:
+        _emit({"help": str(exc)})
+        return 0
     except _UsageError as exc:
         _emit({"error": str(exc)})
         return 1

@@ -65,7 +65,7 @@ class PreconditionViolated(Exception):
         super().__init__(f"construction {kind.value}{at}: {reason}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConstructionStep:
     """One application of a construction: kind, smoothing variant, placement.
 
@@ -90,7 +90,7 @@ class ConstructionStep:
             raise ValueError(f"construction {self.kind.value} takes no placement")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LabeledState:
     """Covering state with individually labeled real circles.
 
@@ -146,7 +146,7 @@ class LabeledState:
 # Base seeds: coverings the plans start from, taken as existing.
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Hyperelliptic:
     """Double covering of P1 by a curve of the given type.
 
@@ -159,14 +159,14 @@ class Hyperelliptic:
     degrees: DegreeVector
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HyperellipticToR0:
     """Double covering of the anisotropic conic; exists for odd genus."""
 
     g: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GenericPencil:
     """Base-point-free pencil of even degree k > g on a curve with no real points."""
 
@@ -174,7 +174,7 @@ class GenericPencil:
     k: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GenericR0Pencil:
     """Covering of R0 of degree k >= g + 1 with k = g + 1 (mod 2), no real points."""
 

@@ -56,16 +56,24 @@ PROVENANCE_TAGS = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Plan:
     seed: BaseSeed
     steps: tuple[ConstructionStep, ...]
     provenance: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Infeasible:
     reason: str
+
+
+# Plans share one step object per distinct step: a plan of length k holds
+# only a few distinct records.
+_III = ConstructionStep(StepKind.III)
+_IV = ConstructionStep(StepKind.IV)
+_V = ConstructionStep(StepKind.V)
+_II_RAM = ConstructionStep(StepKind.II, Variant.WITH_REAL_RAM)
 
 
 def _ram(label: str) -> ConstructionStep:
@@ -78,14 +86,15 @@ def _noram(label: str) -> ConstructionStep:
 
 def _alternating(label: str, count: int) -> List[ConstructionStep]:
     """count steps of construction I on one circle, ram first, netting zero."""
-    return [_ram(label) if i % 2 == 0 else _noram(label) for i in range(count)]
+    ram, noram = _ram(label), _noram(label)
+    return [ram if i % 2 == 0 else noram for i in range(count)]
 
 
 def _pump_to_degrees(labels: List[str], degrees: tuple[int, ...]) -> List[ConstructionStep]:
     """Raise circle i from winding 1 to degrees[i], in ascending circle order."""
     steps: List[ConstructionStep] = []
     for label, d in zip(labels, degrees):
-        steps.extend(_noram(label) for _ in range(d - 1))
+        steps.extend([_noram(label)] * (d - 1))
     return steps
 
 
@@ -99,7 +108,7 @@ def _case3_recipe(g: int, k: int, nonzero: tuple[int, ...]) -> tuple[BaseSeed, L
     s_prime = len(nonzero)
     seed = Hyperelliptic(TopType(g - s_prime + 1, 1, 0), DegreeVector((2,)))
     steps: List[ConstructionStep] = [_ram("C1")]
-    steps.extend(ConstructionStep(StepKind.III) for _ in range(s_prime - 1))
+    steps.extend([_III] * (s_prime - 1))
     labels = ["C1"] + [f"N{i + 1}" for i in range(s_prime - 1)]
     steps.extend(_pump_to_degrees(labels, nonzero))
     steps.extend(_alternating("C1", k - sum(nonzero) - 2))
@@ -123,7 +132,7 @@ def plan(target: CoverSpec) -> Union[Plan, Infeasible]:
         if k >= g + 1:
             return Plan(GenericR0Pencil(g, k), (), "R0-big-k")
         seed = HyperellipticToR0(g - k + 2)
-        steps = tuple(ConstructionStep(StepKind.V) for _ in range(k - 2))
+        steps = (_V,) * (k - 2)
         return Plan(seed, steps, "R0-small-k")
 
     if a == 1:
@@ -131,7 +140,7 @@ def plan(target: CoverSpec) -> Union[Plan, Infeasible]:
             if g < k:
                 return Plan(GenericPencil(g, k), (), "A1-s0-small-g")
             seed = Hyperelliptic(TopType(g - k // 2 + 1, 0, 1), DegreeVector())
-            steps = tuple(ConstructionStep(StepKind.IV) for _ in range(k // 2 - 1))
+            steps = (_IV,) * (k // 2 - 1)
             return Plan(seed, steps, "A1-s0-big-g")
         # s >= 1: start from an all-zero double covering of the right type,
         # spin up one circle per nonzero winding, pump, then absorb the
@@ -144,12 +153,12 @@ def plan(target: CoverSpec) -> Union[Plan, Infeasible]:
             TopType(g - s_prime, s - s_prime, 1), DegreeVector((0,) * (s - s_prime))
         )
         steps: List[ConstructionStep] = []
-        steps.extend(ConstructionStep(StepKind.III) for _ in range(s_prime))
+        steps.extend([_III] * s_prime)
         labels = [f"N{i + 1}" for i in range(s_prime)]
         steps.extend(_pump_to_degrees(labels, nonzero))
         remainder = k - 2 - total
         if s != s_prime:
-            steps.extend(_ram("C1") for _ in range(remainder))
+            steps.extend([_ram("C1")] * remainder)
         else:
             steps.extend(_alternating("N1", remainder))
         return Plan(seed, tuple(steps), "A1-sPos")
@@ -158,16 +167,16 @@ def plan(target: CoverSpec) -> Union[Plan, Infeasible]:
     if total == k:
         if s == 1:
             seed = Hyperelliptic(TopType(g, 1, 0), DegreeVector((2,)))
-            steps = tuple(_noram("C1") for _ in range(k - 2))
+            steps = (_noram("C1"),) * (k - 2)
             return Plan(seed, steps, "Case1")
         if degrees[0] == 1:
             seed = Hyperelliptic(TopType(g - k + 2, 2, 0), DegreeVector((1, 1)))
-            steps = tuple(ConstructionStep(StepKind.III) for _ in range(k - 2))
+            steps = (_III,) * (k - 2)
             return Plan(seed, steps, "Case2-all1")
         seed = Hyperelliptic(TopType(g - s + 1, 1, 0), DegreeVector((2,)))
         steps = []
-        steps.extend(ConstructionStep(StepKind.III) for _ in range(s - 1))
-        steps.extend(_noram("C1") for _ in range(degrees[0] - 2))
+        steps.extend([_III] * (s - 1))
+        steps.extend([_noram("C1")] * (degrees[0] - 2))
         labels = [f"N{i + 1}" for i in range(s - 1)]
         steps.extend(_pump_to_degrees(labels, degrees[1:]))
         return Plan(seed, tuple(steps), "Case2-big")
@@ -175,10 +184,8 @@ def plan(target: CoverSpec) -> Union[Plan, Infeasible]:
     s_prime = sum(1 for d in degrees if d != 0)
     if s_prime == 0:
         seed = Hyperelliptic(TopType(g - s + 1, 1, 0), DegreeVector((2,)))
-        steps = [_ram("C1") for _ in range(k - 2)]
-        steps.extend(
-            ConstructionStep(StepKind.II, Variant.WITH_REAL_RAM) for _ in range(s - 1)
-        )
+        steps = [_ram("C1")] * (k - 2)
+        steps.extend([_II_RAM] * (s - 1))
         return Plan(seed, tuple(steps), "Case5")
     if s_prime == s:
         seed, steps = _case3_recipe(g, k, degrees)
@@ -187,9 +194,7 @@ def plan(target: CoverSpec) -> Union[Plan, Infeasible]:
     # reached before the extra circles, then add each zero circle by a
     # fold over a non-real point.
     seed, steps = _case3_recipe(g - (s - s_prime), k, degrees[:s_prime])
-    steps.extend(
-        ConstructionStep(StepKind.II, Variant.WITH_REAL_RAM) for _ in range(s - s_prime)
-    )
+    steps.extend([_II_RAM] * (s - s_prime))
     return Plan(seed, tuple(steps), "Case4")
 
 

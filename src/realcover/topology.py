@@ -24,7 +24,7 @@ class CoverTarget(str, Enum):
     ANISOTROPIC_CONIC = "R0"
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class TopType:
     """Topological type (g, s, a) of a smooth real curve."""
 
@@ -33,7 +33,7 @@ class TopType:
     a: int
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class DegreeVector:
     """Winding numbers of the real circles, canonically sorted non-increasing.
 
@@ -68,7 +68,7 @@ class DegreeVector:
         return iter(self.entries)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CoverSpec:
     """A covering request or outcome: source type, target, degree, windings.
 
@@ -206,6 +206,9 @@ def enumerate_admissible(g_max: int, k_max: int) -> Iterator[CoverSpec]:
 def enumerate_admissible_genus(g: int, k_max: int) -> Iterator[CoverSpec]:
     """The genus-g block of :func:`enumerate_admissible`, in sorted order."""
     block: list[CoverSpec] = []
+    # One TopType per (s, a), shared by every spec of that type.
+    tops = [TopType(g, s, a) for s in range(g + 2) for a in (0, 1)
+            if weichold_admissible(g, s, a)]
     for k in range(2, k_max + 1):
         for target in (CoverTarget.PROJ_LINE, CoverTarget.ANISOTROPIC_CONIC):
             if target is CoverTarget.ANISOTROPIC_CONIC:
@@ -213,14 +216,11 @@ def enumerate_admissible_genus(g: int, k_max: int) -> Iterator[CoverSpec]:
                 if target_admissible(spec):
                     block.append(spec)
                 continue
-            for s in range(g + 2):
-                for a in (0, 1):
-                    if not weichold_admissible(g, s, a):
-                        continue
-                    for deg in _degree_vectors(s, k):
-                        spec = CoverSpec(TopType(g, s, a), target, k, deg)
-                        if target_admissible(spec):
-                            block.append(spec)
+            for top in tops:
+                for deg in _degree_vectors(top.s, k):
+                    spec = CoverSpec(top, target, k, deg)
+                    if target_admissible(spec):
+                        block.append(spec)
     block.sort(key=CoverSpec.sort_key)
     yield from block
 

@@ -1,11 +1,20 @@
+import concurrent.futures
+import contextlib
+import io
 import json
+import os
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from realcover import cli
 from realcover.cli import run
-from realcover.planner import plan_from_json
+from realcover.planner import plan, plan_from_json, plan_to_json
 from realcover.plsim import fiber_profile, realize
+from realcover.topology import enumerate_admissible, spec_from_json, spec_to_json
 
 
 def invoke(capsys, *argv):
@@ -191,6 +200,47 @@ class TestEnumerate:
         _, fanned = invoke(capsys, "enumerate", "3", "4")
         assert serial == fanned
 
+    @pytest.mark.parametrize("box", [(0, 2), (3, 4), (5, 6)])
+    def test_streamed_bytes_match_one_dump(self, capsys, box):
+        whole = [spec_to_json(s) for s in enumerate_admissible(*box)]
+        code, out = invoke(capsys, "enumerate", *map(str, box))
+        assert code == 0
+        assert out == json.dumps(whole, separators=(",", ":")) + "\n"
+
+    @pytest.mark.parametrize("cpus, expected", [(64, 4), (2, 2), (None, 1)])
+    def test_scan_workers_clamped(self, capsys, monkeypatch, cpus, expected):
+        # The stub maps in this process: no worker is ever started.
+        requested = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, iterable):
+                return map(fn, iterable)
+
+        _, serial = invoke(capsys, "enumerate", "3", "4")
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        monkeypatch.setenv("REALCOVER_SCAN_WORKERS", "64")
+        code, fanned = invoke(capsys, "enumerate", "3", "4")
+        assert code == 0 and fanned == serial
+        # four genus blocks; one worker means no pool at all
+        assert requested == ([expected] if expected > 1 else [])
+
+    @pytest.mark.parametrize("value", ["x", "2.5", ""])
+    def test_scan_workers_not_integer(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("REALCOVER_SCAN_WORKERS", value)
+        code, doc = invoke_json(capsys, "enumerate", "3", "4")
+        assert code == 1
+        assert doc == {"error": "REALCOVER_SCAN_WORKERS: expected an integer"}
+
 
 class TestCalculators:
     def test_rho(self, capsys):
@@ -212,3 +262,137 @@ class TestCalculators:
         code, doc = invoke_json(capsys, "rho", "four", "3")
         assert code == 1
         assert "error" in doc
+
+
+class TestHelp:
+    @pytest.mark.parametrize(
+        "argv", [["--help"], ["-h"], ["plan", "-h"], ["enumerate", "--help"]]
+    )
+    def test_help_is_one_json_document(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "40")
+        code, out = invoke(capsys, *argv)
+        assert code == 0
+        assert out.count("\n") == 1 and out.endswith("\n")
+        doc = json.loads(out)
+        assert list(doc) == ["help"] and "usage" in doc["help"]
+        monkeypatch.setenv("COLUMNS", "200")
+        assert invoke(capsys, *argv) == (code, out)
+
+
+class TestSharedParser:
+    def test_parser_built_at_most_once(self, capsys, monkeypatch):
+        builds, build = [], cli.build_parser
+
+        def counting_build():
+            builds.append(1)
+            return build()
+
+        cli._parser.cache_clear()
+        monkeypatch.setattr(cli, "build_parser", counting_build)
+        try:
+            for argv in (["rho", "4", "3"], ["bogus"], ["dims", "4", "3"]):
+                run(argv)
+        finally:
+            cli._parser.cache_clear()
+        assert builds == [1]
+
+
+# The fuzz below draws argvs from these pieces: mostly a subcommand with an
+# argument of the right kind in each slot, then options or noise.  "@name"
+# stands for a plan file written once per module.
+_SPECS = [
+    SPEC_431,
+    SPEC_6333,
+    '{"g":6,"s":3,"a":0,"target":"P1","k":5,"deg":[1,1,1]}',
+    '{"g":3,"s":0,"a":1,"target":"R0","k":2,"deg":[]}',
+    SPEC_6333[:20],
+    '{"g":4}',
+    "[1,2]",
+    '{"g":"4","s":0,"a":1,"target":"P1","k":3,"deg":[]}',
+]
+_TARGETS = [
+    '{"g":2,"s":3,"a":0,"kcov":3}',
+    '{"g":3,"s":2,"a":1,"kcov":1}',
+    '{"g":2,"s":3,"a":0,"kcov":5}',
+    '{"g":2,"s":3,"a":0,"kcov":"3"}',
+    '{"g":2,"s":3',
+]
+_PLAN_FILES = ["@valid", "@malformed", "@uncataloged", "@missing"]
+_small_int = st.integers(-3, 5).map(str)  # keeps every enumerate box within 5 x 5
+_SLOTS = {
+    "admissible": [st.sampled_from(_SPECS)],
+    "plan": [st.sampled_from(_SPECS)],
+    "verify": [st.sampled_from(_PLAN_FILES), st.sampled_from(_SPECS)],
+    "realize": [st.sampled_from(_PLAN_FILES)],
+    "covnum": [st.sampled_from(_TARGETS)],
+    "enumerate": [_small_int, _small_int],
+    "rho": [_small_int, _small_int],
+    "dims": [_small_int, _small_int],
+    "facts": [],
+}
+_OPTIONS = {"realize": [["--format", "csv"], ["--format", "json"], ["--format", "xml"]],
+            "rho": [["--r", "2"], ["--r", "-1"]]}
+_token = st.one_of(
+    st.sampled_from([*_SLOTS, "--format", "csv", "--r", "-h", "--help", "x", "", "1.5",
+                     "--bogus"]),
+    _small_int,
+    st.sampled_from(_SPECS + _TARGETS + _PLAN_FILES),
+)
+
+
+@st.composite
+def _argv(draw):
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.lists(_token, max_size=4))
+    command = draw(st.sampled_from(list(_SLOTS)))
+    args = [draw(slot) for slot in _SLOTS[command]]
+    if draw(st.integers(0, 4)) == 0:
+        del args[draw(st.integers(0, len(args))):]
+    options = st.sampled_from(_OPTIONS.get(command, []) + [["-h"], ["--help"]])
+    extra = draw(st.one_of(st.just([]), options, st.lists(_token, max_size=2)))
+    return [command, *args, *extra]
+
+
+_CSV_ROW = re.compile(r"-?\d+/\d+,\d+")
+
+
+@pytest.fixture(scope="module")
+def plan_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("plans")
+    docs = {
+        "valid": json.dumps(plan_to_json(plan(spec_from_json(json.loads(SPEC_6333))))),
+        "malformed": "{oops",
+        "uncataloged": json.dumps({"seed": {**HYPER_2, "deg": [3]}, "steps": [],
+                                   "provenance": "Case1"}),
+    }
+    for name, text in docs.items():
+        (root / f"{name}.json").write_text(text)
+    return root
+
+
+def _call(argv):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = run(argv)
+    return code, buf.getvalue()
+
+
+class TestFuzz:
+    @settings(deadline=None)
+    @given(batch=st.lists(_argv(), min_size=1, max_size=6))
+    def test_any_argv_one_document_and_shared_parser_agrees(self, plan_dir, batch):
+        batch = [[str(plan_dir / f"{a[1:]}.json") if a in _PLAN_FILES else a for a in argv]
+                 for argv in batch]
+        shared = [_call(argv) for argv in batch]
+        for argv, (code, out) in zip(batch, shared):
+            assert code in (0, 1, 2)
+            if out.startswith("x,fiber_count\n"):
+                assert code == 0 and argv[0] == "realize"
+                assert all(_CSV_ROW.fullmatch(row) for row in out.splitlines()[1:])
+            else:
+                assert out.count("\n") == 1 and out.endswith("\n")
+                json.loads(out)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "_parser", cli.build_parser)
+            fresh = [_call(argv) for argv in batch]
+        assert shared == fresh
