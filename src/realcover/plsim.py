@@ -4,12 +4,13 @@ Each real circle of the source is a piecewise-linear circle map: a cyclic
 sequence of breakpoints (t, x) where t parameterizes the source circle with
 period 1 and x is a lift of the image to the real line, closed up by
 x(t0 + 1) = x0 + w for the integer winding w.  Segments between breakpoints
-have nonzero rational slope, so folds happen exactly at breakpoints and
-every fiber question reduces to exact rational interval arithmetic.
+have nonzero rational slope, so folds happen exactly at breakpoints.
 
 Only the cyclic sequence of breakpoint lifts matters for windings, fibers
-and image arcs; the t coordinates are re-gauged to equal spacing after
-every surgery.
+and image arcs; the t coordinates are equally spaced.  The surgeries and
+the fiber sweep run on integer lifts over one common denominator; the
+Fractions of PLMap appear only at the API boundary, where a cover is
+encoded into that form or decoded (re-anchored and validated) out of it.
 
 A PLCover bundles the circle maps with the sheet budget k of the covering.
 Sheets not accounted for by real preimages come in conjugate pairs, whence
@@ -21,7 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor
+from math import ceil, floor, gcd, lcm
+from operator import sub
 from typing import List, Optional, Sequence, Tuple
 
 from .arcs import FULL_CIRCLE, Arc, ArcLike
@@ -85,18 +87,6 @@ def pl_map(values: Sequence[Fraction], closure: int) -> PLMap:
     )
 
 
-def reverse(m: PLMap) -> PLMap:
-    """The same circle map with the source traversed backwards; winding negates."""
-    xs = [x for _, x in m.breakpoints]
-    values = [xs[0] + m.closure] + xs[:0:-1]
-    return pl_map(values, -m.closure)
-
-
-def orient(m: PLMap) -> PLMap:
-    """Normalize the orientation so the winding is nonnegative."""
-    return reverse(m) if m.closure < 0 else m
-
-
 @dataclass(frozen=True)
 class PLCover:
     """Realization of a covering's real locus: labeled circle maps plus budget."""
@@ -121,6 +111,84 @@ def critical_values(cover: PLCover) -> List[Fraction]:
     return sorted(vals)
 
 
+# ---------------------------------------------------------------------------
+# Integer working form.  Surgeries and the fiber sweep only translate lifts
+# by integers, take their differences and cut them by small powers of two,
+# so they run on integers x * den over one common denominator den.
+# Fractions appear only when a cover is encoded or decoded.
+
+
+class _Lifts:
+    """A cover in integer form: per circle its label, its breakpoint lifts
+    times den and its closure, plus the sheet budget and the target.
+
+    A plain class: a dataclass would add about half a millisecond of class
+    generation to every import of the module.
+    """
+
+    __slots__ = ("den", "circles", "k", "target")
+
+    def __init__(
+        self, den: int, circles: List[Tuple[str, List[int], int]], k: int, target: CoverTarget
+    ):
+        self.den, self.circles, self.k, self.target = den, circles, k, target
+
+    def scale(self, f: int) -> None:
+        """Multiply den, and so every stored lift, by f."""
+        if f != 1:
+            self.den *= f
+            self.circles = [(lbl, [x * f for x in xs], w) for lbl, xs, w in self.circles]
+
+
+def _encode(cover: PLCover) -> _Lifts:
+    """The integer form over the least common denominator of the lifts."""
+    den = lcm(*{x.denominator for _, m in cover.components for _, x in m.breakpoints})
+    circles = [
+        (lbl, [x.numerator * (den // x.denominator) for _, x in m.breakpoints], m.closure)
+        for lbl, m in cover.components
+    ]
+    return _Lifts(den, circles, cover.k, cover.target)
+
+
+def _decode_map(den: int, xs: List[int], closure: int) -> PLMap:
+    """pl_map of the lifts xs / den: equally spaced in t, re-anchored so the
+    lowest lift lies in [0, 1), and validated."""
+    shift = min(xs) // den * den
+    n = len(xs)
+    return PLMap(
+        tuple((Fraction(i, n), Fraction(x - shift, den)) for i, x in enumerate(xs)), closure
+    )
+
+
+def _sweep(form: _Lifts) -> List[Tuple[int, int, int]]:
+    """fiber_profile on the integer form: (start, length, count) with start
+    and length in units of 1 / den."""
+    den = form.den
+    crit = sorted({x % den for _, xs, _ in form.circles for x in xs})
+    if not crit:
+        return [(0, den, 0)]
+    index = {c: i for i, c in enumerate(crit)}
+    n = len(crit)
+    delta = [0] * n
+    count = 0
+    for _, xs, closure in form.circles:
+        for u, v in zip(xs, xs[1:] + [xs[0] + closure * den]):
+            lo, hi = (u, v) if u < v else (v, u)
+            sheets, extra = divmod(hi - lo, den)
+            count += sheets
+            if extra:
+                a, b = index[lo % den], index[hi % den]
+                delta[a] += 1
+                delta[b] -= 1
+                if a > b:  # the arc wraps through 0, so it covers interval 0 too
+                    count += 1
+    out = []
+    for i, a in enumerate(crit):
+        count += delta[i]
+        out.append((a, (crit[i + 1] if i + 1 < n else crit[0] + den) - a, count))
+    return out
+
+
 def fiber_profile(cover: PLCover) -> List[Tuple[Fraction, Fraction, int]]:
     """Exact fiber count on every maximal regular interval of the target circle.
 
@@ -131,31 +199,11 @@ def fiber_profile(cover: PLCover) -> List[Tuple[Fraction, Fraction, int]]:
     lo % 1 to hi % 1 when hi - lo is not an integer.  Both ends of that arc
     are critical values, so one difference array over the sorted residues
     and one prefix sum give every count in O(B log B) for B breakpoints.
+    The sweep runs on integer lifts over one common denominator.
     """
-    crit = critical_values(cover)
-    if not crit:
-        return [(Fraction(0), Fraction(1), 0)]
-    index = {c: i for i, c in enumerate(crit)}
-    n = len(crit)
-    delta = [0] * n
-    count = 0
-    for _, m in cover.components:
-        for u, v in m.segments():
-            lo, hi = (u, v) if u < v else (v, u)
-            sheets, extra = divmod(hi - lo, 1)
-            count += sheets
-            if extra:
-                a, b = index[lo % 1], index[hi % 1]
-                delta[a] += 1
-                delta[b] -= 1
-                if a > b:  # the arc wraps through 0, so it covers interval 0 too
-                    count += 1
-    out = []
-    for i, a in enumerate(crit):
-        count += delta[i]
-        length = (crit[i + 1] if i + 1 < n else crit[0] + 1) - a
-        out.append((a, length, count))
-    return out
+    form = _encode(cover)
+    den = form.den
+    return [(Fraction(a, den), Fraction(gap, den), n) for a, gap, n in _sweep(form)]
 
 
 def regular_samples(cover: PLCover) -> List[Fraction]:
@@ -174,11 +222,13 @@ def fiber_budget_violations(cover: PLCover) -> List[str]:
         return []
     bad = []
     for a, length, n in fiber_profile(cover):
-        where = f"fiber over ({a}, {a + length})"
         if n > cover.k:
-            bad.append(f"{where} has {n} > {cover.k} real points")
+            bad.append(f"fiber over ({a}, {a + length}) has {n} > {cover.k} real points")
         if (cover.k - n) % 2 != 0:
-            bad.append(f"{where} has {n} real points, parity differs from {cover.k}")
+            bad.append(
+                f"fiber over ({a}, {a + length}) has {n} real points, "
+                f"parity differs from {cover.k}"
+            )
     return bad
 
 
@@ -199,58 +249,109 @@ def image_arcs(cover: PLCover) -> List[Tuple[str, ArcLike]]:
 
 
 # ---------------------------------------------------------------------------
-# Surgeries mirroring the symbolic constructions.
+# Surgeries mirroring the symbolic constructions, on the integer form.
 
 
-def _rising_segment(m: PLMap) -> int:
-    """Index of the widest increasing segment (ties to the earliest)."""
-    best, best_span = -1, None
-    for i, (u, v) in enumerate(m.segments()):
-        if v > u and (best_span is None or v - u > best_span):
-            best, best_span = i, v - u
-    if best < 0:
+def _rising_segment(ys: List[int]) -> int:
+    """Index of the widest increasing segment of the closed lift list ys
+    (ties to the earliest)."""
+    spans = list(map(sub, ys[1:], ys))
+    widest = max(spans)
+    if widest <= 0:
         raise ValueError("map has no increasing segment")
-    return best
+    return spans.index(widest)
 
 
-def _splice_wrap(m: PLMap) -> PLMap:
-    """Extend one climb by a full extra turn: winding + 1, one more preimage
-    of every value."""
-    i = _rising_segment(m)
-    xs = [x for _, x in m.breakpoints]
-    values = xs[: i + 1] + [x + 1 for x in xs[i + 1 :]]
-    return pl_map(values, m.closure + 1)
+def _splice_wrap(form: _Lifts, j: int) -> None:
+    """Extend one climb of circle j by a full extra turn: winding + 1, one
+    more preimage of every value."""
+    lbl, xs, closure = form.circles[j]
+    den = form.den
+    i = _rising_segment(xs + [xs[0] + closure * den])
+    form.circles[j] = (lbl, xs[: i + 1] + [x + den for x in xs[i + 1 :]], closure + 1)
 
 
-def _splice_fold(m: PLMap) -> PLMap:
-    """Splice a backward turn with a fold gap into a climb: winding - 1.
+def _splice_fold(form: _Lifts, j: int) -> None:
+    """Splice a backward turn with a fold gap into a climb of circle j:
+    winding - 1.
 
     Outside the small gap every value gains one preimage; inside the gap it
     loses one (the two local sheets become a conjugate pair).  The result
     is orientation-normalized, so a winding-0 circle flips to winding 1.
     """
-    i = _rising_segment(m)
-    u, v = m.segments()[i]
-    center = (u + v) / 2
-    # the backward turn drops by 1 - 2h, so h must stay below 1/2 even on
-    # segments that climb several full turns
-    h = min(center - u, v - center, Fraction(1)) / 4
-    xs = [x for _, x in m.breakpoints]
-    values = (
-        xs[: i + 1]
-        + [center - h, center + h - 1]
-        + [x - 1 for x in xs[i + 1 :]]
-    )
-    return orient(pl_map(values, m.closure - 1))
+    _, xs, closure = form.circles[j]
+    ys = xs + [xs[0] + closure * form.den]
+    i = _rising_segment(ys)
+    u, v = ys[i], ys[i + 1]
+    # The turn runs from center - h down to center + h - 1, where
+    # center = (u + v)/2 and h = min(center - u, v - center, 1)/4; h <= 1/4
+    # keeps the drop 1 - 2h positive even on segments that climb several
+    # full turns.  In units of 1/(8 den) the two ends are lo and hi - 8 den.
+    m = min(v - u, 2 * form.den)
+    lo, hi = 4 * (u + v) - m, 4 * (u + v) + m
+    f = 8 // gcd(lo, hi, 8)
+    form.scale(f)
+    lbl, xs, closure = form.circles[j]
+    den = form.den
+    turn = [lo * f // 8, hi * f // 8 - den]
+    values = xs[: i + 1] + turn + [x - den for x in xs[i + 1 :]]
+    closure -= 1
+    if closure < 0:  # read the circle backwards so the winding is nonnegative
+        values, closure = [values[0] + closure * den] + values[:0:-1], -closure
+    form.circles[j] = (lbl, values, closure)
 
 
-def _new_fold_component(cover: PLCover) -> PLMap:
-    """A fresh winding-0 fold over an interval where two more sheets fit."""
-    slack = [iv for iv in fiber_profile(cover) if iv[2] <= cover.k - 2]
+def _new_fold_component(form: _Lifts) -> List[int]:
+    """Lifts of a fresh winding-0 fold over an interval where two more
+    sheets fit: a quarter of the way into the widest such interval and back
+    out a quarter before its end (ties to the earliest)."""
+    slack = [iv for iv in _sweep(form) if iv[2] <= form.k - 2]
     if not slack:
         raise BudgetExceeded("no regular interval has room for two more real sheets")
     a, gap, _ = max(slack, key=lambda iv: (iv[1], -iv[0]))
-    return pl_map([a + gap / 4, a + 3 * gap / 4], 0)
+    f = 4 // gcd(gap, 4)
+    form.scale(f)
+    a, gap = a * f, gap * f
+    return [a + gap // 4, a + 3 * gap // 4]
+
+
+def _step(form: _Lifts, step: ConstructionStep) -> None:
+    """Apply the PL surgery mirroring one construction step to the integer
+    form in place, enforcing the step's preconditions."""
+    kind, variant = step.kind, step.variant
+    if kind in (StepKind.I, StepKind.II, StepKind.III, StepKind.IV):
+        if form.target is not CoverTarget.PROJ_LINE:
+            raise PreconditionViolated(kind, "requires a covering of the projective line")
+    if kind is StepKind.I:
+        hits = [j for j, (lbl, _, _) in enumerate(form.circles) if lbl == step.placement]
+        if not hits:
+            raise PreconditionViolated(kind, f"no circle labeled {step.placement!r}")
+        splice = _splice_fold if variant is Variant.WITH_REAL_RAM else _splice_wrap
+        for j in hits:
+            splice(form, j)
+        form.k += 1
+    elif kind is StepKind.II:
+        if sum(abs(w) for _, _, w in form.circles) >= form.k:
+            raise PreconditionViolated(
+                kind, "needs a non-real point over a real value (winding sum < k)"
+            )
+        if variant is Variant.WITH_REAL_RAM:  # without, it happens away from the real locus
+            fold = _new_fold_component(form)
+            label = next_new_label([(lbl, w) for lbl, _, w in form.circles])
+            form.circles.append((label, fold, 0))
+    elif kind is StepKind.III:
+        label = next_new_label([(lbl, w) for lbl, _, w in form.circles])
+        form.scale(2 if form.den % 2 else 1)
+        form.circles.append((label, [0, form.den // 2], 1))
+        form.k += 1
+    elif kind is StepKind.IV:
+        if form.circles:
+            raise PreconditionViolated(kind, "needs an empty real locus")
+        form.k += 2
+    else:
+        if form.target is not CoverTarget.ANISOTROPIC_CONIC:
+            raise PreconditionViolated(kind, "requires a covering of R0")
+        form.k += 1
 
 
 def surgery(cover: PLCover, step: ConstructionStep) -> PLCover:
@@ -258,46 +359,18 @@ def surgery(cover: PLCover, step: ConstructionStep) -> PLCover:
 
     Kinds I, II and III operate on the real locus; IV and V have no real
     picture and only update the sheet budget.  Sites are chosen canonically,
-    so realizations are deterministic.
+    so realizations are deterministic.  Circles the step leaves alone are
+    returned as the same PLMap objects.
     """
-    kind, variant = step.kind, step.variant
-    if kind in (StepKind.I, StepKind.II, StepKind.III, StepKind.IV):
-        if cover.target is not CoverTarget.PROJ_LINE:
-            raise PreconditionViolated(kind, "requires a covering of the projective line")
-    if kind is StepKind.I:
-        labels = [lbl for lbl, _ in cover.components]
-        if step.placement not in labels:
-            raise PreconditionViolated(kind, f"no circle labeled {step.placement!r}")
-        comps = []
-        for lbl, m in cover.components:
-            if lbl == step.placement:
-                if variant is Variant.WITH_REAL_RAM:
-                    m = _splice_fold(m)
-                else:
-                    m = _splice_wrap(m)
-            comps.append((lbl, m))
-        return PLCover(tuple(comps), cover.k + 1, cover.target)
-    if kind is StepKind.II:
-        if sum(abs(m.closure) for _, m in cover.components) >= cover.k:
-            raise PreconditionViolated(
-                kind, "needs a non-real point over a real value (winding sum < k)"
-            )
-        if variant is Variant.WITHOUT_REAL_RAM:
-            return cover  # happens away from the real locus
-        fold = _new_fold_component(cover)
-        label = next_new_label(cover.components)
-        return PLCover(cover.components + ((label, fold),), cover.k, cover.target)
-    if kind is StepKind.III:
-        label = next_new_label(cover.components)
-        wrap = pl_map([Fraction(0), Fraction(1, 2)], 1)
-        return PLCover(cover.components + ((label, wrap),), cover.k + 1, cover.target)
-    if kind is StepKind.IV:
-        if cover.components:
-            raise PreconditionViolated(kind, "needs an empty real locus")
-        return PLCover(cover.components, cover.k + 2, cover.target)
-    if cover.target is not CoverTarget.ANISOTROPIC_CONIC:
-        raise PreconditionViolated(kind, "requires a covering of R0")
-    return PLCover(cover.components, cover.k + 1, cover.target)
+    form = _encode(cover)
+    _step(form, step)
+    placed = step.placement if step.kind is StepKind.I else None
+    old = cover.components
+    comps = tuple(
+        (lbl, old[j][1] if j < len(old) and lbl != placed else _decode_map(form.den, xs, w))
+        for j, (lbl, xs, w) in enumerate(form.circles)
+    )
+    return PLCover(comps, form.k, form.target)
 
 
 # ---------------------------------------------------------------------------
@@ -461,14 +534,19 @@ def seed_cover(seed: BaseSeed) -> PLCover:
 
 
 def realize(seed: BaseSeed, steps: Sequence[ConstructionStep]) -> PLCover:
-    """Fold the PL surgeries of a plan over its seed realization."""
-    cover = seed_cover(seed)
+    """Fold the PL surgeries of a plan over its seed realization.
+
+    The seed cover is encoded once, every step runs on the integer form,
+    and the result is decoded (and validated) once at the end.
+    """
+    form = _encode(seed_cover(seed))
     for i, step in enumerate(steps):
         try:
-            cover = surgery(cover, step)
+            _step(form, step)
         except PreconditionViolated as exc:
             raise PreconditionViolated(exc.kind, exc.reason, step_index=i) from None
-    return cover
+    comps = tuple((lbl, _decode_map(form.den, xs, w)) for lbl, xs, w in form.circles)
+    return PLCover(comps, form.k, form.target)
 
 
 # ---------------------------------------------------------------------------

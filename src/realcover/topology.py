@@ -122,14 +122,19 @@ def degree_admissible(degrees: DegreeVector, k: int) -> bool:
         raise ValueError(f"covering degree must be >= 2, got {k}")
     if not degrees.is_canonical():
         raise ValueError(f"degree vector not in canonical sorted form: {degrees.entries}")
+    return _degree_failure(degrees, k) is None
+
+
+def _degree_failure(degrees: DegreeVector, k: int) -> Optional[str]:
+    """Name of the first violated winding clause (sum, parity, zero_tail), or None."""
     total = degrees.total
     if total > k:
-        return False
+        return "sum"
     if (k - total) % 2 != 0:
-        return False
+        return "parity"
     if degrees.entries and degrees.entries[-1] == 0 and total > k - 2:
-        return False
-    return True
+        return "zero_tail"
+    return None
 
 
 def admissibility_failure(spec: CoverSpec) -> Optional[str]:
@@ -150,16 +155,10 @@ def admissibility_failure(spec: CoverSpec) -> Optional[str]:
     if len(spec.degrees) != top.s:
         return "degree_length"
     if spec.target is CoverTarget.PROJ_LINE:
-        total = spec.degrees.total
-        if total > spec.k:
-            return "sum"
-        if (spec.k - total) % 2 != 0:
-            return "parity"
-        if spec.degrees.entries and spec.degrees.entries[-1] == 0 and total > spec.k - 2:
-            return "zero_tail"
-        if top.a == 1 and total > spec.k - 2:
+        failure = _degree_failure(spec.degrees, spec.k)
+        if failure is None and top.a == 1 and spec.degrees.total > spec.k - 2:
             return "separating"
-        return None
+        return failure
     # Anisotropic conic: only sources with empty real locus, and the degree
     # has the parity of g + 1.
     if top.s != 0:

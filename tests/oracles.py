@@ -13,7 +13,15 @@ from fractions import Fraction
 from math import ceil, floor
 
 from realcover.arcs import Arc, FullCircle
-from realcover.constructions import execute_states
+from realcover.constructions import (
+    PreconditionViolated,
+    StepKind,
+    Variant,
+    execute_states,
+    next_new_label,
+)
+from realcover.plsim import BudgetExceeded, PLCover, critical_values, pl_map, seed_cover
+from realcover.topology import CoverTarget
 
 
 def arcs_intersect(a, b):
@@ -183,3 +191,160 @@ def all_box_tuples(g_max, k_min, k_max):
                     for a in (0, 1):
                         for target in ("P1", "R0"):
                             yield (g, s, a, target, k, d)
+
+
+# ---------------------------------------------------------------------------
+# The PL surgeries and the fiber sweep in Fraction arithmetic, re-anchoring
+# and revalidating every circle map after each surgery.  The package runs
+# them on integer lifts over one common denominator; these are the
+# reference it must match bit for bit.
+
+
+def reverse(m):
+    """The same circle map with the source traversed backwards; winding negates."""
+    xs = [x for _, x in m.breakpoints]
+    values = [xs[0] + m.closure] + xs[:0:-1]
+    return pl_map(values, -m.closure)
+
+
+def orient(m):
+    """Normalize the orientation so the winding is nonnegative."""
+    return reverse(m) if m.closure < 0 else m
+
+
+def fraction_fiber_profile(cover):
+    """fiber_profile in Fraction arithmetic: one difference array over the
+    sorted critical residues."""
+    crit = critical_values(cover)
+    if not crit:
+        return [(Fraction(0), Fraction(1), 0)]
+    index = {c: i for i, c in enumerate(crit)}
+    n = len(crit)
+    delta = [0] * n
+    count = 0
+    for _, m in cover.components:
+        for u, v in m.segments():
+            lo, hi = (u, v) if u < v else (v, u)
+            sheets, extra = divmod(hi - lo, 1)
+            count += sheets
+            if extra:
+                a, b = index[lo % 1], index[hi % 1]
+                delta[a] += 1
+                delta[b] -= 1
+                if a > b:  # the arc wraps through 0, so it covers interval 0 too
+                    count += 1
+    out = []
+    for i, a in enumerate(crit):
+        count += delta[i]
+        length = (crit[i + 1] if i + 1 < n else crit[0] + 1) - a
+        out.append((a, length, count))
+    return out
+
+
+def _rising_segment(m):
+    """Index of the widest increasing segment (ties to the earliest)."""
+    best, best_span = -1, None
+    for i, (u, v) in enumerate(m.segments()):
+        if v > u and (best_span is None or v - u > best_span):
+            best, best_span = i, v - u
+    if best < 0:
+        raise ValueError("map has no increasing segment")
+    return best
+
+
+def _splice_wrap(m):
+    """Extend one climb by a full extra turn: winding + 1, one more preimage
+    of every value."""
+    i = _rising_segment(m)
+    xs = [x for _, x in m.breakpoints]
+    values = xs[: i + 1] + [x + 1 for x in xs[i + 1 :]]
+    return pl_map(values, m.closure + 1)
+
+
+def _splice_fold(m):
+    """Splice a backward turn with a fold gap into a climb: winding - 1.
+
+    Outside the small gap every value gains one preimage; inside the gap it
+    loses one (the two local sheets become a conjugate pair).  The result
+    is orientation-normalized, so a winding-0 circle flips to winding 1.
+    """
+    i = _rising_segment(m)
+    u, v = m.segments()[i]
+    center = (u + v) / 2
+    # the backward turn drops by 1 - 2h, so h must stay below 1/2 even on
+    # segments that climb several full turns
+    h = min(center - u, v - center, Fraction(1)) / 4
+    xs = [x for _, x in m.breakpoints]
+    values = (
+        xs[: i + 1]
+        + [center - h, center + h - 1]
+        + [x - 1 for x in xs[i + 1 :]]
+    )
+    return orient(pl_map(values, m.closure - 1))
+
+
+def _new_fold_component(cover):
+    """A fresh winding-0 fold over an interval where two more sheets fit."""
+    slack = [iv for iv in fraction_fiber_profile(cover) if iv[2] <= cover.k - 2]
+    if not slack:
+        raise BudgetExceeded("no regular interval has room for two more real sheets")
+    a, gap, _ = max(slack, key=lambda iv: (iv[1], -iv[0]))
+    return pl_map([a + gap / 4, a + 3 * gap / 4], 0)
+
+
+def fraction_surgery(cover, step):
+    """Apply the PL surgery mirroring one construction step.
+
+    Kinds I, II and III operate on the real locus; IV and V have no real
+    picture and only update the sheet budget.  Sites are chosen canonically,
+    so realizations are deterministic.
+    """
+    kind, variant = step.kind, step.variant
+    if kind in (StepKind.I, StepKind.II, StepKind.III, StepKind.IV):
+        if cover.target is not CoverTarget.PROJ_LINE:
+            raise PreconditionViolated(kind, "requires a covering of the projective line")
+    if kind is StepKind.I:
+        labels = [lbl for lbl, _ in cover.components]
+        if step.placement not in labels:
+            raise PreconditionViolated(kind, f"no circle labeled {step.placement!r}")
+        comps = []
+        for lbl, m in cover.components:
+            if lbl == step.placement:
+                if variant is Variant.WITH_REAL_RAM:
+                    m = _splice_fold(m)
+                else:
+                    m = _splice_wrap(m)
+            comps.append((lbl, m))
+        return PLCover(tuple(comps), cover.k + 1, cover.target)
+    if kind is StepKind.II:
+        if sum(abs(m.closure) for _, m in cover.components) >= cover.k:
+            raise PreconditionViolated(
+                kind, "needs a non-real point over a real value (winding sum < k)"
+            )
+        if variant is Variant.WITHOUT_REAL_RAM:
+            return cover  # happens away from the real locus
+        fold = _new_fold_component(cover)
+        label = next_new_label(cover.components)
+        return PLCover(cover.components + ((label, fold),), cover.k, cover.target)
+    if kind is StepKind.III:
+        label = next_new_label(cover.components)
+        wrap = pl_map([Fraction(0), Fraction(1, 2)], 1)
+        return PLCover(cover.components + ((label, wrap),), cover.k + 1, cover.target)
+    if kind is StepKind.IV:
+        if cover.components:
+            raise PreconditionViolated(kind, "needs an empty real locus")
+        return PLCover(cover.components, cover.k + 2, cover.target)
+    if cover.target is not CoverTarget.ANISOTROPIC_CONIC:
+        raise PreconditionViolated(kind, "requires a covering of R0")
+    return PLCover(cover.components, cover.k + 1, cover.target)
+
+
+def fraction_realize(seed, steps):
+    """Fold the PL surgeries of a plan over its seed realization."""
+    cover = seed_cover(seed)
+    for i, step in enumerate(steps):
+        try:
+            cover = fraction_surgery(cover, step)
+        except PreconditionViolated as exc:
+            raise PreconditionViolated(exc.kind, exc.reason, step_index=i) from None
+    return cover

@@ -4,7 +4,10 @@ import io
 import json
 import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -262,6 +265,19 @@ class TestCalculators:
         code, doc = invoke_json(capsys, "rho", "four", "3")
         assert code == 1
         assert "error" in doc
+
+
+class TestModuleEntry:
+    def test_python_m_realcover(self, capsys):
+        src = Path(cli.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        done = subprocess.run(
+            [sys.executable, "-m", "realcover", "facts"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.count("\n") == 1
+        assert (0, done.stdout) == invoke(capsys, "facts")
 
 
 class TestHelp:

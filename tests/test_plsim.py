@@ -9,6 +9,7 @@ from realcover.arcs import Arc, FullCircle
 from realcover.constructions import (
     ConstructionStep,
     GenericPencil,
+    GenericR0Pencil,
     Hyperelliptic,
     HyperellipticToR0,
     PreconditionViolated,
@@ -16,11 +17,12 @@ from realcover.constructions import (
     Variant,
 )
 from realcover.covering4 import CoveringNumberTarget, build_covnum
-from realcover.planner import plan
+from realcover.planner import Plan, plan
 from realcover.plsim import (
     BudgetExceeded,
     PLCover,
     PLMap,
+    cover_to_json,
     critical_values,
     fiber_budget_violations,
     fiber_profile,
@@ -30,13 +32,19 @@ from realcover.plsim import (
     pl_map,
     realize,
     regular_samples,
-    reverse,
     seed_cover,
     surgery,
 )
 from realcover.topology import CoverSpec, CoverTarget, DegreeVector, TopType, weichold_admissible
 
-from oracles import brute_fiber_count
+from oracles import (
+    all_box_tuples,
+    brute_fiber_count,
+    fraction_fiber_profile,
+    fraction_realize,
+    fraction_surgery,
+    reverse,
+)
 
 F = Fraction
 RAM = Variant.WITH_REAL_RAM
@@ -180,6 +188,14 @@ class TestFiber:
         for i, (c, _, right) in enumerate(profile):
             left = profile[i - 1][2]
             assert abs(left - right) == (2 if c in folds else 0)
+
+
+    def test_violation_messages(self):
+        assert fiber_budget_violations(single(tent(0, F(1, 2)), 1)) == [
+            "fiber over (0, 1/2) has 2 > 1 real points",
+            "fiber over (0, 1/2) has 2 real points, parity differs from 1",
+            "fiber over (1/2, 1) has 0 real points, parity differs from 1",
+        ]
 
 
 class TestImageArcs:
@@ -359,3 +375,154 @@ class TestFiberProfile:
         # the climb from 3/4 to 5/4 passes over [0, 1/4) after wrapping
         cover = single(pl_map([F(3, 4), F(5, 4)], 0), 2)
         assert fiber_profile(cover) == [(F(1, 4), F(1, 2), 0), (F(3, 4), F(1, 2), 2)]
+
+
+# Catalog seeds for the step fuzz: every hyperelliptic winding pattern,
+# all-zero patterns with s = 3 and 5 (lift denominators 12 and 20, not
+# powers of two), pencils and coverings of R0.
+FUZZ_SEEDS = (
+    hyper(2, 1, 0, (2,)),
+    hyper(3, 2, 0, (1, 1)),
+    hyper(4, 1, 0, (0,)),
+    hyper(2, 3, 0, (0, 0, 0)),
+    hyper(4, 3, 1, (0, 0, 0)),
+    hyper(5, 5, 1, (0, 0, 0, 0, 0)),
+    GenericPencil(0, 2),
+    GenericPencil(3, 4),
+    HyperellipticToR0(3),
+    GenericR0Pencil(2, 3),
+)
+
+# (family provenance, type, windings, rungs) of the long plans: each rung
+# and its neighbours k - 2 and k + 2, which keep the parity.
+LADDERS = (
+    ("Case3", (6, 1, 0), (1,), (25, 51, 101)),
+    ("Case5", (6, 3, 0), (0, 0, 0), (16, 32, 64)),
+    ("A1-sPos", (8, 3, 1), (5, 3, 0), (16, 32, 64)),
+)
+
+
+def p1_spec(g, s, a, k, deg):
+    return CoverSpec(TopType(g, s, a), CoverTarget.PROJ_LINE, k, DegreeVector(tuple(deg)))
+
+
+def criterion_box_plans():
+    """Every plan over P1 in g <= 8, 3 <= k <= 6 (947 plans)."""
+    for g, s, a, target, k, deg in all_box_tuples(8, 3, 6):
+        if target == "P1":
+            result = plan(p1_spec(g, s, a, k, deg))
+            if isinstance(result, Plan):
+                yield result
+
+
+def outcome(fn, *args):
+    """The JSON of fn's cover, or the type, message and step index of its refusal."""
+    try:
+        return cover_to_json(fn(*args))
+    except (PreconditionViolated, BudgetExceeded, ValueError) as exc:
+        return (type(exc), str(exc), getattr(exc, "step_index", None))
+
+
+fuzz_kinds = st.sampled_from(
+    [(StepKind.I, RAM)] * 4
+    + [(StepKind.I, NORAM)] * 3
+    + [(StepKind.II, RAM)] * 2
+    + [(StepKind.II, NORAM), (StepKind.III, None), (StepKind.IV, None), (StepKind.V, None)]
+)
+
+
+@st.composite
+def step_sequences(draw):
+    """A catalog seed and steps drawn one at a time, placements among the
+    labels the oracle cover has at that point (now and then a missing one).
+    Steps the oracle refuses are dropped, except that a sequence drawn to
+    end in a refusal ends at the first one."""
+    seed = draw(st.sampled_from(FUZZ_SEEDS))
+    refuse = draw(st.booleans())
+    cover = seed_cover(seed)
+    steps = []
+    for _ in range(draw(st.integers(0, 12))):
+        kind, variant = draw(fuzz_kinds)
+        placement = None
+        if kind is StepKind.I:
+            labels = [lbl for lbl, _ in cover.components]
+            placement = draw(st.sampled_from(labels * 4 + ["C9"]))
+        step = ConstructionStep(kind, variant, placement)
+        try:
+            cover = fraction_surgery(cover, step)
+        except (PreconditionViolated, BudgetExceeded):
+            if refuse:
+                steps.append(step)
+                break
+            continue
+        steps.append(step)
+    return seed, steps
+
+
+class TestIntegerLifts:
+    """realize, surgery and fiber_profile run on integer lifts; the Fraction
+    path in tests/oracles.py must give the same bytes."""
+
+    def test_criterion_box_matches_fraction_oracle(self):
+        n = 0
+        for p in criterion_box_plans():
+            cover = realize(p.seed, p.steps)
+            assert cover_to_json(cover) == cover_to_json(fraction_realize(p.seed, p.steps))
+            assert fiber_profile(cover) == fraction_fiber_profile(cover)
+            n += 1
+        assert n == 947
+
+    @pytest.mark.parametrize("provenance, top, deg, rungs", LADDERS)
+    def test_deep_ladders_match_fraction_oracle(self, provenance, top, deg, rungs):
+        for k in sorted({r + d for r in rungs for d in (-2, 0, 2)}):
+            p = plan(p1_spec(*top, k, deg))
+            assert p.provenance == provenance
+            cover = realize(p.seed, p.steps)
+            assert cover_to_json(cover) == cover_to_json(fraction_realize(p.seed, p.steps))
+            assert fiber_profile(cover) == fraction_fiber_profile(cover)
+
+    @settings(max_examples=300, deadline=None)
+    @given(step_sequences())
+    def test_step_sequences_match_fraction_oracle(self, drawn):
+        seed, steps = drawn
+        assert outcome(realize, seed, steps) == outcome(fraction_realize, seed, steps)
+        cover = seed_cover(seed)
+        for step in steps:
+            assert outcome(surgery, cover, step) == outcome(fraction_surgery, cover, step)
+            try:
+                cover = surgery(cover, step)
+            except (PreconditionViolated, BudgetExceeded):
+                break
+            assert fiber_profile(cover) == fraction_fiber_profile(cover)
+
+    @given(pl_covers(), fuzz_kinds, st.sampled_from(["C1", "C2", "C3"]))
+    def test_surgery_on_any_cover_matches_fraction_oracle(self, cover, kind, label):
+        # negative windings, budgets too small for a new fold, missing labels
+        step = ConstructionStep(*kind, label if kind[0] is StepKind.I else None)
+        assert outcome(surgery, cover, step) == outcome(fraction_surgery, cover, step)
+
+    def test_surgery_keeps_untouched_maps(self):
+        cover = seed_cover(hyper(4, 3, 1, (0, 0, 0)))
+        before = dict(cover.components)
+        for step in (
+            ConstructionStep(StepKind.I, RAM, "C2"),
+            ConstructionStep(StepKind.I, NORAM, "C2"),
+            ConstructionStep(StepKind.II, RAM),
+            ConstructionStep(StepKind.II, NORAM),
+            ConstructionStep(StepKind.III),
+        ):
+            after = dict(surgery(cover, step).components)
+            for lbl in ("C1", "C3"):
+                assert after[lbl] is before[lbl]
+            if step.placement is None:
+                assert after["C2"] is before["C2"]
+            else:
+                assert after["C2"] != before["C2"]
+
+    def test_deep_case3_plan(self):
+        # 999 steps: 1,002 breakpoints with 1,498-bit denominators
+        p = plan(p1_spec(6, 1, 0, 1001, (1,)))
+        cover = realize(p.seed, p.steps)
+        assert cover.k == 1001
+        assert [m.closure for _, m in cover.components] == [1]
+        assert fiber_budget_violations(cover) == []
