@@ -11,6 +11,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence, Union
 
 
@@ -70,9 +71,9 @@ def min_circle_cover(arcs: Sequence[ArcLike]) -> Optional[int]:
     """
     if any(isinstance(a, FullCircle) for a in arcs):
         return 1
-    intervals = sorted(
-        (a.start + shift, a.start + a.length + shift) for a in arcs for shift in (0, 1)
-    )
+    den = lcm(*{x.denominator for a in arcs for x in (a.start, a.end)})
+    lifted = [[x.numerator * (den // x.denominator) for x in (a.start, a.end)] for a in arcs]
+    intervals = sorted((lo + d, lo + (hi - lo) % den + d) for lo, hi in lifted for d in (0, den))
     starts = [lo for lo, _ in intervals]
     ends = [hi for _, hi in intervals]
     farthest: list[int] = []
@@ -84,9 +85,9 @@ def min_circle_cover(arcs: Sequence[ArcLike]) -> Optional[int]:
         jumps.append([prev[j] for j in prev])
     best: Optional[int] = None
     for i, lo in enumerate(starts):
-        if lo >= 1:
+        if lo >= den:
             break
-        goal = lo + 1
+        goal = lo + den
         cur, count = i, 1
         for level in range(len(jumps) - 1, -1, -1):
             j = jumps[level][cur]

@@ -28,6 +28,9 @@ from .topology import CoverSpec
 # does not depend on COLUMNS.
 _HELP_WIDTH = 80
 
+# covnum's cost is linear in s and quadratic in g + 1 - s (see the README).
+_COVNUM_MAX_S, _COVNUM_MAX_DEFICIT = 100_000, 5_000
+
 
 class _UsageError(Exception):
     pass
@@ -139,6 +142,9 @@ def _cmd_covnum(args) -> int:
     except covering4.InfeasibleTarget as exc:
         _emit({"infeasible": str(exc)})
         return 2
+    if obj["s"] > _COVNUM_MAX_S or obj["g"] + 1 - obj["s"] > _COVNUM_MAX_DEFICIT:
+        limits = f"s <= {_COVNUM_MAX_S} and g + 1 - s <= {_COVNUM_MAX_DEFICIT}"
+        raise ValueError(f"target: too large to build; covnum takes {limits}")
     cover, spec = covering4.build_covnum(target)
     _emit(
         {

@@ -22,16 +22,19 @@ of arc layouts; the builders below produce explicit rational layouts:
 Every component of a built cover is a winding-0 circle, the total degree is
 4, and no value is covered by more than two arcs, so the fiber budget holds
 with room for the two non-real sheets wherever only one arc passes.
+
+The builds and their node smoothings run on plsim's integer form, which is
+decoded into PLMaps once, at the end.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Tuple
+from typing import Tuple
 
 from .arcs import min_circle_cover
-from .plsim import PLCover, fold_split, image_arcs, merge_components, pl_map
+from .plsim import PLCover, _decode, _Lifts, _merge, _split, image_arcs
 from .topology import CoverSpec, CoverTarget, DegreeVector, TopType, weichold_admissible
 
 
@@ -57,102 +60,74 @@ class CoveringNumberTarget:
 
 def covering_number(cover: PLCover) -> int:
     """Minimal number of circles whose images cover the target circle; 0 if none do."""
-    if not cover.components:
-        return 0
     result = min_circle_cover([arc for _, arc in image_arcs(cover)])
     return 0 if result is None else result
 
 
-def _chain_arcs(m: int) -> List[Tuple[Fraction, Fraction]]:
-    """m arcs around the circle, consecutive ones overlapping, others disjoint.
-
-    Arc j runs from j/m - o to (j+1)/m + o with o = 1/(4m); for m = 2 the
-    two arcs overlap at both ends.
-    """
-    o = Fraction(1, 4 * m)
-    return [(Fraction(j, m) - o, Fraction(j + 1, m) + o) for j in range(m)]
-
-
-def _tent(lo: Fraction, hi: Fraction):
-    return pl_map([lo, hi], 0)
+def _chain(m: int, unit: int) -> _Lifts:
+    """m fold arcs over den = 4 m unit, consecutive ones overlapping, others
+    disjoint: arc j runs from j/m - o to (j+1)/m + o with o = 1/(4m), and for
+    m = 2 the two overlap at both ends.  The part of arc 0 meeting no other
+    arc, its exclusive region, runs from o to 1/m - o: unit to 3 unit."""
+    circles = [(f"C{j + 1}", [(4 * j - 1) * unit, (4 * j + 5) * unit], 0) for j in range(m)]
+    return _Lifts(4 * m * unit, circles, 4, CoverTarget.PROJ_LINE)
 
 
-def _chain_cover(m: int) -> PLCover:
-    comps = tuple((f"C{j + 1}", _tent(*arc)) for j, arc in enumerate(_chain_arcs(m)))
-    return PLCover(comps, 4, CoverTarget.PROJ_LINE)
-
-
-def _exclusive_region(m: int) -> Tuple[Fraction, Fraction]:
-    """The part of arc 0 meeting no other chain arc."""
-    o = Fraction(1, 4 * m)
-    return o, Fraction(1, m) - o
-
-
-def _build_m_max(g: int) -> PLCover:
+def _build_m_max(g: int) -> _Lifts:
     """Maximal real locus (s = g + 1) with covering number g + 1."""
     if g % 2 == 0:
-        cover = _chain_cover(g + 2)
-        return merge_components(cover, "C1", "C2", Fraction(1, g + 2))
+        form = _chain(g + 2, 1)
+        _merge(form, 0, 1, 4)  # C1 and C2 at 1/(g + 2)
+        return form
     mc = g + 1
-    cover = _chain_cover(mc)
-    lo, hi = _exclusive_region(mc)
-    span = hi - lo
-    nested = _tent(lo + span / 4, lo + 3 * span / 4)
-    comps = cover.components + ((f"C{mc + 1}", nested),)
-    cover = PLCover(comps, 4, CoverTarget.PROJ_LINE)
-    return merge_components(cover, "C1", f"C{mc + 1}", lo + span / 2)
+    # The nested arc is the middle half of the exclusive region 2..6 of arc 0.
+    form = _chain(mc, 2)
+    form.circles.append((f"C{mc + 1}", [3, 5], 0))
+    _merge(form, 0, mc, 4)
+    return form
 
 
-def _split_region(kcov: int) -> Tuple[Fraction, Fraction]:
-    """Doubly covered stretch of the first circle of _build_m_max(kcov - 1),
-    shrunk to its middle half."""
-    if kcov == 1:
-        # Two long arcs overlapping at both ends; the merge consumed one
-        # overlap, the other is the doubly covered stretch.
-        o = Fraction(1, 8)
-        return Fraction(1) - o / 2, Fraction(1) + o / 2
-    if kcov % 2 == 1:
-        # Even base genus: the merged circle spans chain arcs 0 and 1.
-        m = kcov + 1
-        o = Fraction(1, 4 * m)
-        return Fraction(2, m) - o / 2, Fraction(2, m) + o / 2
-    # Odd base genus: the merged circle's image is chain arc 0.
-    mc = kcov
-    o = Fraction(1, 4 * mc)
-    return Fraction(1, mc) - o / 2, Fraction(1, mc) + o / 2
+def _build_m_split(g: int, kcov: int) -> _Lifts:
+    """Maximal real locus with covering number kcov < g + 1.
 
-
-def _build_m_split(g: int, kcov: int) -> PLCover:
-    """Maximal real locus with covering number kcov < g + 1."""
-    cover = _build_m_max(kcov - 1)
-    lo, hi = _split_region(kcov)
+    The first circle of the kcov - 1 build covers a stretch of width
+    o = 1/(4m) twice: around 2/m for odd kcov, m = kcov + 1 (it spans chain
+    arcs 0 and 1, or for kcov = 1 the merge used one of two overlaps), and
+    around 1/m for even kcov, m = kcov (its image is chain arc 0).  Splits
+    at evenly spaced points of its middle half add only redundant circles.
+    """
+    form = _build_m_max(kcov - 1)
     n = g - kcov + 1
-    spacing = (hi - lo) / (n + 1)
-    label = "C1"
+    m = kcov + kcov % 2
+    lo = Fraction(1 + kcov % 2, m) - Fraction(1, 8 * m)
+    start, q = form.lift(lo, Fraction(1, 16 * m * (n + 1)))  # q: a quarter spacing
+    den = form.den
+    j = 0  # C1 first, then the circle split off last; the base has no N labels
     for i in range(1, n + 1):
-        cover, label = fold_split(cover, label, (lo + i * spacing) % 1, spacing / 4)
-    return cover
+        f = form.den // den  # a split refines den when its gap needs halving
+        _split(form, j, f * (start + 4 * i * q), f * q, f"N{i}")
+        j = len(form.circles) - 1
+    return form
 
 
-def _build_separating(g: int, s: int, kcov: int) -> PLCover:
+def _build_separating(g: int, s: int, kcov: int) -> _Lifts:
     """Separating case for s < g + 1 circles."""
     b = (g + 1 - s) // 2
     m = kcov + b
-    cover = _chain_cover(m)
-    lo, hi = _exclusive_region(m)
     extra = s - kcov
-    comps = list(cover.components)
-    slot = (hi - lo) / extra if extra else None
-    for i in range(extra):
-        a = lo + i * slot
-        comps.append((f"C{m + 1 + i}", _tent(a + slot / 4, a + 3 * slot / 4)))
-    cover = PLCover(tuple(comps), 4, CoverTarget.PROJ_LINE)
-    for j in range(b):
-        cover = merge_components(cover, "C1", f"C{j + 2}", Fraction(j + 1, m))
-    return cover
+    # Over den = 8 m extra the exclusive region 2 extra..6 extra holds extra
+    # slots of 4 units, each with a nested arc over its middle half.
+    form = _chain(m, 2 * extra or 1)
+    form.circles += [
+        (f"C{m + 1 + i}", [2 * extra + 4 * i + 1, 2 * extra + 4 * i + 3], 0)
+        for i in range(extra)
+    ]
+    for j in range(b):  # C1 and C(j + 2), now second, at (j + 1)/m; m divides den
+        _merge(form, 0, 1, form.den // m * (j + 1))
+    return form
 
 
-def _build_orientable(g: int, s: int, kcov: int) -> PLCover:
+def _build_orientable(g: int, s: int, kcov: int) -> _Lifts:
     if s == g + 1:
         if kcov == s:
             return _build_m_max(g)
@@ -168,14 +143,14 @@ def build_covnum(target: CoveringNumberTarget) -> Tuple[PLCover, CoverSpec]:
     """
     g, s, a = target.top.g, target.top.s, target.top.a
     if a == 0:
-        cover = _build_orientable(g, s, target.kcov)
+        form = _build_orientable(g, s, target.kcov)
     else:
         # Drop to the separating case one or two genera lower (matching the
         # circle-count parity), then smooth one or two conjugate pairs of
         # nodes away from the real locus; the arc picture is unchanged.
         down = 1 if (g - s) % 2 == 0 else 2
-        cover = _build_orientable(g - down, s, target.kcov)
+        form = _build_orientable(g - down, s, target.kcov)
     spec = CoverSpec(
         target.top, CoverTarget.PROJ_LINE, 4, DegreeVector((0,) * s)
     )
-    return cover, spec
+    return _decode(form), spec

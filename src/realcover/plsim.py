@@ -7,10 +7,10 @@ x(t0 + 1) = x0 + w for the integer winding w.  Segments between breakpoints
 have nonzero rational slope, so folds happen exactly at breakpoints.
 
 Only the cyclic sequence of breakpoint lifts matters for windings, fibers
-and image arcs; the t coordinates are equally spaced.  The surgeries and
-the fiber sweep run on integer lifts over one common denominator; the
-Fractions of PLMap appear only at the API boundary, where a cover is
-encoded into that form or decoded (re-anchored and validated) out of it.
+and image arcs; the t coordinates are equally spaced.  Surgeries, node
+smoothings, the fiber sweep and image arcs run on integer lifts over one
+common denominator; PLMap's Fractions appear only where a cover is encoded
+into that form or decoded (re-anchored and validated) out of it.
 
 A PLCover bundles the circle maps with the sheet budget k of the covering.
 Sheets not accounted for by real preimages come in conjugate pairs, whence
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor, gcd, lcm
+from math import floor, gcd, lcm
 from operator import sub
 from typing import List, Optional, Sequence, Tuple
 
@@ -139,6 +139,12 @@ class _Lifts:
             self.den *= f
             self.circles = [(lbl, [x * f for x in xs], w) for lbl, xs, w in self.circles]
 
+    def lift(self, *values) -> List[Optional[int]]:
+        """The values in units of 1 / den (None passes), after scaling den to fit all."""
+        fracs = [None if v is None else Fraction(v) for v in values]
+        self.scale(lcm(self.den, *(v.denominator for v in fracs if v is not None)) // self.den)
+        return [None if v is None else v.numerator * (self.den // v.denominator) for v in fracs]
+
 
 def _encode(cover: PLCover) -> _Lifts:
     """The integer form over the least common denominator of the lifts."""
@@ -158,6 +164,11 @@ def _decode_map(den: int, xs: List[int], closure: int) -> PLMap:
     return PLMap(
         tuple((Fraction(i, n), Fraction(x - shift, den)) for i, x in enumerate(xs)), closure
     )
+
+
+def _decode(form: _Lifts) -> PLCover:
+    comps = tuple((lbl, _decode_map(form.den, xs, w)) for lbl, xs, w in form.circles)
+    return PLCover(comps, form.k, form.target)
 
 
 def _sweep(form: _Lifts) -> List[Tuple[int, int, int]]:
@@ -220,31 +231,29 @@ def fiber_budget_violations(cover: PLCover) -> List[str]:
     """
     if cover.target is not CoverTarget.PROJ_LINE:
         return []
-    bad = []
-    for a, length, n in fiber_profile(cover):
-        if n > cover.k:
-            bad.append(f"fiber over ({a}, {a + length}) has {n} > {cover.k} real points")
-        if (cover.k - n) % 2 != 0:
-            bad.append(
-                f"fiber over ({a}, {a + length}) has {n} real points, "
-                f"parity differs from {cover.k}"
-            )
+    form = _encode(cover)
+    den, k, bad = form.den, cover.k, []
+    for a, gap, n in _sweep(form):
+        if n > k or (k - n) % 2 != 0:
+            where = f"fiber over ({Fraction(a, den)}, {Fraction(a + gap, den)})"
+            if n > k:
+                bad.append(f"{where} has {n} > {k} real points")
+            if (k - n) % 2 != 0:
+                bad.append(f"{where} has {n} real points, parity differs from {k}")
     return bad
 
 
 def image_arcs(cover: PLCover) -> List[Tuple[str, ArcLike]]:
     """The image of each circle: the whole target circle, or a proper arc."""
+    form = _encode(cover)
+    den = form.den
     out: List[Tuple[str, ArcLike]] = []
-    for lbl, m in cover.components:
-        if m.closure != 0:
-            out.append((lbl, FULL_CIRCLE))
-            continue
-        xs = m.lifts()
-        span = max(xs) - min(xs)
-        if span >= 1:
+    for lbl, xs, closure in form.circles:
+        lo, hi = min(xs), max(xs)
+        if closure != 0 or hi - lo >= den:
             out.append((lbl, FULL_CIRCLE))
         else:
-            out.append((lbl, Arc(min(xs) % 1, max(xs) % 1)))
+            out.append((lbl, Arc(Fraction(lo, den), Fraction(hi, den))))
     return out
 
 
@@ -377,35 +386,90 @@ def surgery(cover: PLCover, step: ConstructionStep) -> PLCover:
 # Node smoothings at the level of circle maps: merging two circles over a
 # common value, and splitting one circle at a doubly covered value.  Both
 # model the fold-type smoothing, which opens a small gap with two fewer
-# real preimages.
+# real preimages.  _merge and _split work on the integer form in place, on
+# circles given by index and values in units of 1 / den.
 
 
-def _class_crossings(m: PLMap, c: Fraction) -> List[Tuple[int, Fraction, int]]:
-    """Crossings of the residue class of c in traversal order.
-
-    Returns (segment index, crossing lift, direction) with direction +1 for
-    climbs.  Within one segment crossings are ordered along the traversal.
-    """
-    c = Fraction(c)
-    out: List[Tuple[int, Fraction, int]] = []
-    for i, (u, v) in enumerate(m.segments()):
+def _crossings(xs: List[int], c: int, den: int):
+    """(segment index, lift, direction +1 up or -1 down) of the crossings of
+    the residue class of c strictly inside the segments of the winding-0
+    lifts xs, in traversal order."""
+    for i, (u, v) in enumerate(zip(xs, xs[1:] + xs[:1])):
         lo, hi = (u, v) if u < v else (v, u)
-        js = [j for j in range(ceil(lo - c), floor(hi - c) + 1) if lo < c + j < hi]
-        vals = [c + j for j in js]
-        if v < u:
-            vals.reverse()
-        out.extend((i, val, 1 if v > u else -1) for val in vals)
-    return out
+        top = hi - 1 - (hi - 1 - c) % den  # the highest lift of c below hi
+        if top <= lo:
+            continue
+        if u < v:
+            for x in range(top - (top - lo - 1) // den * den, hi, den):
+                yield i, x, 1
+        else:
+            for x in range(top, lo, -den):
+                yield i, x, -1
 
 
-def _cycle_values(m: PLMap, start_after: int) -> List[Fraction]:
-    """Breakpoint lifts read once around a winding-0 map, beginning after the
-    given segment index."""
-    if m.closure != 0:
-        raise ValueError("cycled reading needs winding 0")
-    xs = [x for _, x in m.breakpoints]
-    n = len(xs)
-    return [xs[(start_after + 1 + i) % n] for i in range(n)]
+def _half_gap(form: _Lifts, bound: int, h: Optional[int]) -> Tuple[int, int]:
+    """min(h, bound / 2), or bound / 2 for h None, and den's scale factor to fit it."""
+    if h is not None and 2 * h <= bound:
+        return h, 1
+    f = 2 if bound % 2 else 1
+    form.scale(f)
+    return bound * f // 2, f
+
+
+def _merge(form: _Lifts, ja: int, jb: int, t: int, h: Optional[int] = None) -> List[int]:
+    """merge_components on the integer form, in place: the merged circle
+    replaces circle ja and circle jb is dropped.  Returns its lifts."""
+    (_, xa, wa), (_, xb, wb) = form.circles[ja], form.circles[jb]
+    if wa or wb:
+        raise ValueError("node smoothing is implemented for winding-0 circles")
+    den = form.den
+    up_a = next((cr for cr in _crossings(xa, t, den) if cr[2] > 0), None)
+    up_b = next((cr for cr in _crossings(xb, t, den) if cr[2] > 0), None)
+    if up_a is None or up_b is None:
+        raise ValueError(f"both circles must climb through {Fraction(t, den)}")
+    (ia, va, _), (ib, vb, _) = up_a, up_b
+    bound = min(
+        va - xa[ia], xa[(ia + 1) % len(xa)] - va, vb - xb[ib], xb[(ib + 1) % len(xb)] - vb
+    )
+    h, f = _half_gap(form, bound, h)
+    if f != 1:
+        xa, xb, va, vb = form.circles[ja][1], form.circles[jb][1], va * f, vb * f
+    shift = va - vb
+    rev_b = [x + shift for x in xb[ib::-1] + xb[:ib:-1]]
+    values = xa[ia + 1 :] + xa[: ia + 1] + [va - h] + rev_b + [va + h]
+    form.circles[ja] = (form.circles[ja][0], values, 0)
+    del form.circles[jb]
+    return values
+
+
+def _split(form: _Lifts, j: int, c: int, h: Optional[int], new_label: str) -> None:
+    """fold_split on the integer form, in place: the rest of circle j stays
+    at index j and the split-off circle, labeled new_label, is appended."""
+    label, xs, w = form.circles[j]
+    if w:
+        raise ValueError("node smoothing is implemented for winding-0 circles")
+    crossings = list(_crossings(xs, c, form.den))
+    if len(crossings) < 2:
+        raise ValueError(f"circle does not cross {Fraction(c, form.den)} twice")
+    pairs = zip(crossings, crossings[1:] + crossings[:1])
+    excursion = next(((p, q) for p, q in pairs if p[2] > 0 and q[2] < 0), None)
+    if excursion is None:
+        raise ValueError("no upward excursion to cut")
+    (ip, cstar, _), (iq, cq, _) = excursion
+    if cq != cstar:
+        raise ValueError("inconsistent excursion: crossing lifts differ")
+    nb = len(xs)
+    bound = min(
+        xs[(ip + 1) % nb] - cstar, cstar - xs[ip], xs[iq] - cstar, cstar - xs[(iq + 1) % nb]
+    )
+    h, f = _half_gap(form, bound, h)
+    if f != 1:
+        xs, cstar = form.circles[j][1], cstar * f
+    # ip != iq, since a segment crosses in one direction only
+    after = xs[ip + 1 :] + xs[: ip + 1]
+    between = (iq - ip) % nb
+    form.circles[j] = (label, [cstar - h] + after[between:], 0)
+    form.circles.append((new_label, [cstar + h] + after[:between], 0))
 
 
 def merge_components(
@@ -413,34 +477,18 @@ def merge_components(
 ) -> PLCover:
     """Smooth a node joining two winding-0 circles over the common value t.
 
-    Both circles are cut at a climb through t and cross-joined with folds
-    at t -/+ h; the fibers over the gap lose the two glued sheets, nothing
-    else changes.  The merged circle keeps label_a.
+    Both circles are cut at their first climb through t and cross-joined
+    with folds at t -/+ h; the fibers over the gap lose the two glued
+    sheets, nothing else changes.  The merged circle keeps label_a.
     """
-    ma, mb = cover.map_of(label_a), cover.map_of(label_b)
-    if ma.closure != 0 or mb.closure != 0:
-        raise ValueError("node smoothing is implemented for winding-0 circles")
-    t = Fraction(t)
-    ups_a = [cr for cr in _class_crossings(ma, t) if cr[2] > 0]
-    ups_b = [cr for cr in _class_crossings(mb, t) if cr[2] > 0]
-    if not ups_a or not ups_b:
-        raise ValueError(f"both circles must climb through {t}")
-    ia, va, _ = ups_a[0]
-    ib, vb, _ = ups_b[0]
-    shift = va - vb
-    ua_lo, ua_hi = ma.segments()[ia]
-    ub_lo, ub_hi = mb.segments()[ib]
-    bound = min(va - ua_lo, ua_hi - va, vb - ub_lo, ub_hi - vb)
-    h = bound / 2 if h is None else min(Fraction(h), bound / 2)
-    rev_b = [x + shift for x in reversed(_cycle_values(mb, ib))]
-    values = _cycle_values(ma, ia) + [va - h] + rev_b + [va + h]
-    merged = pl_map(values, 0)
-    comps = []
-    for lbl, m in cover.components:
-        if lbl == label_b:
-            continue
-        comps.append((lbl, merged if lbl == label_a else m))
-    return PLCover(tuple(comps), cover.k, cover.target)
+    # the first circle with each label, as map_of finds it
+    ja, jb = (cover.components.index((lbl, cover.map_of(lbl))) for lbl in (label_a, label_b))
+    form = _encode(cover)
+    values = _merge(form, ja, jb, *form.lift(t, h))
+    merged = _decode_map(form.den, values, 0)
+    kept = ((lbl, m) for lbl, m in cover.components if lbl != label_b)
+    comps = tuple((lbl, merged if lbl == label_a else m) for lbl, m in kept)
+    return PLCover(comps, cover.k, cover.target)
 
 
 def fold_split(
@@ -453,43 +501,14 @@ def fold_split(
     c + h, the rest folds at c - h.  Returns the new cover and the label of
     the split-off circle.
     """
-    m = cover.map_of(label)
-    if m.closure != 0:
-        raise ValueError("node smoothing is implemented for winding-0 circles")
-    c = Fraction(c)
-    crossings = _class_crossings(m, c)
-    if len(crossings) < 2:
-        raise ValueError(f"circle does not cross {c} twice")
-    n = len(crossings)
-    pick = next(
-        (
-            p
-            for p in range(n)
-            if crossings[p][2] > 0 and crossings[(p + 1) % n][2] < 0
-        ),
-        None,
-    )
-    if pick is None:
-        raise ValueError("no upward excursion to cut")
-    ip, cstar, _ = crossings[pick]
-    iq, cq, _ = crossings[(pick + 1) % n]
-    if cq != cstar:
-        raise ValueError("inconsistent excursion: crossing lifts differ")
-    segs = m.segments()
-    bound = min(
-        segs[ip][1] - cstar, cstar - segs[ip][0], segs[iq][0] - cstar, cstar - segs[iq][1]
-    )
-    h = bound / 2 if h is None else min(Fraction(h), bound / 2)
-    xs = [x for _, x in m.breakpoints]
-    nb = len(xs)
-    between = [xs[(ip + 1 + i) % nb] for i in range(((iq - ip) % nb) or nb)]
-    rest = [xs[(iq + 1 + i) % nb] for i in range(((ip - iq) % nb) or nb)]
-    lobe = pl_map([cstar + h] + between, 0)
-    remainder = pl_map([cstar - h] + rest, 0)
+    j = cover.components.index((label, cover.map_of(label)))
+    form = _encode(cover)
     new_label = next_new_label(cover.components)
-    comps = [(lbl, remainder if lbl == label else mm) for lbl, mm in cover.components]
-    comps.append((new_label, lobe))
-    return PLCover(tuple(comps), cover.k, cover.target), new_label
+    _split(form, j, *form.lift(c, h), new_label)
+    lobe = _decode_map(form.den, form.circles[-1][1], 0)
+    rest = _decode_map(form.den, form.circles[j][1], 0)
+    comps = tuple((lbl, rest if lbl == label else m) for lbl, m in cover.components)
+    return PLCover(comps + ((new_label, lobe),), cover.k, cover.target), new_label
 
 
 # ---------------------------------------------------------------------------
@@ -545,8 +564,7 @@ def realize(seed: BaseSeed, steps: Sequence[ConstructionStep]) -> PLCover:
             _step(form, step)
         except PreconditionViolated as exc:
             raise PreconditionViolated(exc.kind, exc.reason, step_index=i) from None
-    comps = tuple((lbl, _decode_map(form.den, xs, w)) for lbl, xs, w in form.circles)
-    return PLCover(comps, form.k, form.target)
+    return _decode(form)
 
 
 # ---------------------------------------------------------------------------

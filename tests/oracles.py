@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import ceil, floor
+from typing import List, Optional, Tuple
 
 from realcover.arcs import Arc, FullCircle
 from realcover.constructions import (
@@ -20,7 +21,7 @@ from realcover.constructions import (
     execute_states,
     next_new_label,
 )
-from realcover.plsim import BudgetExceeded, PLCover, critical_values, pl_map, seed_cover
+from realcover.plsim import BudgetExceeded, PLCover, PLMap, critical_values, pl_map, seed_cover
 from realcover.topology import CoverTarget
 
 
@@ -348,3 +349,121 @@ def fraction_realize(seed, steps):
         except PreconditionViolated as exc:
             raise PreconditionViolated(exc.kind, exc.reason, step_index=i) from None
     return cover
+
+
+# ---------------------------------------------------------------------------
+# The node smoothings in Fraction arithmetic, rebuilding and revalidating
+# the touched circle maps after each smoothing.  The package runs them on
+# the integer form; these are the reference it must match bit for bit.
+
+
+def _class_crossings(m: PLMap, c: Fraction) -> List[Tuple[int, Fraction, int]]:
+    """Crossings of the residue class of c in traversal order.
+
+    Returns (segment index, crossing lift, direction) with direction +1 for
+    climbs.  Within one segment crossings are ordered along the traversal.
+    """
+    c = Fraction(c)
+    out: List[Tuple[int, Fraction, int]] = []
+    for i, (u, v) in enumerate(m.segments()):
+        lo, hi = (u, v) if u < v else (v, u)
+        js = [j for j in range(ceil(lo - c), floor(hi - c) + 1) if lo < c + j < hi]
+        vals = [c + j for j in js]
+        if v < u:
+            vals.reverse()
+        out.extend((i, val, 1 if v > u else -1) for val in vals)
+    return out
+
+
+def _cycle_values(m: PLMap, start_after: int) -> List[Fraction]:
+    """Breakpoint lifts read once around a winding-0 map, beginning after the
+    given segment index."""
+    if m.closure != 0:
+        raise ValueError("cycled reading needs winding 0")
+    xs = [x for _, x in m.breakpoints]
+    n = len(xs)
+    return [xs[(start_after + 1 + i) % n] for i in range(n)]
+
+
+def fraction_merge_components(
+    cover: PLCover, label_a: str, label_b: str, t: Fraction, h: Optional[Fraction] = None
+) -> PLCover:
+    """Smooth a node joining two winding-0 circles over the common value t.
+
+    Both circles are cut at a climb through t and cross-joined with folds
+    at t -/+ h; the fibers over the gap lose the two glued sheets, nothing
+    else changes.  The merged circle keeps label_a.
+    """
+    ma, mb = cover.map_of(label_a), cover.map_of(label_b)
+    if ma.closure != 0 or mb.closure != 0:
+        raise ValueError("node smoothing is implemented for winding-0 circles")
+    t = Fraction(t)
+    ups_a = [cr for cr in _class_crossings(ma, t) if cr[2] > 0]
+    ups_b = [cr for cr in _class_crossings(mb, t) if cr[2] > 0]
+    if not ups_a or not ups_b:
+        raise ValueError(f"both circles must climb through {t}")
+    ia, va, _ = ups_a[0]
+    ib, vb, _ = ups_b[0]
+    shift = va - vb
+    ua_lo, ua_hi = ma.segments()[ia]
+    ub_lo, ub_hi = mb.segments()[ib]
+    bound = min(va - ua_lo, ua_hi - va, vb - ub_lo, ub_hi - vb)
+    h = bound / 2 if h is None else min(Fraction(h), bound / 2)
+    rev_b = [x + shift for x in reversed(_cycle_values(mb, ib))]
+    values = _cycle_values(ma, ia) + [va - h] + rev_b + [va + h]
+    merged = pl_map(values, 0)
+    comps = []
+    for lbl, m in cover.components:
+        if lbl == label_b:
+            continue
+        comps.append((lbl, merged if lbl == label_a else m))
+    return PLCover(tuple(comps), cover.k, cover.target)
+
+
+def fraction_fold_split(
+    cover: PLCover, label: str, c: Fraction, h: Optional[Fraction] = None
+) -> Tuple[PLCover, str]:
+    """Smooth a self-node of one winding-0 circle at a doubly covered value c.
+
+    The circle is cut at two consecutive crossings of c bounding an
+    excursion above c; the excursion closes into a new circle folding at
+    c + h, the rest folds at c - h.  Returns the new cover and the label of
+    the split-off circle.
+    """
+    m = cover.map_of(label)
+    if m.closure != 0:
+        raise ValueError("node smoothing is implemented for winding-0 circles")
+    c = Fraction(c)
+    crossings = _class_crossings(m, c)
+    if len(crossings) < 2:
+        raise ValueError(f"circle does not cross {c} twice")
+    n = len(crossings)
+    pick = next(
+        (
+            p
+            for p in range(n)
+            if crossings[p][2] > 0 and crossings[(p + 1) % n][2] < 0
+        ),
+        None,
+    )
+    if pick is None:
+        raise ValueError("no upward excursion to cut")
+    ip, cstar, _ = crossings[pick]
+    iq, cq, _ = crossings[(pick + 1) % n]
+    if cq != cstar:
+        raise ValueError("inconsistent excursion: crossing lifts differ")
+    segs = m.segments()
+    bound = min(
+        segs[ip][1] - cstar, cstar - segs[ip][0], segs[iq][0] - cstar, cstar - segs[iq][1]
+    )
+    h = bound / 2 if h is None else min(Fraction(h), bound / 2)
+    xs = [x for _, x in m.breakpoints]
+    nb = len(xs)
+    between = [xs[(ip + 1 + i) % nb] for i in range(((iq - ip) % nb) or nb)]
+    rest = [xs[(iq + 1 + i) % nb] for i in range(((ip - iq) % nb) or nb)]
+    lobe = pl_map([cstar + h] + between, 0)
+    remainder = pl_map([cstar - h] + rest, 0)
+    new_label = next_new_label(cover.components)
+    comps = [(lbl, remainder if lbl == label else mm) for lbl, mm in cover.components]
+    comps.append((new_label, lobe))
+    return PLCover(tuple(comps), cover.k, cover.target), new_label

@@ -154,7 +154,7 @@ def test_criterion_3_symbolic_pl_agreement():
 
 def test_criterion_4_covering_numbers_degree_four():
     failures = []
-    for g in range(8):
+    for g in range(12):
         for s in range(1, g + 2):
             for a in (0, 1):
                 if not weichold_admissible(g, s, a):

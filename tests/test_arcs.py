@@ -28,6 +28,23 @@ def large_arc_sets(draw):
     return arcs
 
 
+# Large and pairwise coprime: the sweep's common denominator is their product.
+COPRIME_DENOMINATORS = (360, 1001, 2**61 - 1)
+
+
+@st.composite
+def coprime_arc_sets(draw, min_size, max_size):
+    """Arcs over COPRIME_DENOMINATORS, some of them short enough to leave gaps."""
+    parts = draw(st.sampled_from([1, 2, 4, 8]))  # arcs span at most 1/parts
+    arcs = []
+    dens = st.lists(st.sampled_from(COPRIME_DENOMINATORS), min_size=min_size, max_size=max_size)
+    for den in draw(dens):
+        start = draw(st.integers(0, den - 1))
+        length = draw(st.integers(1, max(1, (den - 1) // parts)))
+        arcs.append(Arc(F(start, den), F(start + length, den)))
+    return arcs
+
+
 class TestArc:
     def test_normalization(self):
         a = Arc(F(5, 4), F(-1, 4))
@@ -90,4 +107,14 @@ class TestMinCover:
     @settings(deadline=None)
     @given(arcs=large_arc_sets())
     def test_matches_anchor_greedy_on_large_sets(self, arcs):
+        assert min_circle_cover(arcs) == greedy_min_circle_cover(arcs)
+
+    @settings(deadline=None)
+    @given(arcs=coprime_arc_sets(1, 8))
+    def test_large_coprime_denominators_match_subset_bruteforce(self, arcs):
+        assert min_circle_cover(arcs) == brute_min_circle_cover(arcs)
+
+    @settings(deadline=None)
+    @given(arcs=coprime_arc_sets(9, 40))
+    def test_large_coprime_denominators_match_anchor_greedy(self, arcs):
         assert min_circle_cover(arcs) == greedy_min_circle_cover(arcs)

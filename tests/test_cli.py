@@ -4,6 +4,7 @@ import io
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 from fractions import Fraction
@@ -183,6 +184,37 @@ class TestCovnum:
         code, doc = invoke_json(capsys, "covnum", '{"g":2,"s":3,"a":0}')
         assert code == 1
         assert "kcov" in doc["error"]
+
+    @pytest.mark.parametrize(
+        "target",
+        [
+            '{"g":1000000000,"s":1000000001,"a":0,"kcov":1000000001}',  # s over the cap
+            '{"g":1000000000,"s":1,"a":0,"kcov":1}',  # g + 1 - s over the cap
+        ],
+    )
+    def test_huge_target_is_refused_at_once(self, target):
+        # In a child process with 1 GiB of address space, so that a build the
+        # cap fails to stop ends in a MemoryError rather than a full machine.
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        src = Path(cli.__file__).resolve().parents[1]
+        done = subprocess.run(
+            [sys.executable, "-m", "realcover", "covnum", target],
+            capture_output=True, text=True, timeout=60, preexec_fn=limit,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert (done.returncode, done.stderr) == (1, "")
+        assert done.stdout.count("\n") == 1
+        assert "too large" in json.loads(done.stdout)["error"]
+
+    def test_caps_are_inclusive(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_COVNUM_MAX_S", 3)
+        monkeypatch.setattr(cli, "_COVNUM_MAX_DEFICIT", 2)
+        assert invoke_json(capsys, "covnum", '{"g":2,"s":3,"a":0,"kcov":3}')[0] == 0
+        assert invoke_json(capsys, "covnum", '{"g":4,"s":5,"a":0,"kcov":3}')[0] == 1
+        assert invoke_json(capsys, "covnum", '{"g":3,"s":2,"a":0,"kcov":1}')[0] == 0
+        assert invoke_json(capsys, "covnum", '{"g":5,"s":2,"a":0,"kcov":1}')[0] == 1
 
 
 class TestEnumerate:

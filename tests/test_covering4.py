@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 from fractions import Fraction
 
 import pytest
@@ -7,20 +9,22 @@ from realcover.arcs import Arc, FullCircle
 from realcover.covering4 import (
     CoveringNumberTarget,
     InfeasibleTarget,
-    _chain_arcs,
+    _chain,
     build_covnum,
     covering_number,
 )
 from realcover.planner import plan
 from realcover.plsim import (
     PLCover,
+    _decode,
+    cover_to_json,
     fiber_budget_violations,
     image_arcs,
     pl_map,
     realize,
     seed_cover,
 )
-from realcover.topology import CoverSpec, CoverTarget, DegreeVector, TopType
+from realcover.topology import CoverSpec, CoverTarget, DegreeVector, TopType, weichold_admissible
 from realcover.constructions import GenericPencil, Hyperelliptic
 
 from oracles import arcs_intersect, brute_min_circle_cover
@@ -73,7 +77,7 @@ class TestChainLayout:
         # meet exactly in the three stated index patterns.
         g = 4
         half = g // 2
-        arcs = [Arc(lo, hi) for lo, hi in _chain_arcs(g + 2)]
+        arcs = [arc for _, arc in image_arcs(_decode(_chain(g + 2, 1)))]
         first = {j: arcs[2 * j] for j in range(half + 1)}
         second = {j: arcs[2 * j + 1] for j in range(half + 1)}
         for j1 in range(half + 1):
@@ -141,3 +145,30 @@ class TestBuilds:
     def test_parity_of_built_fibers(self):
         cover, _ = build_covnum(target(4, 3, 0, 2))
         assert fiber_budget_violations(cover) == []
+
+
+# SHA-256 over one compact JSON line {"cover": ..., "covering_number": ...}
+# per covnum target with g <= 15 (1,124 targets, in the loop order below),
+# computed with the earlier Fraction-arithmetic builds.
+FRACTION_BUILDS_G15_SHA256 = "3aceebdb18f765845a3c71cc18ef078797217e53d25b7b7a781a2ffd4f5efb7e"
+
+
+def covnum_targets(g_max):
+    for g in range(g_max + 1):
+        for s in range(1, g + 2):
+            for a in (0, 1):
+                if weichold_admissible(g, s, a):
+                    for kcov in range(1, s + 1):
+                        yield target(g, s, a, kcov)
+
+
+class TestIntegerBuilds:
+    def test_builds_match_fraction_builds(self):
+        digest, n = hashlib.sha256(), 0
+        for tgt in covnum_targets(15):
+            cover, _ = build_covnum(tgt)
+            doc = {"cover": cover_to_json(cover), "covering_number": covering_number(cover)}
+            digest.update(json.dumps(doc, separators=(",", ":")).encode() + b"\n")
+            n += 1
+        assert n == 1124
+        assert digest.hexdigest() == FRACTION_BUILDS_G15_SHA256
