@@ -3,15 +3,17 @@
 The circle is R/Z with counterclockwise orientation; an arc is either the
 whole circle or a closed interval given by its start and end, traversed
 counterclockwise from start to end.  All endpoints are exact rationals, so
-coverage questions have exact answers.
+coverage questions have exact answers.  An arc keeps its ends as integer
+lifts over their least common denominator; min_circle_cover reads those
+integers and never builds a Fraction.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Optional, Sequence, Union
 
 
@@ -20,22 +22,64 @@ class FullCircle:
     """The whole target circle, the image of any circle with nonzero winding."""
 
 
-@dataclass(frozen=True)
 class Arc:
-    """Proper closed arc from start to end counterclockwise, start != end."""
+    """Proper closed arc from start to end counterclockwise, start != end.
 
-    start: Fraction
-    end: Fraction
+    Stored as integer lifts 0 <= lo, hi < den over the least common
+    denominator den of its ends; start and end are Fractions built when read.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "start", Fraction(self.start) % 1)
-        object.__setattr__(self, "end", Fraction(self.end) % 1)
-        if self.start == self.end:
+    __slots__ = ("den", "lo", "hi")
+
+    def __init__(self, start, end):
+        start, end = Fraction(start), Fraction(end)
+        den = lcm(start.denominator, end.denominator)
+        lo, hi = (x.numerator * (den // x.denominator) for x in (start, end))
+        self._set(den, lo, hi)
+
+    @classmethod
+    def from_lifts(cls, den: int, lo: int, hi: int) -> "Arc":
+        """The arc from lo / den to hi / den."""
+        arc = object.__new__(cls)
+        arc._set(den, lo, hi)
+        return arc
+
+    def _set(self, den: int, lo: int, hi: int) -> None:
+        lo, hi = lo % den, hi % den
+        if lo == hi:
             raise ValueError("proper arc needs distinct endpoints")
+        g = gcd(den, lo, hi)
+        object.__setattr__(self, "den", den // g)
+        object.__setattr__(self, "lo", lo // g)
+        object.__setattr__(self, "hi", hi // g)
+
+    def __setattr__(self, name, *_):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.den, self.lo, self.hi) == (other.den, other.lo, other.hi)
+
+    def __hash__(self):
+        return hash((self.start, self.end))
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}(start={self.start!r}, end={self.end!r})"
+
+    @property
+    def start(self) -> Fraction:
+        return Fraction(self.lo, self.den)
+
+    @property
+    def end(self) -> Fraction:
+        return Fraction(self.hi, self.den)
 
     @property
     def length(self) -> Fraction:
-        return (self.end - self.start) % 1
+        return Fraction((self.hi - self.lo) % self.den, self.den)
 
     def contains(self, point: Fraction) -> bool:
         return (Fraction(point) - self.start) % 1 <= self.length
@@ -71,8 +115,8 @@ def min_circle_cover(arcs: Sequence[ArcLike]) -> Optional[int]:
     """
     if any(isinstance(a, FullCircle) for a in arcs):
         return 1
-    den = lcm(*{x.denominator for a in arcs for x in (a.start, a.end)})
-    lifted = [[x.numerator * (den // x.denominator) for x in (a.start, a.end)] for a in arcs]
+    den = lcm(*{a.den for a in arcs})
+    lifted = [(a.lo * (den // a.den), a.hi * (den // a.den)) for a in arcs]
     intervals = sorted((lo + d, lo + (hi - lo) % den + d) for lo, hi in lifted for d in (0, den))
     starts = [lo for lo, _ in intervals]
     ends = [hi for _, hi in intervals]

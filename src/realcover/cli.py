@@ -117,10 +117,7 @@ def _cmd_realize(args) -> int:
         _emit({"rejected": str(exc)})
         return 2
     if args.format == "csv":
-        sys.stdout.write("x,fiber_count\n")
-        rows = sorted(((a + length / 2) % 1, n) for a, length, n in plsim.fiber_profile(cover))
-        for x, n in rows:
-            sys.stdout.write(f"{x.numerator}/{x.denominator},{n}\n")
+        sys.stdout.write(plsim.fiber_csv(cover))
         return 0
     _emit(plsim.cover_to_json(cover))
     return 0

@@ -23,8 +23,9 @@ Every component of a built cover is a winding-0 circle, the total degree is
 4, and no value is covered by more than two arcs, so the fiber budget holds
 with room for the two non-real sheets wherever only one arc passes.
 
-The builds and their node smoothings run on plsim's integer form, which is
-decoded into PLMaps once, at the end.
+The builds and their node smoothings run on plsim's integer form.  At the
+end each circle becomes a PLMap that keeps its integer lifts; Fractions
+are built only when a caller reads its breakpoints.
 """
 
 from __future__ import annotations
@@ -140,6 +141,13 @@ def build_covnum(target: CoveringNumberTarget) -> Tuple[PLCover, CoverSpec]:
     and the prescribed covering number.
 
     Returns the PL realization together with its symbolic specification.
+
+    The separating case costs time quadratic in g + 1 - s: it merges
+    (g + 1 - s)/2 chain arcs into the first circle, and each merge scans
+    that circle from its start for the first climb through the merge value.
+    For s = 1 that is about 0.13, 0.6 and 2.4 s at g = 1000, 2000 and 4000.
+    Only the realcover command bounds it (g + 1 - s <= 5,000); callers of
+    this function must bound g + 1 - s themselves.
     """
     g, s, a = target.top.g, target.top.s, target.top.a
     if a == 0:

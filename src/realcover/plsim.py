@@ -7,10 +7,12 @@ x(t0 + 1) = x0 + w for the integer winding w.  Segments between breakpoints
 have nonzero rational slope, so folds happen exactly at breakpoints.
 
 Only the cyclic sequence of breakpoint lifts matters for windings, fibers
-and image arcs; the t coordinates are equally spaced.  Surgeries, node
+and image arcs; the t coordinates are equally spaced, t = i/n.  A PLMap
+keeps its lifts as integers over one denominator and is validated on them;
+its breakpoints are Fractions built only when read.  Surgeries, node
 smoothings, the fiber sweep and image arcs run on integer lifts over one
-common denominator; PLMap's Fractions appear only where a cover is encoded
-into that form or decoded (re-anchored and validated) out of it.
+common denominator per cover, and the wire formats print "p/q" straight
+from the integers.
 
 A PLCover bundles the circle maps with the sheet budget k of the covering.
 Sheets not accounted for by real preimages come in conjugate pairs, whence
@@ -20,10 +22,10 @@ most k and has the parity of k (coverings of the projective line).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
-from math import floor, gcd, lcm
-from operator import sub
+from math import gcd, lcm
+from operator import eq, sub
 from typing import List, Optional, Sequence, Tuple
 
 from .arcs import FULL_CIRCLE, Arc, ArcLike
@@ -47,30 +49,78 @@ class BudgetExceeded(Exception):
     """A surgery would force more real preimages than the sheet budget allows."""
 
 
-@dataclass(frozen=True)
 class PLMap:
-    """Piecewise-linear circle map given by breakpoints and a closure winding."""
+    """Piecewise-linear circle map given by breakpoints and a closure winding.
 
-    breakpoints: tuple[tuple[Fraction, Fraction], ...]
-    closure: int
+    Stored as integer lifts xs over the least common denominator den of the
+    breakpoint lifts; breakpoint i sits at t = i/n.  The Fraction views
+    (breakpoints, lifts(), segments()) are built when read, not kept.
+    """
 
-    def __post_init__(self):
-        pts = self.breakpoints
-        if not pts:
-            raise ValueError("a circle map needs at least one breakpoint")
-        ts = [t for t, _ in pts]
+    __slots__ = ("den", "xs", "closure")
+
+    def __init__(self, breakpoints: Sequence[Tuple[Fraction, Fraction]], closure: int):
+        ts = [t for t, _ in breakpoints]
+        n = len(ts)
         if any(not 0 <= t < 1 for t in ts):
             raise ValueError("breakpoint parameters must lie in [0, 1)")
-        if any(ts[i] >= ts[i + 1] for i in range(len(ts) - 1)):
+        if any(ts[i] >= ts[i + 1] for i in range(n - 1)):
             raise ValueError("breakpoint parameters must be strictly increasing")
-        for u, v in self.segments():
-            if u == v:
-                raise ValueError("zero-slope segment: folds must be isolated breakpoints")
+        if any(t.numerator * n != i * t.denominator for i, t in enumerate(ts)):
+            raise ValueError("breakpoint parameters must be equally spaced, t = i/n")
+        den = lcm(*(x.denominator for _, x in breakpoints))
+        xs = tuple([x.numerator * (den // x.denominator) for _, x in breakpoints])
+        self._set(den, xs, closure)
+
+    @classmethod
+    def from_lifts(cls, den: int, xs: Sequence[int], closure: int) -> "PLMap":
+        """The map with lifts xs / den, re-anchored so the lowest lies in [0, 1)."""
+        m = object.__new__(cls)
+        # Tuples are built from lists: tuple() of a generator starts at ten
+        # slots and shrinks, and the shrunk tuples pile up on the
+        # interpreter's tuple free lists, which shows as peak memory.
+        shift = min(xs) // den * den if xs else 0
+        m._set(den, tuple([x - shift for x in xs]) if shift else tuple(xs), closure)
+        return m
+
+    def _set(self, den: int, xs: Tuple[int, ...], closure: int) -> None:
+        if not xs:
+            raise ValueError("a circle map needs at least one breakpoint")
+        if any(map(eq, xs, xs[1:])) or xs[-1] == xs[0] + closure * den:
+            raise ValueError("zero-slope segment: folds must be isolated breakpoints")
+        g = gcd(den, *xs)
+        if g != 1:
+            den, xs = den // g, tuple([x // g for x in xs])
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "xs", xs)
+        object.__setattr__(self, "closure", closure)
+
+    def __setattr__(self, name, *_):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.den, self.xs, self.closure) == (other.den, other.xs, other.closure)
+
+    def __hash__(self):
+        return hash((self.breakpoints, self.closure))
+
+    def __repr__(self):
+        name = type(self).__qualname__
+        return f"{name}(breakpoints={self.breakpoints!r}, closure={self.closure!r})"
+
+    @property
+    def breakpoints(self) -> Tuple[Tuple[Fraction, Fraction], ...]:
+        n, den = len(self.xs), self.den
+        return tuple((Fraction(i, n), Fraction(x, den)) for i, x in enumerate(self.xs))
 
     def lifts(self) -> List[Fraction]:
         """Breakpoint lifts followed by the closure lift x0 + w."""
-        xs = [x for _, x in self.breakpoints]
-        return xs + [xs[0] + self.closure]
+        xs, den = self.xs, self.den
+        return [Fraction(x, den) for x in xs + (xs[0] + self.closure * den,)]
 
     def segments(self) -> List[Tuple[Fraction, Fraction]]:
         xs = self.lifts()
@@ -79,12 +129,8 @@ class PLMap:
 
 def pl_map(values: Sequence[Fraction], closure: int) -> PLMap:
     """Build a map from a lift profile, equally spaced in t and re-anchored."""
-    values = [Fraction(v) for v in values]
-    shift = floor(min(values))
-    n = len(values)
-    return PLMap(
-        tuple((Fraction(i, n), v - shift) for i, v in enumerate(values)), closure
-    )
+    den = lcm(*(v.denominator for v in values))
+    return PLMap.from_lifts(den, [v.numerator * (den // v.denominator) for v in values], closure)
 
 
 @dataclass(frozen=True)
@@ -107,20 +153,24 @@ class PLCover:
 
 def critical_values(cover: PLCover) -> List[Fraction]:
     """Sorted residues of all breakpoint lifts; fibers are constant in between."""
-    vals = {x % 1 for _, m in cover.components for _, x in m.breakpoints}
-    return sorted(vals)
+    form = _encode(cover)
+    den = form.den
+    return [Fraction(c, den) for c in sorted({x % den for _, xs, _ in form.circles for x in xs})]
 
 
 # ---------------------------------------------------------------------------
 # Integer working form.  Surgeries and the fiber sweep only translate lifts
 # by integers, take their differences and cut them by small powers of two,
-# so they run on integers x * den over one common denominator den.
-# Fractions appear only when a cover is encoded or decoded.
+# so they run on integers x * den over one common denominator den.  Encoding
+# rescales each map's integer lifts to that den and decoding re-anchors and
+# validates them as PLMaps; neither builds a Fraction.
 
 
 class _Lifts:
     """A cover in integer form: per circle its label, its breakpoint lifts
-    times den and its closure, plus the sheet budget and the target.
+    times den and its closure, plus the sheet budget and the target.  Each
+    PLMap keeps its lifts over its own least denominator; this form puts a
+    whole cover over one common den, so steps can mix its circles.
 
     A plain class: a dataclass would add about half a millisecond of class
     generation to every import of the module.
@@ -147,27 +197,17 @@ class _Lifts:
 
 
 def _encode(cover: PLCover) -> _Lifts:
-    """The integer form over the least common denominator of the lifts."""
-    den = lcm(*{x.denominator for _, m in cover.components for _, x in m.breakpoints})
+    """The integer form over the least common denominator of the maps."""
+    den = lcm(*{m.den for _, m in cover.components})
     circles = [
-        (lbl, [x.numerator * (den // x.denominator) for _, x in m.breakpoints], m.closure)
+        (lbl, list(m.xs) if m.den == den else [x * (den // m.den) for x in m.xs], m.closure)
         for lbl, m in cover.components
     ]
     return _Lifts(den, circles, cover.k, cover.target)
 
 
-def _decode_map(den: int, xs: List[int], closure: int) -> PLMap:
-    """pl_map of the lifts xs / den: equally spaced in t, re-anchored so the
-    lowest lift lies in [0, 1), and validated."""
-    shift = min(xs) // den * den
-    n = len(xs)
-    return PLMap(
-        tuple((Fraction(i, n), Fraction(x - shift, den)) for i, x in enumerate(xs)), closure
-    )
-
-
 def _decode(form: _Lifts) -> PLCover:
-    comps = tuple((lbl, _decode_map(form.den, xs, w)) for lbl, xs, w in form.circles)
+    comps = tuple([(lbl, PLMap.from_lifts(form.den, xs, w)) for lbl, xs, w in form.circles])
     return PLCover(comps, form.k, form.target)
 
 
@@ -253,7 +293,7 @@ def image_arcs(cover: PLCover) -> List[Tuple[str, ArcLike]]:
         if closure != 0 or hi - lo >= den:
             out.append((lbl, FULL_CIRCLE))
         else:
-            out.append((lbl, Arc(Fraction(lo, den), Fraction(hi, den))))
+            out.append((lbl, Arc.from_lifts(den, lo, hi)))
     return out
 
 
@@ -376,7 +416,7 @@ def surgery(cover: PLCover, step: ConstructionStep) -> PLCover:
     placed = step.placement if step.kind is StepKind.I else None
     old = cover.components
     comps = tuple(
-        (lbl, old[j][1] if j < len(old) and lbl != placed else _decode_map(form.den, xs, w))
+        (lbl, old[j][1] if j < len(old) and lbl != placed else PLMap.from_lifts(form.den, xs, w))
         for j, (lbl, xs, w) in enumerate(form.circles)
     )
     return PLCover(comps, form.k, form.target)
@@ -485,7 +525,7 @@ def merge_components(
     ja, jb = (cover.components.index((lbl, cover.map_of(lbl))) for lbl in (label_a, label_b))
     form = _encode(cover)
     values = _merge(form, ja, jb, *form.lift(t, h))
-    merged = _decode_map(form.den, values, 0)
+    merged = PLMap.from_lifts(form.den, values, 0)
     kept = ((lbl, m) for lbl, m in cover.components if lbl != label_b)
     comps = tuple((lbl, merged if lbl == label_a else m) for lbl, m in kept)
     return PLCover(comps, cover.k, cover.target)
@@ -505,8 +545,8 @@ def fold_split(
     form = _encode(cover)
     new_label = next_new_label(cover.components)
     _split(form, j, *form.lift(c, h), new_label)
-    lobe = _decode_map(form.den, form.circles[-1][1], 0)
-    rest = _decode_map(form.den, form.circles[j][1], 0)
+    lobe = PLMap.from_lifts(form.den, form.circles[-1][1], 0)
+    rest = PLMap.from_lifts(form.den, form.circles[j][1], 0)
     comps = tuple((lbl, rest if lbl == label else m) for lbl, m in cover.components)
     return PLCover(comps + ((new_label, lobe),), cover.k, cover.target), new_label
 
@@ -568,11 +608,18 @@ def realize(seed: BaseSeed, steps: Sequence[ConstructionStep]) -> PLCover:
 
 
 # ---------------------------------------------------------------------------
-# JSON wire format: breakpoints as pairs of rational strings "p/q".
+# Wire formats: rationals as strings "p/q" in lowest terms, printed from
+# the integer lifts.
 
 
-def _rat(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
+def _rat(p: int, q: int) -> str:
+    # gcd(p, q) = 2^min(v2(p), v2(q)) * gcd(p, odd part of q).  The lift
+    # denominators grow only by factors 2, 4 and 8, so the odd part stays
+    # small and this skips a quadratic big-integer gcd per breakpoint.
+    v2q = (q & -q).bit_length() - 1
+    v2 = min((p & -p).bit_length() - 1, v2q) if p else v2q
+    g = gcd(p >> v2, q >> v2q) << v2
+    return f"{p // g}/{q // g}"
 
 
 def cover_to_json(cover: PLCover) -> dict:
@@ -583,8 +630,19 @@ def cover_to_json(cover: PLCover) -> dict:
             {
                 "label": lbl,
                 "winding": m.closure,
-                "breakpoints": [[_rat(t), _rat(x)] for t, x in m.breakpoints],
+                "breakpoints": [
+                    [_rat(i, len(m.xs)), _rat(x, m.den)] for i, x in enumerate(m.xs)
+                ],
             }
             for lbl, m in cover.components
         ],
     }
+
+
+def fiber_csv(cover: PLCover) -> str:
+    """The fiber_profile as CSV: per regular interval its midpoint and fiber
+    count, sorted by midpoint, under the header x,fiber_count."""
+    form = _encode(cover)
+    period = 2 * form.den  # midpoints in units of 1 / (2 den)
+    rows = sorted(((2 * a + gap) % period, n) for a, gap, n in _sweep(form))
+    return "x,fiber_count\n" + "".join(f"{_rat(x, period)},{n}\n" for x, n in rows)

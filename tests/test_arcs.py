@@ -1,3 +1,4 @@
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
@@ -61,6 +62,28 @@ class TestArc:
     def test_degenerate_rejected(self):
         with pytest.raises(ValueError):
             Arc(F(1, 3), F(1, 3))
+
+    @given(st.integers(1, 60), st.integers(-120, 120), st.integers(-120, 120))
+    def test_integer_constructor_matches_fraction_constructor(self, den, lo, hi):
+        if (hi - lo) % den == 0:
+            with pytest.raises(ValueError, match="distinct endpoints"):
+                Arc.from_lifts(den, lo, hi)
+            with pytest.raises(ValueError, match="distinct endpoints"):
+                Arc(F(lo, den), F(hi, den))
+            return
+        a, b = Arc.from_lifts(den, lo, hi), Arc(F(lo, den), F(hi, den))
+        assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+        assert (a.start, a.end) == (b.start, b.end) == (F(lo, den) % 1, F(hi, den) % 1)
+        assert a.length == b.length == F(hi - lo, den) % 1
+
+    def test_integer_constructor_rejects_degenerate(self):
+        with pytest.raises(ValueError, match="distinct endpoints"):
+            Arc.from_lifts(12, 5, 17)  # 5 and 17 agree mod 12
+
+    def test_immutable(self):
+        a = Arc.from_lifts(8, 1, 3)
+        with pytest.raises(FrozenInstanceError):
+            a.lo = 2
 
     def test_intersection(self):
         assert arcs_intersect(Arc(0, F(1, 2)), Arc(F(1, 2), F(3, 4)))

@@ -1,5 +1,8 @@
+import json
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from functools import lru_cache
+from math import floor
 
 import pytest
 from hypothesis import assume, given, settings
@@ -16,7 +19,7 @@ from realcover.constructions import (
     StepKind,
     Variant,
 )
-from realcover.covering4 import CoveringNumberTarget, build_covnum
+from realcover.covering4 import CoveringNumberTarget, build_covnum, covering_number
 from realcover.planner import Plan, plan
 from realcover.plsim import (
     BudgetExceeded,
@@ -25,6 +28,7 @@ from realcover.plsim import (
     cover_to_json,
     critical_values,
     fiber_budget_violations,
+    fiber_csv,
     fiber_profile,
     fold_split,
     image_arcs,
@@ -119,6 +123,21 @@ def pl_covers(draw):
     return PLCover(tuple(comps), draw(st.integers(0, 12)), CoverTarget.PROJ_LINE)
 
 
+@st.composite
+def integer_lifts(draw):
+    """(den, xs, closure): one to eight integer lifts over den, not anchored,
+    with no zero-slope segment, the closing one included."""
+    den = draw(st.integers(1, 24))
+    closure = draw(st.integers(-2, 2))
+    xs = draw(st.lists(st.integers(-3 * den, 3 * den), min_size=1, max_size=8))
+    assume(all(u != v for u, v in zip(xs, xs[1:] + [xs[0] + closure * den])))
+    return den, xs, closure
+
+
+def fraction_breakpoints(den, xs):
+    return tuple((F(i, len(xs)), F(x, den)) for i, x in enumerate(xs))
+
+
 # where inside each regular interval the oracle is asked, as a share of its length
 inner_shares = st.fractions(min_value=0, max_value=1, max_denominator=97).filter(
     lambda r: 0 < r < 1
@@ -152,6 +171,56 @@ class TestPLMap:
             PLMap(((F(0), F(0)), (F(1, 2), F(0))), 0)  # zero-slope segment
         with pytest.raises(ValueError):
             PLMap((), 1)
+
+    def test_parameters_must_be_equally_spaced(self):
+        with pytest.raises(ValueError, match="equally spaced"):
+            PLMap(((F(0), F(0)), (F(1, 4), F(1))), 0)
+
+    @given(integer_lifts())
+    def test_integer_constructor_matches_fraction_constructor(self, drawn):
+        den, xs, closure = drawn
+        m = PLMap.from_lifts(den, xs, closure)
+        r = PLMap(m.breakpoints, m.closure)
+        assert m == r and hash(m) == hash(r) and repr(m) == repr(r)
+        assert m.lifts() == r.lifts() and m.segments() == r.segments()
+        assert m.closure == r.closure == closure
+        # the lifts xs / den, equally spaced in t and re-anchored
+        shift = floor(min(F(x, den) for x in xs))
+        assert m.breakpoints == tuple((t, x - shift) for t, x in fraction_breakpoints(den, xs))
+        assert m == pl_map([F(x, den) for x in xs], closure)
+        # the Fraction constructor keeps its lifts as given
+        given_map = PLMap(fraction_breakpoints(den, xs), closure)
+        assert given_map.breakpoints == fraction_breakpoints(den, xs)
+        assert given_map.lifts() == [F(x, den) for x in xs] + [F(xs[0], den) + closure]
+        # the JSON prints each breakpoint in lowest terms, negative lifts included
+        (comp,) = cover_to_json(single(given_map))["components"]
+        assert comp["breakpoints"] == [
+            [f"{t.numerator}/{t.denominator}", f"{x.numerator}/{x.denominator}"]
+            for t, x in given_map.breakpoints
+        ]
+
+    @pytest.mark.parametrize(
+        "den, xs, closure, message",
+        [
+            (3, [], 0, "at least one breakpoint"),
+            (3, [1, 2, 2], 0, "zero-slope"),
+            (3, [1, 2, 1], 0, "zero-slope"),  # the closing segment, winding 0
+            (4, [1, 3, 5], 1, "zero-slope"),  # the closing segment, 5 = 1 + 4
+            (2, [0, 1, -4], -2, "zero-slope"),  # the closing segment, negative winding
+        ],
+    )
+    def test_both_constructors_refuse(self, den, xs, closure, message):
+        with pytest.raises(ValueError, match=message):
+            PLMap.from_lifts(den, xs, closure)
+        with pytest.raises(ValueError, match=message):
+            PLMap(fraction_breakpoints(den, xs), closure)
+
+    def test_immutable(self):
+        m = tent(0, F(1, 2))
+        with pytest.raises(FrozenInstanceError):
+            m.closure = 1
+        with pytest.raises(FrozenInstanceError):
+            del m.xs
 
     def test_reverse_negates_winding_keeps_fibers(self):
         m = pl_map([F(0), F(1)], 2)
@@ -484,6 +553,13 @@ class TestFiberProfile:
         assert_profile_matches_oracle(merged_tents(), r)
         assert_profile_matches_oracle(split_tent()[0], r)
 
+    @given(pl_covers())
+    def test_csv_rows_are_interval_midpoints(self, cover):
+        rows = sorted(((a + length / 2) % 1, n) for a, length, n in fiber_profile(cover))
+        assert fiber_csv(cover) == "x,fiber_count\n" + "".join(
+            f"{x.numerator}/{x.denominator},{n}\n" for x, n in rows
+        )
+
     def test_wrapping_arc_counts_interval_zero(self):
         # the climb from 3/4 to 5/4 passes over [0, 1/4) after wrapping
         cover = single(pl_map([F(3, 4), F(5, 4)], 0), 2)
@@ -639,3 +715,62 @@ class TestIntegerLifts:
         assert cover.k == 1001
         assert [m.closure for _, m in cover.components] == [1]
         assert fiber_budget_violations(cover) == []
+
+
+def rebuilt(cover):
+    """The cover with every map rebuilt from its own Fraction breakpoints."""
+    comps = tuple((lbl, PLMap(m.breakpoints, m.closure)) for lbl, m in cover.components)
+    return PLCover(comps, cover.k, cover.target)
+
+
+def pipeline(cover):
+    return (
+        json.dumps(cover_to_json(cover)),
+        fiber_profile(cover),
+        image_arcs(cover),
+        fiber_budget_violations(cover),
+        covering_number(cover),
+    )
+
+
+def fraction_count(monkeypatch, fn):
+    """How many Fractions fn() creates."""
+    made = 0
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        nonlocal made
+        made += 1
+        return new(cls, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Fraction, "__new__", counting_new)
+        fn()
+    return made
+
+
+class TestFractionViews:
+    """Maps and arcs keep integer lifts; their Fractions are views built when
+    read, and the pipeline never converts through them."""
+
+    def test_pipeline_matches_rebuilt_fraction_maps(self):
+        covers = [realize(p.seed, p.steps) for p in criterion_box_plans()]
+        covers += covnum_builds(15)
+        assert len(covers) == 947 + 1124
+        for cover in covers:
+            assert pipeline(rebuilt(cover)) == pipeline(cover)
+
+    @pytest.mark.parametrize("g, s, kcov", [(60, 61, 61), (40, 41, 20)])
+    def test_covnum_builds_few_fractions(self, monkeypatch, g, s, kcov):
+        # at most two per arc (its ends) plus the split spacing's few
+        tgt = CoveringNumberTarget(TopType(g, s, 0), kcov)
+        made = fraction_count(monkeypatch, lambda: covering_number(build_covnum(tgt)[0]))
+        assert made <= 2 * s + 8
+
+    def test_realize_builds_no_fractions_past_the_seed(self, monkeypatch):
+        p = plan(p1_spec(6, 1, 0, 101, (1,)))
+        seed = fraction_count(monkeypatch, lambda: seed_cover(p.seed))
+        made = fraction_count(
+            monkeypatch, lambda: fiber_budget_violations(realize(p.seed, p.steps))
+        )
+        assert seed > 0 and made == seed
