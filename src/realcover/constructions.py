@@ -236,65 +236,93 @@ def next_new_label(components: Sequence[tuple[str, int]]) -> str:
     return f"N{n + 1}"
 
 
+# The step rules run on every step of every replay and realization, and an
+# Enum member read through its class costs several module-name reads.
+_I, _II, _III, _IV, _V = StepKind
+_P1, _R0 = CoverTarget.PROJ_LINE, CoverTarget.ANISOTROPIC_CONIC
+# Sheet-budget gain k' - k of each kind.
+_SHEETS = {_I: 1, _II: 0, _III: 1, _IV: 2, _V: 1}
+
+
+def _check_step(
+    step: ConstructionStep,
+    target: CoverTarget,
+    k: int,
+    circles: Sequence[tuple[str, int]],
+    index: Optional[int] = None,
+) -> tuple[int, Optional[tuple[str, int]]]:
+    """The step rules, shared by the symbolic and the PL interpreter.
+
+    circles are the (label, winding) pairs of the real locus.  Raises
+    PreconditionViolated, carrying index as its step index, when the state
+    does not support the step; otherwise returns the sheet-budget gain and
+    the (label, winding) of the circle the step creates, or None: II/ram
+    opens a fold of winding 0, III a monotone wrap of winding 1.
+    """
+    kind, reason = step.kind, None
+    if kind is _V:
+        if target is not _R0:
+            reason = "requires a covering of R0"
+    elif target is not _P1:
+        reason = "requires a covering of the projective line"
+    elif kind is _I:
+        if not circles:
+            reason = "needs at least one real circle"
+        elif step.placement not in [lbl for lbl, _ in circles]:
+            reason = f"no circle labeled {step.placement!r}"
+    elif kind is _II:
+        if sum([abs(d) for _, d in circles]) >= k:
+            reason = "needs a non-real point over a real value (winding sum < k)"
+    elif kind is _IV and circles:
+        reason = "needs an empty real locus"
+    if reason is not None:
+        raise PreconditionViolated(kind, reason, index)
+    new = None
+    if kind is _III:
+        new = (next_new_label(circles), 1)
+    elif kind is _II and step.variant is Variant.WITH_REAL_RAM:
+        new = (next_new_label(circles), 0)
+    return _SHEETS[kind], new
+
+
 def apply_step(state: LabeledState, step: ConstructionStep) -> LabeledState:
     """Apply one construction step, enforcing its preconditions.
 
     Raises PreconditionViolated when the state does not support the step;
     an invalid plan is never silently repaired.
     """
-    kind, variant = step.kind, step.variant
-    if kind in (StepKind.I, StepKind.II, StepKind.III, StepKind.IV):
-        if state.target is not CoverTarget.PROJ_LINE:
-            raise PreconditionViolated(kind, "requires a covering of the projective line")
-    if kind is StepKind.I:
-        if state.s < 1:
-            raise PreconditionViolated(kind, "needs at least one real circle")
-        labels = [lbl for lbl, _ in state.components]
-        if step.placement not in labels:
-            raise PreconditionViolated(kind, f"no circle labeled {step.placement!r}")
-        comps = []
-        for lbl, d in state.components:
-            if lbl == step.placement:
-                if variant is Variant.WITH_REAL_RAM:
-                    d = d - 1 if d >= 1 else 1
-                else:
-                    d = d + 1
-            comps.append((lbl, d))
-        return LabeledState(state.g, state.a, state.k + 1, state.target, tuple(comps))
-    if kind is StepKind.II:
-        if state.delta_sum >= state.k:
-            raise PreconditionViolated(
-                kind, "needs a non-real point over a real value (winding sum < k)"
-            )
-        if variant is Variant.WITH_REAL_RAM:
-            comps = state.components + ((next_new_label(state.components), 0),)
-            return LabeledState(state.g + 1, state.a, state.k, state.target, comps)
-        return LabeledState(state.g + 1, 1, state.k, state.target, state.components)
-    if kind is StepKind.III:
-        comps = state.components + ((next_new_label(state.components), 1),)
-        return LabeledState(state.g + 1, state.a, state.k + 1, state.target, comps)
-    if kind is StepKind.IV:
-        if state.s != 0:
-            raise PreconditionViolated(kind, "needs an empty real locus")
-        return LabeledState(state.g + 1, state.a, state.k + 2, state.target, ())
-    # kind V
-    if state.target is not CoverTarget.ANISOTROPIC_CONIC:
-        raise PreconditionViolated(kind, "requires a covering of R0")
-    return LabeledState(state.g + 1, state.a, state.k + 1, state.target, ())
+    return _apply(state, step)
+
+
+def _apply(
+    state: LabeledState, step: ConstructionStep, index: Optional[int] = None
+) -> LabeledState:
+    dk, new = _check_step(step, state.target, state.k, state.components, index)
+    kind, comps, a = step.kind, state.components, state.a
+    if new is not None:
+        comps += (new,)
+    elif kind is _I:
+        ram = step.variant is Variant.WITH_REAL_RAM
+        comps = tuple(
+            [
+                (lbl, ((d - 1 if d >= 1 else 1) if ram else d + 1) if lbl == step.placement else d)
+                for lbl, d in comps
+            ]
+        )
+    elif kind is _II:
+        a = 1
+    return LabeledState(state.g + (kind is not _I), a, state.k + dk, state.target, comps)
 
 
 def execute_states(seed: BaseSeed, steps: Sequence[ConstructionStep]):
     """Yield the seed state and each intermediate state of a step sequence.
 
-    PreconditionViolated is re-raised with the failing step index attached.
+    A PreconditionViolated carries the index of the failing step.
     """
     state = seed_state(seed)
     yield state
     for i, step in enumerate(steps):
-        try:
-            state = apply_step(state, step)
-        except PreconditionViolated as exc:
-            raise PreconditionViolated(exc.kind, exc.reason, step_index=i) from None
+        state = _apply(state, step, i)
         yield state
 
 
@@ -335,7 +363,7 @@ def seed_from_json(obj: object) -> BaseSeed:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ValueError("seed: expected an object with a 'kind' field")
     kind = obj["kind"]
-    if kind not in _SEED_FIELDS:
+    if not isinstance(kind, str) or kind not in _SEED_FIELDS:
         raise ValueError(f"seed.kind: unknown seed kind {kind!r}")
     check_int_fields(obj, "seed", _SEED_FIELDS[kind])
     if kind == "Hyperelliptic":

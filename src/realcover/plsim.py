@@ -32,15 +32,11 @@ from .arcs import FULL_CIRCLE, Arc, ArcLike
 from .constructions import (
     BaseSeed,
     ConstructionStep,
-    GenericPencil,
-    GenericR0Pencil,
-    Hyperelliptic,
-    HyperellipticToR0,
-    PreconditionViolated,
     StepKind,
     Variant,
-    check_seed,
+    _check_step,
     next_new_label,
+    seed_state,
 )
 from .topology import CoverTarget
 
@@ -299,6 +295,7 @@ def image_arcs(cover: PLCover) -> List[Tuple[str, ArcLike]]:
 
 # ---------------------------------------------------------------------------
 # Surgeries mirroring the symbolic constructions, on the integer form.
+# The step rules live in constructions._check_step; these are the geometry.
 
 
 def _rising_segment(ys: List[int]) -> int:
@@ -364,48 +361,33 @@ def _new_fold_component(form: _Lifts) -> List[int]:
     return [a + gap // 4, a + 3 * gap // 4]
 
 
-def _step(form: _Lifts, step: ConstructionStep) -> None:
+def _step(form: _Lifts, step: ConstructionStep, index: Optional[int] = None) -> None:
     """Apply the PL surgery mirroring one construction step to the integer
-    form in place, enforcing the step's preconditions."""
-    kind, variant = step.kind, step.variant
-    if kind in (StepKind.I, StepKind.II, StepKind.III, StepKind.IV):
-        if form.target is not CoverTarget.PROJ_LINE:
-            raise PreconditionViolated(kind, "requires a covering of the projective line")
-    if kind is StepKind.I:
-        hits = [j for j, (lbl, _, _) in enumerate(form.circles) if lbl == step.placement]
-        if not hits:
-            raise PreconditionViolated(kind, f"no circle labeled {step.placement!r}")
-        splice = _splice_fold if variant is Variant.WITH_REAL_RAM else _splice_wrap
-        for j in hits:
+    form in place.  constructions._check_step enforces the step's rules,
+    gives the sheet-budget gain and names a new circle; this adds the
+    geometry: splices into the placed circle, or the new fold or wrap."""
+    circles = [(lbl, w) for lbl, _, w in form.circles]
+    dk, new = _check_step(step, form.target, form.k, circles, index)
+    if new is not None:
+        label, w = new
+        if w:  # III: a monotone wrap
+            form.scale(2 if form.den % 2 else 1)
+            xs = [0, form.den // 2]
+        else:  # II/ram: a fold where two more sheets fit
+            xs = _new_fold_component(form)
+        form.circles.append((label, xs, w))
+    elif step.kind is StepKind.I:
+        splice = _splice_fold if step.variant is Variant.WITH_REAL_RAM else _splice_wrap
+        for j in [j for j, (lbl, _) in enumerate(circles) if lbl == step.placement]:
             splice(form, j)
-        form.k += 1
-    elif kind is StepKind.II:
-        if sum(abs(w) for _, _, w in form.circles) >= form.k:
-            raise PreconditionViolated(
-                kind, "needs a non-real point over a real value (winding sum < k)"
-            )
-        if variant is Variant.WITH_REAL_RAM:  # without, it happens away from the real locus
-            fold = _new_fold_component(form)
-            label = next_new_label([(lbl, w) for lbl, _, w in form.circles])
-            form.circles.append((label, fold, 0))
-    elif kind is StepKind.III:
-        label = next_new_label([(lbl, w) for lbl, _, w in form.circles])
-        form.scale(2 if form.den % 2 else 1)
-        form.circles.append((label, [0, form.den // 2], 1))
-        form.k += 1
-    elif kind is StepKind.IV:
-        if form.circles:
-            raise PreconditionViolated(kind, "needs an empty real locus")
-        form.k += 2
-    else:
-        if form.target is not CoverTarget.ANISOTROPIC_CONIC:
-            raise PreconditionViolated(kind, "requires a covering of R0")
-        form.k += 1
+    form.k += dk
 
 
 def surgery(cover: PLCover, step: ConstructionStep) -> PLCover:
     """Apply the PL surgery mirroring one construction step.
 
+    The step's preconditions, budget gain and new label are the symbolic
+    ones (constructions._check_step), so a refusal reads as apply_step's.
     Kinds I, II and III operate on the real locus; IV and V have no real
     picture and only update the sheet budget.  Sites are chosen canonically,
     so realizations are deterministic.  Circles the step leaves alone are
@@ -556,54 +538,39 @@ def fold_split(
 
 
 def seed_cover(seed: BaseSeed) -> PLCover:
-    """Canonical PL realization of a base covering.
+    """Canonical PL realization of a base covering, circle by circle of its
+    seed_state.
 
-    The winding-(2) double covering is one double wrap; (1, 1) is two
-    monotone wraps; the all-zero pattern is one fold per circle over
-    disjoint arcs.  Pencil seeds and coverings of R0 contribute only their
-    sheet budget.  A seed outside the catalog raises SeedNotInCatalog.
+    A circle of winding d > 0 is a monotone wrap (the (2) and (1, 1)
+    double coverings); the all-zero pattern is one fold per circle over
+    disjoint arcs.  Pencil seeds and coverings of R0 have no real circles
+    and contribute only their sheet budget.  A seed outside the catalog
+    raises SeedNotInCatalog.
     """
-    check_seed(seed)
-    if isinstance(seed, Hyperelliptic):
-        e = seed.degrees.entries
-        if e == (2,):
-            comps = (("C1", pl_map([Fraction(0), Fraction(1)], 2)),)
-        elif e == (1, 1):
-            comps = (
-                ("C1", pl_map([Fraction(0), Fraction(1, 2)], 1)),
-                ("C2", pl_map([Fraction(0), Fraction(1, 2)], 1)),
-            )
-        else:
-            s = len(e)
-            comps = tuple(
-                (
-                    f"C{i + 1}",
-                    pl_map([Fraction(4 * i + 1, 4 * s), Fraction(4 * i + 3, 4 * s)], 0),
-                )
-                for i in range(s)
-            )
-        return PLCover(comps, 2, CoverTarget.PROJ_LINE)
-    if isinstance(seed, HyperellipticToR0):
-        return PLCover((), 2, CoverTarget.ANISOTROPIC_CONIC)
-    if isinstance(seed, GenericPencil):
-        return PLCover((), seed.k, CoverTarget.PROJ_LINE)
-    if isinstance(seed, GenericR0Pencil):
-        return PLCover((), seed.k, CoverTarget.ANISOTROPIC_CONIC)
-    raise ValueError(f"unknown seed {seed!r}")
+    state = seed_state(seed)
+    s = state.s
+    comps = tuple(
+        (
+            lbl,
+            pl_map([Fraction(0), Fraction(d, 2)], d)
+            if d
+            else pl_map([Fraction(4 * i + 1, 4 * s), Fraction(4 * i + 3, 4 * s)], 0),
+        )
+        for i, (lbl, d) in enumerate(state.components)
+    )
+    return PLCover(comps, state.k, state.target)
 
 
 def realize(seed: BaseSeed, steps: Sequence[ConstructionStep]) -> PLCover:
     """Fold the PL surgeries of a plan over its seed realization.
 
     The seed cover is encoded once, every step runs on the integer form,
-    and the result is decoded (and validated) once at the end.
+    and the result is decoded (and validated) once at the end.  A refused
+    step raises PreconditionViolated carrying its index.
     """
     form = _encode(seed_cover(seed))
     for i, step in enumerate(steps):
-        try:
-            _step(form, step)
-        except PreconditionViolated as exc:
-            raise PreconditionViolated(exc.kind, exc.reason, step_index=i) from None
+        _step(form, step, i)
     return _decode(form)
 
 

@@ -52,11 +52,6 @@ class DegreeVector:
     def total(self) -> int:
         return sum(self.entries)
 
-    @property
-    def nonzero_count(self) -> int:
-        """Number of nonzero entries (written s' below)."""
-        return sum(1 for d in self.entries if d != 0)
-
     def is_canonical(self) -> bool:
         e = self.entries
         return all(d >= 0 for d in e) and all(e[i] >= e[i + 1] for i in range(len(e) - 1))

@@ -305,6 +305,8 @@ def fraction_surgery(cover, step):
         if cover.target is not CoverTarget.PROJ_LINE:
             raise PreconditionViolated(kind, "requires a covering of the projective line")
     if kind is StepKind.I:
+        if not cover.components:
+            raise PreconditionViolated(kind, "needs at least one real circle")
         labels = [lbl for lbl, _ in cover.components]
         if step.placement not in labels:
             raise PreconditionViolated(kind, f"no circle labeled {step.placement!r}")

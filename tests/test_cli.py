@@ -125,7 +125,13 @@ class TestPlanVerifyRealize:
     @pytest.mark.parametrize("command", ["verify", "realize"])
     @pytest.mark.parametrize(
         "field, value, path",
-        [("g", "2", "seed.g"), ("deg", 5, "seed.deg"), ("deg", [True], "seed.deg[0]")],
+        [
+            ("g", "2", "seed.g"),
+            ("deg", 5, "seed.deg"),
+            ("deg", [True], "seed.deg[0]"),
+            ("kind", [], "seed.kind"),
+            ("kind", {}, "seed.kind"),
+        ],
     )
     def test_mistyped_plan_seed_exits_one(self, capsys, tmp_path, command, field, value, path):
         seed = {**HYPER_2, field: value}

@@ -18,6 +18,7 @@ from realcover.constructions import (
     PreconditionViolated,
     StepKind,
     Variant,
+    execute_states,
 )
 from realcover.covering4 import CoveringNumberTarget, build_covnum, covering_number
 from realcover.planner import Plan, plan
@@ -508,7 +509,6 @@ class TestRealize:
         )
         p = plan(target)
         cover = realize(p.seed, p.steps)
-        from realcover.constructions import execute_states
 
         final = None
         for final in execute_states(p.seed, p.steps):
@@ -715,6 +715,42 @@ class TestIntegerLifts:
         assert cover.k == 1001
         assert [m.closure for _, m in cover.components] == [1]
         assert fiber_budget_violations(cover) == []
+
+
+# Steps drawn blind: placements among labels a cover may or may not have.
+blind_steps = st.lists(
+    st.builds(
+        lambda kind, label: ConstructionStep(*kind, label if kind[0] is StepKind.I else None),
+        fuzz_kinds,
+        st.sampled_from(["C1", "C2", "C3", "N1", "N2", "C9"]),
+    ),
+    max_size=8,
+)
+
+
+def refusal_or(fn):
+    """fn(), or the text of the PreconditionViolated it raises."""
+    try:
+        return fn()
+    except PreconditionViolated as exc:
+        return str(exc)
+
+
+class TestStepRules:
+    """The symbolic and the PL interpreter share one set of step rules."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(FUZZ_SEEDS), blind_steps)
+    def test_execute_states_and_realize_agree(self, seed, steps):
+        def symbolic():
+            *_, state = execute_states(seed, steps)
+            return dict(state.components), state.k
+
+        def pl():
+            cover = realize(seed, steps)
+            return cover.windings(), cover.k
+
+        assert refusal_or(symbolic) == refusal_or(pl)
 
 
 def rebuilt(cover):
