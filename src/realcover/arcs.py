@@ -23,28 +23,16 @@ class FullCircle:
 
 
 class Arc:
-    """Proper closed arc from start to end counterclockwise, start != end.
+    """Proper closed arc from lo / den to hi / den counterclockwise.
 
-    Stored as integer lifts 0 <= lo, hi < den over the least common
-    denominator den of its ends; start and end are Fractions built when read.
+    Arc(den, lo, hi) reduces the ends mod 1 to 0 <= lo, hi < den over
+    their least common denominator and refuses equal ends; start and end
+    are Fractions built when read.
     """
 
     __slots__ = ("den", "lo", "hi")
 
-    def __init__(self, start, end):
-        start, end = Fraction(start), Fraction(end)
-        den = lcm(start.denominator, end.denominator)
-        lo, hi = (x.numerator * (den // x.denominator) for x in (start, end))
-        self._set(den, lo, hi)
-
-    @classmethod
-    def from_lifts(cls, den: int, lo: int, hi: int) -> "Arc":
-        """The arc from lo / den to hi / den."""
-        arc = object.__new__(cls)
-        arc._set(den, lo, hi)
-        return arc
-
-    def _set(self, den: int, lo: int, hi: int) -> None:
+    def __init__(self, den: int, lo: int, hi: int):
         lo, hi = lo % den, hi % den
         if lo == hi:
             raise ValueError("proper arc needs distinct endpoints")
@@ -64,10 +52,10 @@ class Arc:
         return (self.den, self.lo, self.hi) == (other.den, other.lo, other.hi)
 
     def __hash__(self):
-        return hash((self.start, self.end))
+        return hash((self.den, self.lo, self.hi))
 
     def __repr__(self):
-        return f"{type(self).__qualname__}(start={self.start!r}, end={self.end!r})"
+        return f"{type(self).__qualname__}({self.den!r}, {self.lo!r}, {self.hi!r})"
 
     @property
     def start(self) -> Fraction:
@@ -76,13 +64,6 @@ class Arc:
     @property
     def end(self) -> Fraction:
         return Fraction(self.hi, self.den)
-
-    @property
-    def length(self) -> Fraction:
-        return Fraction((self.hi - self.lo) % self.den, self.den)
-
-    def contains(self, point: Fraction) -> bool:
-        return (Fraction(point) - self.start) % 1 <= self.length
 
 
 ArcLike = Union[Arc, FullCircle]

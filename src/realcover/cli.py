@@ -127,11 +127,7 @@ def _cmd_covnum(args) -> int:
     obj = _load_json(args.target, "target")
     if not isinstance(obj, dict):
         raise ValueError("target: expected a JSON object")
-    for field in ("g", "s", "a", "kcov"):
-        if field not in obj:
-            raise ValueError(f"target.{field}: missing")
-        if not isinstance(obj[field], int) or isinstance(obj[field], bool):
-            raise ValueError(f"target.{field}: expected an integer")
+    topology.check_int_fields(obj, "target", ("g", "s", "a", "kcov"))
     try:
         target = covering4.CoveringNumberTarget(
             topology.TopType(obj["g"], obj["s"], obj["a"]), obj["kcov"]

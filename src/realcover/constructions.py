@@ -113,12 +113,6 @@ class LabeledState:
     def delta_sum(self) -> int:
         return sum(d for _, d in self.components)
 
-    def winding_of(self, label: str) -> int:
-        for lbl, d in self.components:
-            if lbl == label:
-                return d
-        raise KeyError(label)
-
     def canonical_spec(self) -> CoverSpec:
         degrees = DegreeVector.canonical(d for _, d in self.components)
         return CoverSpec(TopType(self.g, self.s, self.a), self.target, self.k, degrees)
@@ -285,18 +279,15 @@ def _check_step(
     return _SHEETS[kind], new
 
 
-def apply_step(state: LabeledState, step: ConstructionStep) -> LabeledState:
-    """Apply one construction step, enforcing its preconditions.
-
-    Raises PreconditionViolated when the state does not support the step;
-    an invalid plan is never silently repaired.
-    """
-    return _apply(state, step)
-
-
-def _apply(
+def apply_step(
     state: LabeledState, step: ConstructionStep, index: Optional[int] = None
 ) -> LabeledState:
+    """Apply one construction step, enforcing its preconditions.
+
+    Raises PreconditionViolated, carrying index as the step index, when the
+    state does not support the step; an invalid plan is never silently
+    repaired.
+    """
     dk, new = _check_step(step, state.target, state.k, state.components, index)
     kind, comps, a = step.kind, state.components, state.a
     if new is not None:
@@ -322,7 +313,7 @@ def execute_states(seed: BaseSeed, steps: Sequence[ConstructionStep]):
     state = seed_state(seed)
     yield state
     for i, step in enumerate(steps):
-        state = _apply(state, step, i)
+        state = apply_step(state, step, i)
         yield state
 
 

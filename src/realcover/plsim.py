@@ -46,42 +46,25 @@ class BudgetExceeded(Exception):
 
 
 class PLMap:
-    """Piecewise-linear circle map given by breakpoints and a closure winding.
+    """Piecewise-linear circle map: breakpoint lifts xs / den, breakpoint i
+    of n at t = i/n, closed up by the integer winding closure.
 
-    Stored as integer lifts xs over the least common denominator den of the
-    breakpoint lifts; breakpoint i sits at t = i/n.  The Fraction views
-    (breakpoints, lifts(), segments()) are built when read, not kept.
+    PLMap(den, xs, closure) re-anchors the lifts so the lowest lies in
+    [0, 1), reduces them to their least common denominator and refuses a
+    map without breakpoints or with a zero-slope segment.  The Fraction
+    view breakpoints is built when read, not kept.
     """
 
     __slots__ = ("den", "xs", "closure")
 
-    def __init__(self, breakpoints: Sequence[Tuple[Fraction, Fraction]], closure: int):
-        ts = [t for t, _ in breakpoints]
-        n = len(ts)
-        if any(not 0 <= t < 1 for t in ts):
-            raise ValueError("breakpoint parameters must lie in [0, 1)")
-        if any(ts[i] >= ts[i + 1] for i in range(n - 1)):
-            raise ValueError("breakpoint parameters must be strictly increasing")
-        if any(t.numerator * n != i * t.denominator for i, t in enumerate(ts)):
-            raise ValueError("breakpoint parameters must be equally spaced, t = i/n")
-        den = lcm(*(x.denominator for _, x in breakpoints))
-        xs = tuple([x.numerator * (den // x.denominator) for _, x in breakpoints])
-        self._set(den, xs, closure)
-
-    @classmethod
-    def from_lifts(cls, den: int, xs: Sequence[int], closure: int) -> "PLMap":
-        """The map with lifts xs / den, re-anchored so the lowest lies in [0, 1)."""
-        m = object.__new__(cls)
+    def __init__(self, den: int, xs: Sequence[int], closure: int):
+        if not xs:
+            raise ValueError("a circle map needs at least one breakpoint")
         # Tuples are built from lists: tuple() of a generator starts at ten
         # slots and shrinks, and the shrunk tuples pile up on the
         # interpreter's tuple free lists, which shows as peak memory.
-        shift = min(xs) // den * den if xs else 0
-        m._set(den, tuple([x - shift for x in xs]) if shift else tuple(xs), closure)
-        return m
-
-    def _set(self, den: int, xs: Tuple[int, ...], closure: int) -> None:
-        if not xs:
-            raise ValueError("a circle map needs at least one breakpoint")
+        shift = min(xs) // den * den
+        xs = tuple([x - shift for x in xs]) if shift else tuple(xs)
         if any(map(eq, xs, xs[1:])) or xs[-1] == xs[0] + closure * den:
             raise ValueError("zero-slope segment: folds must be isolated breakpoints")
         g = gcd(den, *xs)
@@ -102,31 +85,15 @@ class PLMap:
         return (self.den, self.xs, self.closure) == (other.den, other.xs, other.closure)
 
     def __hash__(self):
-        return hash((self.breakpoints, self.closure))
+        return hash((self.den, self.xs, self.closure))
 
     def __repr__(self):
-        name = type(self).__qualname__
-        return f"{name}(breakpoints={self.breakpoints!r}, closure={self.closure!r})"
+        return f"{type(self).__qualname__}({self.den!r}, {self.xs!r}, {self.closure!r})"
 
     @property
     def breakpoints(self) -> Tuple[Tuple[Fraction, Fraction], ...]:
         n, den = len(self.xs), self.den
         return tuple((Fraction(i, n), Fraction(x, den)) for i, x in enumerate(self.xs))
-
-    def lifts(self) -> List[Fraction]:
-        """Breakpoint lifts followed by the closure lift x0 + w."""
-        xs, den = self.xs, self.den
-        return [Fraction(x, den) for x in xs + (xs[0] + self.closure * den,)]
-
-    def segments(self) -> List[Tuple[Fraction, Fraction]]:
-        xs = self.lifts()
-        return [(xs[i], xs[i + 1]) for i in range(len(xs) - 1)]
-
-
-def pl_map(values: Sequence[Fraction], closure: int) -> PLMap:
-    """Build a map from a lift profile, equally spaced in t and re-anchored."""
-    den = lcm(*(v.denominator for v in values))
-    return PLMap.from_lifts(den, [v.numerator * (den // v.denominator) for v in values], closure)
 
 
 @dataclass(frozen=True)
@@ -136,15 +103,6 @@ class PLCover:
     components: tuple[tuple[str, PLMap], ...]
     k: int
     target: CoverTarget
-
-    def map_of(self, label: str) -> PLMap:
-        for lbl, m in self.components:
-            if lbl == label:
-                return m
-        raise KeyError(label)
-
-    def windings(self) -> dict:
-        return {lbl: abs(m.closure) for lbl, m in self.components}
 
 
 def critical_values(cover: PLCover) -> List[Fraction]:
@@ -203,7 +161,7 @@ def _encode(cover: PLCover) -> _Lifts:
 
 
 def _decode(form: _Lifts) -> PLCover:
-    comps = tuple([(lbl, PLMap.from_lifts(form.den, xs, w)) for lbl, xs, w in form.circles])
+    comps = tuple([(lbl, PLMap(form.den, xs, w)) for lbl, xs, w in form.circles])
     return PLCover(comps, form.k, form.target)
 
 
@@ -289,7 +247,7 @@ def image_arcs(cover: PLCover) -> List[Tuple[str, ArcLike]]:
         if closure != 0 or hi - lo >= den:
             out.append((lbl, FULL_CIRCLE))
         else:
-            out.append((lbl, Arc.from_lifts(den, lo, hi)))
+            out.append((lbl, Arc(den, lo, hi)))
     return out
 
 
@@ -390,18 +348,11 @@ def surgery(cover: PLCover, step: ConstructionStep) -> PLCover:
     ones (constructions._check_step), so a refusal reads as apply_step's.
     Kinds I, II and III operate on the real locus; IV and V have no real
     picture and only update the sheet budget.  Sites are chosen canonically,
-    so realizations are deterministic.  Circles the step leaves alone are
-    returned as the same PLMap objects.
+    so realizations are deterministic.
     """
     form = _encode(cover)
     _step(form, step)
-    placed = step.placement if step.kind is StepKind.I else None
-    old = cover.components
-    comps = tuple(
-        (lbl, old[j][1] if j < len(old) and lbl != placed else PLMap.from_lifts(form.den, xs, w))
-        for j, (lbl, xs, w) in enumerate(form.circles)
-    )
-    return PLCover(comps, form.k, form.target)
+    return _decode(form)
 
 
 # ---------------------------------------------------------------------------
@@ -438,9 +389,9 @@ def _half_gap(form: _Lifts, bound: int, h: Optional[int]) -> Tuple[int, int]:
     return bound * f // 2, f
 
 
-def _merge(form: _Lifts, ja: int, jb: int, t: int, h: Optional[int] = None) -> List[int]:
+def _merge(form: _Lifts, ja: int, jb: int, t: int, h: Optional[int] = None) -> None:
     """merge_components on the integer form, in place: the merged circle
-    replaces circle ja and circle jb is dropped.  Returns its lifts."""
+    replaces circle ja and circle jb is dropped."""
     (_, xa, wa), (_, xb, wb) = form.circles[ja], form.circles[jb]
     if wa or wb:
         raise ValueError("node smoothing is implemented for winding-0 circles")
@@ -461,7 +412,6 @@ def _merge(form: _Lifts, ja: int, jb: int, t: int, h: Optional[int] = None) -> L
     values = xa[ia + 1 :] + xa[: ia + 1] + [va - h] + rev_b + [va + h]
     form.circles[ja] = (form.circles[ja][0], values, 0)
     del form.circles[jb]
-    return values
 
 
 def _split(form: _Lifts, j: int, c: int, h: Optional[int], new_label: str) -> None:
@@ -494,6 +444,14 @@ def _split(form: _Lifts, j: int, c: int, h: Optional[int], new_label: str) -> No
     form.circles.append((new_label, [cstar + h] + after[:between], 0))
 
 
+def _index(cover: PLCover, label: str) -> int:
+    """Index of the first circle with the label; KeyError when there is none."""
+    for j, (lbl, _) in enumerate(cover.components):
+        if lbl == label:
+            return j
+    raise KeyError(label)
+
+
 def merge_components(
     cover: PLCover, label_a: str, label_b: str, t: Fraction, h: Optional[Fraction] = None
 ) -> PLCover:
@@ -503,14 +461,10 @@ def merge_components(
     with folds at t -/+ h; the fibers over the gap lose the two glued
     sheets, nothing else changes.  The merged circle keeps label_a.
     """
-    # the first circle with each label, as map_of finds it
-    ja, jb = (cover.components.index((lbl, cover.map_of(lbl))) for lbl in (label_a, label_b))
+    ja, jb = _index(cover, label_a), _index(cover, label_b)
     form = _encode(cover)
-    values = _merge(form, ja, jb, *form.lift(t, h))
-    merged = PLMap.from_lifts(form.den, values, 0)
-    kept = ((lbl, m) for lbl, m in cover.components if lbl != label_b)
-    comps = tuple((lbl, merged if lbl == label_a else m) for lbl, m in kept)
-    return PLCover(comps, cover.k, cover.target)
+    _merge(form, ja, jb, *form.lift(t, h))
+    return _decode(form)
 
 
 def fold_split(
@@ -523,14 +477,11 @@ def fold_split(
     c + h, the rest folds at c - h.  Returns the new cover and the label of
     the split-off circle.
     """
-    j = cover.components.index((label, cover.map_of(label)))
+    j = _index(cover, label)
     form = _encode(cover)
     new_label = next_new_label(cover.components)
     _split(form, j, *form.lift(c, h), new_label)
-    lobe = PLMap.from_lifts(form.den, form.circles[-1][1], 0)
-    rest = PLMap.from_lifts(form.den, form.circles[j][1], 0)
-    comps = tuple((lbl, rest if lbl == label else m) for lbl, m in cover.components)
-    return PLCover(comps + ((new_label, lobe),), cover.k, cover.target), new_label
+    return _decode(form), new_label
 
 
 # ---------------------------------------------------------------------------
@@ -550,12 +501,7 @@ def seed_cover(seed: BaseSeed) -> PLCover:
     state = seed_state(seed)
     s = state.s
     comps = tuple(
-        (
-            lbl,
-            pl_map([Fraction(0), Fraction(d, 2)], d)
-            if d
-            else pl_map([Fraction(4 * i + 1, 4 * s), Fraction(4 * i + 3, 4 * s)], 0),
-        )
+        (lbl, PLMap(2, [0, d], d) if d else PLMap(4 * s, [4 * i + 1, 4 * i + 3], 0))
         for i, (lbl, d) in enumerate(state.components)
     )
     return PLCover(comps, state.k, state.target)

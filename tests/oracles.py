@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import ceil, floor
+from math import ceil, floor, lcm
 from typing import List, Optional, Tuple
 
 from realcover.arcs import Arc, FullCircle
@@ -21,8 +21,63 @@ from realcover.constructions import (
     execute_states,
     next_new_label,
 )
-from realcover.plsim import BudgetExceeded, PLCover, PLMap, critical_values, pl_map, seed_cover
+from realcover.plsim import BudgetExceeded, PLCover, PLMap, critical_values, seed_cover
 from realcover.topology import CoverTarget
+
+
+# ---------------------------------------------------------------------------
+# Fraction views of maps and arcs.  The package builds both from integer
+# lifts only; these read and build them from rationals.
+
+
+def pl_map(values, closure):
+    """The map with breakpoint lifts values, equally spaced in t."""
+    values = [Fraction(v) for v in values]
+    den = lcm(*(v.denominator for v in values))
+    return PLMap(den, [v.numerator * (den // v.denominator) for v in values], closure)
+
+
+def lifts(m):
+    """Breakpoint lifts followed by the closure lift x0 + w."""
+    xs = [x for _, x in m.breakpoints]
+    return xs + [xs[0] + m.closure]
+
+
+def segments(m):
+    """(from, to) lifts of each segment, the closing one last."""
+    xs = lifts(m)
+    return list(zip(xs, xs[1:]))
+
+
+def map_of(cover, label):
+    """The map of the first circle with the label."""
+    for lbl, m in cover.components:
+        if lbl == label:
+            return m
+    raise KeyError(label)
+
+
+def windings(cover):
+    """{label: |winding|} of the cover's circles."""
+    return {lbl: abs(m.closure) for lbl, m in cover.components}
+
+
+def arc(start, end):
+    """The arc from the rational start to the rational end."""
+    start, end = Fraction(start), Fraction(end)
+    den = lcm(start.denominator, end.denominator)
+    lo, hi = (x.numerator * (den // x.denominator) for x in (start, end))
+    return Arc(den, lo, hi)
+
+
+def arc_length(a):
+    """Length of the arc, counterclockwise from start to end."""
+    return (a.end - a.start) % 1
+
+
+def arc_contains(a, point):
+    """Whether the closed arc contains the point of R/Z."""
+    return (Fraction(point) - a.start) % 1 <= arc_length(a)
 
 
 def arcs_intersect(a, b):
@@ -30,10 +85,10 @@ def arcs_intersect(a, b):
     if isinstance(a, FullCircle) or isinstance(b, FullCircle):
         return True
     return (
-        a.contains(b.start)
-        or a.contains(b.end)
-        or b.contains(a.start)
-        or b.contains(a.end)
+        arc_contains(a, b.start)
+        or arc_contains(a, b.end)
+        or arc_contains(b, a.start)
+        or arc_contains(b, a.end)
     )
 
 
@@ -66,7 +121,7 @@ def brute_fiber_count(cover, x):
     """Real preimages of the value x, counted segment by segment."""
     x = Fraction(x)
     return sum(
-        _segment_crossings(u, v, x) for _, m in cover.components for u, v in m.segments()
+        _segment_crossings(u, v, x) for _, m in cover.components for u, v in segments(m)
     )
 
 
@@ -132,10 +187,10 @@ def greedy_min_circle_cover(arcset):
             if a is anchor:
                 continue
             left = (a.start - anchor.start) % 1
-            right = left + a.length
+            right = left + arc_length(a)
             intervals.append((left, right))
             intervals.append((left - 1, right - 1))
-        reach = anchor.length
+        reach = arc_length(anchor)
         count = 1
         while reach < 1:
             extend = max((right for left, right in intervals if left <= reach), default=reach)
@@ -224,7 +279,7 @@ def fraction_fiber_profile(cover):
     delta = [0] * n
     count = 0
     for _, m in cover.components:
-        for u, v in m.segments():
+        for u, v in segments(m):
             lo, hi = (u, v) if u < v else (v, u)
             sheets, extra = divmod(hi - lo, 1)
             count += sheets
@@ -245,7 +300,7 @@ def fraction_fiber_profile(cover):
 def _rising_segment(m):
     """Index of the widest increasing segment (ties to the earliest)."""
     best, best_span = -1, None
-    for i, (u, v) in enumerate(m.segments()):
+    for i, (u, v) in enumerate(segments(m)):
         if v > u and (best_span is None or v - u > best_span):
             best, best_span = i, v - u
     if best < 0:
@@ -270,7 +325,7 @@ def _splice_fold(m):
     is orientation-normalized, so a winding-0 circle flips to winding 1.
     """
     i = _rising_segment(m)
-    u, v = m.segments()[i]
+    u, v = segments(m)[i]
     center = (u + v) / 2
     # the backward turn drops by 1 - 2h, so h must stay below 1/2 even on
     # segments that climb several full turns
@@ -367,7 +422,7 @@ def _class_crossings(m: PLMap, c: Fraction) -> List[Tuple[int, Fraction, int]]:
     """
     c = Fraction(c)
     out: List[Tuple[int, Fraction, int]] = []
-    for i, (u, v) in enumerate(m.segments()):
+    for i, (u, v) in enumerate(segments(m)):
         lo, hi = (u, v) if u < v else (v, u)
         js = [j for j in range(ceil(lo - c), floor(hi - c) + 1) if lo < c + j < hi]
         vals = [c + j for j in js]
@@ -396,7 +451,7 @@ def fraction_merge_components(
     at t -/+ h; the fibers over the gap lose the two glued sheets, nothing
     else changes.  The merged circle keeps label_a.
     """
-    ma, mb = cover.map_of(label_a), cover.map_of(label_b)
+    ma, mb = map_of(cover, label_a), map_of(cover, label_b)
     if ma.closure != 0 or mb.closure != 0:
         raise ValueError("node smoothing is implemented for winding-0 circles")
     t = Fraction(t)
@@ -407,8 +462,8 @@ def fraction_merge_components(
     ia, va, _ = ups_a[0]
     ib, vb, _ = ups_b[0]
     shift = va - vb
-    ua_lo, ua_hi = ma.segments()[ia]
-    ub_lo, ub_hi = mb.segments()[ib]
+    ua_lo, ua_hi = segments(ma)[ia]
+    ub_lo, ub_hi = segments(mb)[ib]
     bound = min(va - ua_lo, ua_hi - va, vb - ub_lo, ub_hi - vb)
     h = bound / 2 if h is None else min(Fraction(h), bound / 2)
     rev_b = [x + shift for x in reversed(_cycle_values(mb, ib))]
@@ -432,7 +487,7 @@ def fraction_fold_split(
     c + h, the rest folds at c - h.  Returns the new cover and the label of
     the split-off circle.
     """
-    m = cover.map_of(label)
+    m = map_of(cover, label)
     if m.closure != 0:
         raise ValueError("node smoothing is implemented for winding-0 circles")
     c = Fraction(c)
@@ -454,7 +509,7 @@ def fraction_fold_split(
     iq, cq, _ = crossings[(pick + 1) % n]
     if cq != cstar:
         raise ValueError("inconsistent excursion: crossing lifts differ")
-    segs = m.segments()
+    segs = segments(m)
     bound = min(
         segs[ip][1] - cstar, cstar - segs[ip][0], segs[iq][0] - cstar, cstar - segs[iq][1]
     )

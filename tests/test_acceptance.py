@@ -10,7 +10,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 
-from realcover.arcs import FULL_CIRCLE, Arc, min_circle_cover
+from realcover.arcs import FULL_CIRCLE, min_circle_cover
 from realcover.brill_noether import FactKind, dims, lookup_fact, rho
 from realcover.constructions import (
     ConstructionStep,
@@ -32,7 +32,7 @@ from realcover.topology import (
     weichold_admissible,
 )
 
-from oracles import all_box_tuples, brute_min_circle_cover
+from oracles import all_box_tuples, arc, brute_min_circle_cover
 
 F = Fraction
 
@@ -190,7 +190,7 @@ def test_criterion_5_circle_cover_oracle():
             den = rng.choice([8, 12, 16, 24, 360])
             start = F(rng.randrange(den), den)
             length = F(rng.randrange(1, den), den)
-            arcs.append(Arc(start, (start + length) % 1))
+            arcs.append(arc(start, (start + length) % 1))
         greedy = min_circle_cover(arcs)
         brute = brute_min_circle_cover(arcs)
         if greedy != brute:

@@ -7,7 +7,14 @@ from hypothesis import strategies as st
 
 from realcover.arcs import FULL_CIRCLE, Arc, min_circle_cover
 
-from oracles import arcs_intersect, brute_min_circle_cover, greedy_min_circle_cover
+from oracles import (
+    arc,
+    arc_contains,
+    arc_length,
+    arcs_intersect,
+    brute_min_circle_cover,
+    greedy_min_circle_cover,
+)
 
 F = Fraction
 
@@ -23,7 +30,7 @@ def large_arc_sets(draw):
     for den in draw(st.lists(st.sampled_from(DENOMINATORS), min_size=9, max_size=64)):
         start = draw(st.integers(0, den - 1))
         length = draw(st.integers(1, max(1, (den - 1) // parts)))
-        arcs.append(Arc(F(start, den), F(start + length, den)))
+        arcs.append(Arc(den, start, start + length))
     if draw(st.integers(0, 9)) == 0:
         arcs.insert(draw(st.integers(0, len(arcs))), FULL_CIRCLE)
     return arcs
@@ -42,76 +49,77 @@ def coprime_arc_sets(draw, min_size, max_size):
     for den in draw(dens):
         start = draw(st.integers(0, den - 1))
         length = draw(st.integers(1, max(1, (den - 1) // parts)))
-        arcs.append(Arc(F(start, den), F(start + length, den)))
+        arcs.append(Arc(den, start, start + length))
     return arcs
 
 
 class TestArc:
     def test_normalization(self):
-        a = Arc(F(5, 4), F(-1, 4))
+        a = Arc(8, 10, -2)
+        assert (a.den, a.lo, a.hi) == (4, 1, 3)
         assert a.start == F(1, 4) and a.end == F(3, 4)
-        assert a.length == F(1, 2)
+        assert arc_length(a) == F(1, 2)
 
     def test_wrap_around_containment(self):
-        a = Arc(F(3, 4), F(1, 4))
-        assert a.contains(F(7, 8))
-        assert a.contains(F(1, 8))
-        assert not a.contains(F(1, 2))
-        assert a.contains(F(3, 4)) and a.contains(F(1, 4))  # closed ends
+        a = Arc(4, 3, 1)
+        assert arc_contains(a, F(7, 8))
+        assert arc_contains(a, F(1, 8))
+        assert not arc_contains(a, F(1, 2))
+        assert arc_contains(a, F(3, 4)) and arc_contains(a, F(1, 4))  # closed ends
 
     def test_degenerate_rejected(self):
         with pytest.raises(ValueError):
-            Arc(F(1, 3), F(1, 3))
+            arc(F(1, 3), F(1, 3))
 
     @given(st.integers(1, 60), st.integers(-120, 120), st.integers(-120, 120))
     def test_integer_constructor_matches_fraction_constructor(self, den, lo, hi):
         if (hi - lo) % den == 0:
             with pytest.raises(ValueError, match="distinct endpoints"):
-                Arc.from_lifts(den, lo, hi)
+                Arc(den, lo, hi)
             with pytest.raises(ValueError, match="distinct endpoints"):
-                Arc(F(lo, den), F(hi, den))
+                arc(F(lo, den), F(hi, den))
             return
-        a, b = Arc.from_lifts(den, lo, hi), Arc(F(lo, den), F(hi, den))
+        a, b = Arc(den, lo, hi), arc(F(lo, den), F(hi, den))
         assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
         assert (a.start, a.end) == (b.start, b.end) == (F(lo, den) % 1, F(hi, den) % 1)
-        assert a.length == b.length == F(hi - lo, den) % 1
+        assert arc_length(a) == F(hi - lo, den) % 1
 
     def test_integer_constructor_rejects_degenerate(self):
         with pytest.raises(ValueError, match="distinct endpoints"):
-            Arc.from_lifts(12, 5, 17)  # 5 and 17 agree mod 12
+            Arc(12, 5, 17)  # 5 and 17 agree mod 12
 
     def test_immutable(self):
-        a = Arc.from_lifts(8, 1, 3)
+        a = Arc(8, 1, 3)
         with pytest.raises(FrozenInstanceError):
             a.lo = 2
 
     def test_intersection(self):
-        assert arcs_intersect(Arc(0, F(1, 2)), Arc(F(1, 2), F(3, 4)))
-        assert not arcs_intersect(Arc(0, F(1, 4)), Arc(F(1, 2), F(3, 4)))
-        assert arcs_intersect(FULL_CIRCLE, Arc(0, F(1, 4)))
+        assert arcs_intersect(arc(0, F(1, 2)), arc(F(1, 2), F(3, 4)))
+        assert not arcs_intersect(arc(0, F(1, 4)), arc(F(1, 2), F(3, 4)))
+        assert arcs_intersect(FULL_CIRCLE, arc(0, F(1, 4)))
 
 
 class TestMinCover:
     def test_full_circle_wins(self):
-        assert min_circle_cover([FULL_CIRCLE, Arc(0, F(1, 2))]) == 1
+        assert min_circle_cover([FULL_CIRCLE, arc(0, F(1, 2))]) == 1
 
     def test_three_thirds_with_slack(self):
         arcs = [
-            Arc(0, F(2, 5)),
-            Arc(F(1, 3), F(1, 3) + F(2, 5)),
-            Arc(F(2, 3), F(2, 3) + F(2, 5)),
+            arc(0, F(2, 5)),
+            arc(F(1, 3), F(1, 3) + F(2, 5)),
+            arc(F(2, 3), F(2, 3) + F(2, 5)),
         ]
         assert min_circle_cover(arcs) == 3
 
     def test_not_surjective(self):
-        assert min_circle_cover([Arc(0, F(1, 2)), Arc(F(2, 5), F(9, 10))]) is None
+        assert min_circle_cover([arc(0, F(1, 2)), arc(F(2, 5), F(9, 10))]) is None
         assert min_circle_cover([]) is None
 
     def test_touching_closed_arcs_cover(self):
-        assert min_circle_cover([Arc(0, F(1, 2)), Arc(F(1, 2), 1)]) == 2
+        assert min_circle_cover([arc(0, F(1, 2)), arc(F(1, 2), 1)]) == 2
 
     def test_redundant_arc_not_counted(self):
-        arcs = [Arc(0, F(2, 3)), Arc(F(1, 2), F(1, 8)), Arc(F(1, 4), F(1, 3))]
+        arcs = [arc(0, F(2, 3)), arc(F(1, 2), F(1, 8)), arc(F(1, 4), F(1, 3))]
         assert min_circle_cover(arcs) == 2
 
     @given(
@@ -123,7 +131,7 @@ class TestMinCover:
         fulls=st.integers(0, 1),
     )
     def test_matches_subset_bruteforce(self, data, fulls):
-        arcs = [Arc(F(s, 24), F(s + ln, 24)) for s, ln in data]
+        arcs = [Arc(24, s, s + ln) for s, ln in data]
         arcs.extend([FULL_CIRCLE] * fulls)
         assert min_circle_cover(arcs) == brute_min_circle_cover(arcs)
 

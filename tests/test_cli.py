@@ -187,9 +187,12 @@ class TestCovnum:
         assert "infeasible" in doc
 
     def test_malformed_target(self, capsys):
-        code, doc = invoke_json(capsys, "covnum", '{"g":2,"s":3,"a":0}')
-        assert code == 1
-        assert "kcov" in doc["error"]
+        for target, error in (
+            ('{"g":2,"s":3,"a":0}', "target.kcov: missing"),
+            ('{"s":3,"a":0,"kcov":3}', "target.g: missing"),
+            ('{"g":2,"s":3,"a":0,"kcov":true}', "target.kcov: expected an integer"),
+        ):
+            assert invoke_json(capsys, "covnum", target) == (1, {"error": error})
 
     @pytest.mark.parametrize(
         "target",

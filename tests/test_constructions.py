@@ -96,12 +96,12 @@ class TestApplyStep:
     def test_fold_flips_zero_winding(self):
         state = seed_state(hyper(2, 1, 1, (0,)))
         out = apply_step(state, ConstructionStep(StepKind.I, RAM, "C1"))
-        assert out.winding_of("C1") == 1
+        assert dict(out.components)["C1"] == 1
 
     def test_wrap_raises_winding(self):
         state = seed_state(hyper(4, 1, 0, (2,)))
         out = apply_step(state, ConstructionStep(StepKind.I, NORAM, "C1"))
-        assert out.winding_of("C1") == 3
+        assert dict(out.components)["C1"] == 3
         assert out.k == 3
 
     def test_new_unit_circle(self):

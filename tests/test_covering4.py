@@ -20,14 +20,13 @@ from realcover.plsim import (
     cover_to_json,
     fiber_budget_violations,
     image_arcs,
-    pl_map,
     realize,
     seed_cover,
 )
 from realcover.topology import CoverSpec, CoverTarget, DegreeVector, TopType, weichold_admissible
 from realcover.constructions import GenericPencil, Hyperelliptic
 
-from oracles import arcs_intersect, brute_min_circle_cover
+from oracles import arcs_intersect, brute_min_circle_cover, windings
 
 F = Fraction
 
@@ -101,7 +100,7 @@ class TestBuilds:
         cover, spec = build_covnum(target(2, 3, 0, 3))
         assert cover.k == 4
         assert len(cover.components) == 3
-        assert all(w == 0 for w in cover.windings().values())
+        assert all(w == 0 for w in windings(cover).values())
         arcs = [a for _, a in image_arcs(cover)]
         assert all(isinstance(a, Arc) for a in arcs)
         # pairwise adjacency in a 3-cycle
