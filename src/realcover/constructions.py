@@ -126,10 +126,11 @@ class LabeledState:
         admissibility predicates, not here.
         """
         if self.target is CoverTarget.PROJ_LINE:
-            if self.delta_sum > self.k:
-                return f"winding sum {self.delta_sum} exceeds degree {self.k}"
-            if (self.k - self.delta_sum) % 2 != 0:
-                return f"degree defect {self.k - self.delta_sum} is odd"
+            total = self.delta_sum
+            if total > self.k:
+                return f"winding sum {total} exceeds degree {self.k}"
+            if (self.k - total) % 2 != 0:
+                return f"degree defect {self.k - total} is odd"
             return None
         if self.components:
             return "covering of R0 with nonempty real locus"

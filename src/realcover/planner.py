@@ -250,8 +250,21 @@ def plan_from_json(obj: object) -> Plan:
     raw_steps = obj["steps"]
     if not isinstance(raw_steps, list):
         raise ValueError("plan.steps: expected a list")
-    steps = tuple(step_from_json(s, i) for i, s in enumerate(raw_steps))
+    # A plan repeats a few distinct steps about k times: parse each distinct
+    # wire step once and share its ConstructionStep, as plan() does.  Only
+    # valid steps are stored, and their three fields are str or None.
+    shared: dict = {}
+    steps = []
+    for i, raw in enumerate(raw_steps):
+        key = None
+        if isinstance(raw, dict):
+            key = (raw.get("kind"), raw.get("variant"), raw.get("placement"))
+        try:
+            step = shared[key]
+        except (KeyError, TypeError):  # a new step, or one with a list or object field
+            step = shared[key] = step_from_json(raw, i)
+        steps.append(step)
     provenance = obj["provenance"]
     if provenance not in PROVENANCE_TAGS:
         raise ValueError(f"plan.provenance: unknown tag {provenance!r}")
-    return Plan(seed, steps, provenance)
+    return Plan(seed, tuple(steps), provenance)

@@ -8,11 +8,11 @@ have nonzero rational slope, so folds happen exactly at breakpoints.
 
 Only the cyclic sequence of breakpoint lifts matters for windings, fibers
 and image arcs; the t coordinates are equally spaced, t = i/n.  A PLMap
-keeps its lifts as integers over one denominator and is validated on them;
-its breakpoints are Fractions built only when read.  Surgeries, node
-smoothings, the fiber sweep and image arcs run on integer lifts over one
-common denominator per cover, and the wire formats print "p/q" straight
-from the integers.
+keeps its lifts as integers over its least denominator and builds its
+Fraction breakpoints only when read.  The fiber sweep, node smoothings and
+image arcs run on integer lifts over one common denominator per cover; plan
+steps run on segment spans, refining that denominator in strides of 2**30.
+The wire formats print "p/q" straight from the integers.
 
 A PLCover bundles the circle maps with the sheet budget k of the covering.
 Sheets not accounted for by real preimages come in conjugate pairs, whence
@@ -24,8 +24,9 @@ from __future__ import annotations
 
 from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd, lcm
-from operator import eq, sub
+from operator import eq, neg, sub
 from typing import List, Optional, Sequence, Tuple
 
 from .arcs import FULL_CIRCLE, Arc, ArcLike
@@ -113,21 +114,15 @@ def critical_values(cover: PLCover) -> List[Fraction]:
 
 
 # ---------------------------------------------------------------------------
-# Integer working form.  Surgeries and the fiber sweep only translate lifts
-# by integers, take their differences and cut them by small powers of two,
-# so they run on integers x * den over one common denominator den.  Encoding
-# rescales each map's integer lifts to that den and decoding re-anchors and
-# validates them as PLMaps; neither builds a Fraction.
+# Integer working form, over one common den per cover.  Encoding rescales
+# each map's lifts to it, decoding re-anchors and validates them as PLMaps.
 
 
 class _Lifts:
     """A cover in integer form: per circle its label, its breakpoint lifts
-    times den and its closure, plus the sheet budget and the target.  Each
-    PLMap keeps its lifts over its own least denominator; this form puts a
-    whole cover over one common den, so steps can mix its circles.
-
-    A plain class: a dataclass would add about half a millisecond of class
-    generation to every import of the module.
+    times den and its closure, plus the sheet budget and the target; one
+    common den, so steps can mix circles.  A plain class: a dataclass would
+    add about half a millisecond of class generation to every import.
     """
 
     __slots__ = ("den", "circles", "k", "target")
@@ -252,92 +247,96 @@ def image_arcs(cover: PLCover) -> List[Tuple[str, ArcLike]]:
 
 
 # ---------------------------------------------------------------------------
-# Surgeries mirroring the symbolic constructions, on the integer form.
+# Surgeries mirroring the symbolic constructions, on the span form.
 # The step rules live in constructions._check_step; these are the geometry.
 
+_STRIDE = 2**30  # one CPython digit; see _refine
 
-def _rising_segment(ys: List[int]) -> int:
-    """Index of the widest increasing segment of the closed lift list ys
-    (ties to the earliest)."""
-    spans = list(map(sub, ys[1:], ys))
-    widest = max(spans)
-    if widest <= 0:
+
+class _Spans:
+    """The form plan steps run on: per circle its label, first lift x0,
+    segment spans d[i] = x[i+1] - x[i] (the closing one included, so
+    sum(d) == closure * den) and closure.  A splice rewrites a few spans,
+    not every later lift."""
+
+    __slots__ = ("den", "circles", "k", "target")
+
+    def __init__(self, form: _Lifts):
+        den, self.den, self.k, self.target = form.den, form.den, form.k, form.target
+        self.circles = [
+            (lbl, xs[0], list(map(sub, xs[1:] + [xs[0] + w * den], xs)), w)
+            for lbl, xs, w in form.circles
+        ]
+
+    def lifts(self) -> _Lifts:
+        circles = [(lbl, list(accumulate(d[:-1], initial=x0)), w) for lbl, x0, d, w in self.circles]
+        return _Lifts(self.den, circles, self.k, self.target)
+
+
+def _refine(form: _Spans) -> None:
+    """Multiply den, every x0 and every span by the stride: a step needs den
+    times 8 at most, so this O(B) rescale runs about once in ten folds."""
+    f = _STRIDE
+    form.den *= f
+    form.circles[:] = [(lbl, x0 * f, [x * f for x in d], w) for lbl, x0, d, w in form.circles]
+
+
+def _splice(form: _Spans, j: int, fold: bool) -> None:
+    """Splice into the widest climb of circle j (ties to the earliest) a full
+    turn, winding + 1, or for a fold a backward turn, winding - 1, whose
+    small gap loses a preimage where every other value gains one."""
+    lbl, x0, d, closure = form.circles[j]
+    w = max(d)
+    if w <= 0:
         raise ValueError("map has no increasing segment")
-    return spans.index(widest)
-
-
-def _splice_wrap(form: _Lifts, j: int) -> None:
-    """Extend one climb of circle j by a full extra turn: winding + 1, one
-    more preimage of every value."""
-    lbl, xs, closure = form.circles[j]
-    den = form.den
-    i = _rising_segment(xs + [xs[0] + closure * den])
-    form.circles[j] = (lbl, xs[: i + 1] + [x + den for x in xs[i + 1 :]], closure + 1)
-
-
-def _splice_fold(form: _Lifts, j: int) -> None:
-    """Splice a backward turn with a fold gap into a climb of circle j:
-    winding - 1.
-
-    Outside the small gap every value gains one preimage; inside the gap it
-    loses one (the two local sheets become a conjugate pair).  The result
-    is orientation-normalized, so a winding-0 circle flips to winding 1.
-    """
-    _, xs, closure = form.circles[j]
-    ys = xs + [xs[0] + closure * form.den]
-    i = _rising_segment(ys)
-    u, v = ys[i], ys[i + 1]
-    # The turn runs from center - h down to center + h - 1, where
-    # center = (u + v)/2 and h = min(center - u, v - center, 1)/4; h <= 1/4
-    # keeps the drop 1 - 2h positive even on segments that climb several
-    # full turns.  In units of 1/(8 den) the two ends are lo and hi - 8 den.
-    m = min(v - u, 2 * form.den)
-    lo, hi = 4 * (u + v) - m, 4 * (u + v) + m
-    f = 8 // gcd(lo, hi, 8)
-    form.scale(f)
-    lbl, xs, closure = form.circles[j]
-    den = form.den
-    turn = [lo * f // 8, hi * f // 8 - den]
-    values = xs[: i + 1] + turn + [x - den for x in xs[i + 1 :]]
+    i = d.index(w)
+    if not fold:
+        d[i] += form.den
+        form.circles[j] = (lbl, x0, d, closure + 1)
+        return
+    # u -> u + w becomes u -> c - h -> c + h - den -> u + w - den, c = u + w/2,
+    # h = m/8 <= den/4: spans a = (4w - m)/8, m/4 - den (< 0) and a again.
+    m = min(w, 2 * form.den)
+    if (4 * w - m) % 8 or m % 4:
+        _refine(form)
+        lbl, x0, d, closure = form.circles[j]
+        w, m = w * _STRIDE, m * _STRIDE
+    a = (4 * w - m) // 8
+    d[i : i + 1] = [a, m // 4 - form.den, a]
     closure -= 1
     if closure < 0:  # read the circle backwards so the winding is nonnegative
-        values, closure = [values[0] + closure * den] + values[:0:-1], -closure
-    form.circles[j] = (lbl, values, closure)
+        x0, d, closure = x0 + closure * form.den, list(map(neg, reversed(d))), -closure
+    form.circles[j] = (lbl, x0, d, closure)
 
 
-def _new_fold_component(form: _Lifts) -> List[int]:
-    """Lifts of a fresh winding-0 fold over an interval where two more
-    sheets fit: a quarter of the way into the widest such interval and back
-    out a quarter before its end (ties to the earliest)."""
-    slack = [iv for iv in _sweep(form) if iv[2] <= form.k - 2]
+def _new_fold(form: _Spans) -> Tuple[int, List[int]]:
+    """x0 and spans of a winding-0 fold a quarter of the way into the widest
+    interval where two more sheets fit, back out a quarter before its end."""
+    slack = [iv for iv in _sweep(form.lifts()) if iv[2] <= form.k - 2]
     if not slack:
         raise BudgetExceeded("no regular interval has room for two more real sheets")
     a, gap, _ = max(slack, key=lambda iv: (iv[1], -iv[0]))
-    f = 4 // gcd(gap, 4)
-    form.scale(f)
-    a, gap = a * f, gap * f
-    return [a + gap // 4, a + 3 * gap // 4]
+    if gap % 4:
+        _refine(form)
+        a, gap = a * _STRIDE, gap * _STRIDE
+    return a + gap // 4, [gap // 2, -gap // 2]
 
 
-def _step(form: _Lifts, step: ConstructionStep, index: Optional[int] = None) -> None:
-    """Apply the PL surgery mirroring one construction step to the integer
-    form in place.  constructions._check_step enforces the step's rules,
-    gives the sheet-budget gain and names a new circle; this adds the
-    geometry: splices into the placed circle, or the new fold or wrap."""
-    circles = [(lbl, w) for lbl, _, w in form.circles]
+def _step(form: _Spans, step: ConstructionStep, index: Optional[int] = None) -> None:
+    """Apply the PL surgery of one construction step to the span form in
+    place; constructions._check_step enforces its rules, gives the budget
+    gain and names a new circle, this adds the splice, new fold or wrap."""
+    circles = [(lbl, w) for lbl, _, _, w in form.circles]
     dk, new = _check_step(step, form.target, form.k, circles, index)
     if new is not None:
         label, w = new
-        if w:  # III: a monotone wrap
-            form.scale(2 if form.den % 2 else 1)
-            xs = [0, form.den // 2]
-        else:  # II/ram: a fold where two more sheets fit
-            xs = _new_fold_component(form)
-        form.circles.append((label, xs, w))
+        if w and form.den % 2:  # III: a monotone wrap over half the circle
+            _refine(form)
+        x0, d = (0, [form.den // 2] * 2) if w else _new_fold(form)  # else II/ram: a fold
+        form.circles.append((label, x0, d, w))
     elif step.kind is StepKind.I:
-        splice = _splice_fold if step.variant is Variant.WITH_REAL_RAM else _splice_wrap
         for j in [j for j, (lbl, _) in enumerate(circles) if lbl == step.placement]:
-            splice(form, j)
+            _splice(form, j, step.variant is Variant.WITH_REAL_RAM)
     form.k += dk
 
 
@@ -350,9 +349,9 @@ def surgery(cover: PLCover, step: ConstructionStep) -> PLCover:
     picture and only update the sheet budget.  Sites are chosen canonically,
     so realizations are deterministic.
     """
-    form = _encode(cover)
+    form = _Spans(_encode(cover))
     _step(form, step)
-    return _decode(form)
+    return _decode(form.lifts())
 
 
 # ---------------------------------------------------------------------------
@@ -510,14 +509,15 @@ def seed_cover(seed: BaseSeed) -> PLCover:
 def realize(seed: BaseSeed, steps: Sequence[ConstructionStep]) -> PLCover:
     """Fold the PL surgeries of a plan over its seed realization.
 
-    The seed cover is encoded once, every step runs on the integer form,
-    and the result is decoded (and validated) once at the end.  A refused
-    step raises PreconditionViolated carrying its index.
+    The seed cover is encoded once into span form, each step splices a few
+    spans, refining den by a stride of 2**30 about once in ten folds, and
+    the result is decoded and validated, at its least denominator, once at
+    the end.  A refused step raises PreconditionViolated carrying its index.
     """
-    form = _encode(seed_cover(seed))
+    form = _Spans(_encode(seed_cover(seed)))
     for i, step in enumerate(steps):
         _step(form, step, i)
-    return _decode(form)
+    return _decode(form.lifts())
 
 
 # ---------------------------------------------------------------------------
@@ -527,8 +527,8 @@ def realize(seed: BaseSeed, steps: Sequence[ConstructionStep]) -> PLCover:
 
 def _rat(p: int, q: int) -> str:
     # gcd(p, q) = 2^min(v2(p), v2(q)) * gcd(p, odd part of q).  The lift
-    # denominators grow only by factors 2, 4 and 8, so the odd part stays
-    # small and this skips a quadratic big-integer gcd per breakpoint.
+    # denominators grow only by powers of two, so the odd part stays small
+    # and this skips a quadratic big-integer gcd per breakpoint.
     v2q = (q & -q).bit_length() - 1
     v2 = min((p & -p).bit_length() - 1, v2q) if p else v2q
     g = gcd(p >> v2, q >> v2q) << v2

@@ -181,6 +181,20 @@ class TestExecute:
         )
         assert out != claimed
 
+    @pytest.mark.parametrize(
+        "k, windings, target, failure",
+        [
+            (4, (1, 3), CoverTarget.PROJ_LINE, None),
+            (3, (2, 2), CoverTarget.PROJ_LINE, "winding sum 4 exceeds degree 3"),
+            (5, (1, 1), CoverTarget.PROJ_LINE, "degree defect 3 is odd"),
+            (4, (), CoverTarget.ANISOTROPIC_CONIC, None),
+            (4, (0,), CoverTarget.ANISOTROPIC_CONIC, "covering of R0 with nonempty real locus"),
+        ],
+    )
+    def test_invariant_failure_messages(self, k, windings, target, failure):
+        comps = tuple((f"C{i + 1}", d) for i, d in enumerate(windings))
+        assert LabeledState(3, 0, k, target, comps).invariant_failure() == failure
+
 
 def _random_states():
     # Labeled states over the projective line with valid bookkeeping.

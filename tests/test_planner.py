@@ -176,3 +176,34 @@ class TestDeterminism:
                     "provenance": "Case1",
                 }
             )
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ("I", "steps[3]: expected an object"),
+            ({"variant": "ram", "placement": "C1"}, "steps[3].kind: expected one of I..V"),
+            ({"kind": ["I"], "variant": "ram"}, "steps[3].kind: expected one of I..V"),
+            (
+                {"kind": "I", "variant": {"ram": 1}, "placement": "C1"},
+                'steps[3].variant: expected "ram", "noram" or null',
+            ),
+            (
+                {"kind": "I", "variant": "ram", "placement": ["C1"]},
+                "steps[3].placement: expected a string or null",
+            ),
+            (
+                {"kind": "I", "variant": "ram"},
+                "steps[3]: construction I requires a placement label",
+            ),
+            ({"kind": "III", "variant": "ram"}, "steps[3]: construction III takes no variant"),
+        ],
+    )
+    def test_repeated_steps_are_shared_and_a_bad_one_fails_at_its_index(self, bad, message):
+        ram = {"kind": "I", "variant": "ram", "placement": "C1"}
+        doc = {"seed": {"kind": "GenericPencil", "g": 1, "k": 2}, "provenance": "Case1"}
+        parsed = plan_from_json({**doc, "steps": [ram, dict(ram), {"kind": "III"}, ram]})
+        assert parsed.steps[0] is parsed.steps[1] is parsed.steps[3]
+        assert parsed.steps[0] == ConstructionStep(StepKind.I, Variant.WITH_REAL_RAM, "C1")
+        with pytest.raises(ValueError) as refused:
+            plan_from_json({**doc, "steps": [ram, ram, {"kind": "III", "variant": None}, bad, ram]})
+        assert str(refused.value) == message

@@ -2,12 +2,13 @@ import json
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from functools import lru_cache
-from math import floor, lcm
+from math import ceil, floor, lcm
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from realcover import plsim
 from realcover.arcs import Arc, FullCircle
 from realcover.constructions import (
     ConstructionStep,
@@ -586,6 +587,14 @@ LADDERS = (
 )
 
 
+# One rung past each ladder's top, the deepest the Fraction oracle is run on.
+DEEPER_RUNGS = (
+    ("Case3", (6, 1, 0), (1,), 201),
+    ("Case5", (6, 3, 0), (0, 0, 0), 128),
+    ("A1-sPos", (8, 3, 1), (5, 3, 0), 128),
+)
+
+
 def p1_spec(g, s, a, k, deg):
     return CoverSpec(TopType(g, s, a), CoverTarget.PROJ_LINE, k, DegreeVector(tuple(deg)))
 
@@ -665,6 +674,15 @@ class TestIntegerLifts:
             assert cover_to_json(cover) == cover_to_json(fraction_realize(p.seed, p.steps))
             assert fiber_profile(cover) == fraction_fiber_profile(cover)
 
+    @pytest.mark.parametrize("provenance, top, deg, k", DEEPER_RUNGS)
+    def test_deeper_rung_matches_fraction_oracle(self, provenance, top, deg, k):
+        p = plan(p1_spec(*top, k, deg))
+        assert p.provenance == provenance
+        cover = realize(p.seed, p.steps)
+        assert json.dumps(cover_to_json(cover)) == json.dumps(
+            cover_to_json(fraction_realize(p.seed, p.steps))
+        )
+
     @settings(max_examples=300, deadline=None)
     @given(step_sequences())
     def test_step_sequences_match_fraction_oracle(self, drawn):
@@ -702,6 +720,24 @@ class TestIntegerLifts:
                 assert after["C2"] == before["C2"]
             else:
                 assert after["C2"] != before["C2"]
+
+    def test_refinement_stays_strided(self, monkeypatch):
+        # A fold needs den times 8 at most; refining by a whole 2**30 stride
+        # leaves the O(B) rescale to about one fold in ten.
+        p = plan(p1_spec(6, 1, 0, 1001, (1,)))
+        folds = sum(step.kind is StepKind.I and step.variant is RAM for step in p.steps)
+        calls = 0
+        refine = plsim._refine
+
+        def counting(form):
+            nonlocal calls
+            calls += 1
+            refine(form)
+
+        monkeypatch.setattr(plsim, "_refine", counting)
+        realize(p.seed, p.steps)
+        assert folds == 500
+        assert 0 < calls <= ceil(3 * folds / 30) + 2
 
     def test_deep_case3_plan(self):
         # 999 steps: 1,002 breakpoints with 1,498-bit denominators

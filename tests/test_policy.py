@@ -40,3 +40,47 @@ def test_no_float(path):
         or isinstance(node, ast.Call) and getattr(node.func, "id", None) == "float"
     ]
     assert floats == []
+
+
+def environment_reads(tree):
+    """Names of the environment variables a module reads through
+    os.environ[...], os.environ.get(...), "..." in os.environ or
+    os.getenv(...); "?" stands for a name that is not a string literal."""
+
+    def is_environ(node):
+        return isinstance(node, ast.Attribute) and node.attr == "environ" or (
+            isinstance(node, ast.Name) and node.id == "environ"
+        )
+
+    def name(node):
+        return node.value if isinstance(node, ast.Constant) and isinstance(node.value, str) else "?"
+
+    reads = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Subscript) and is_environ(node.value):
+            reads.add(name(node.slice))
+        elif isinstance(node, ast.Compare) and any(map(is_environ, node.comparators)):
+            reads.add(name(node.left))
+        elif isinstance(node, ast.Call) and node.args:
+            func = node.func
+            if getattr(func, "attr", getattr(func, "id", None)) == "getenv" or (
+                isinstance(func, ast.Attribute) and is_environ(func.value)
+            ):
+                reads.add(name(node.args[0]))
+    return reads
+
+
+def test_environment_knobs_are_pinned():
+    # Each environment variable is a setting every test and benchmark run must
+    # cover; a change that adds one names it here.
+    reads = set().union(*(environment_reads(parse(path)) for path in SOURCES))
+    assert reads == {"REALCOVER_SCAN_WORKERS"}
+
+
+def test_environment_reads_are_found():
+    tree = ast.parse(
+        "import os\nfrom os import environ, getenv\n"
+        "os.environ['A']; os.environ.get('B', '1'); 'C' in os.environ\n"
+        "os.getenv('D'); getenv('E'); environ.get(name)\n"
+    )
+    assert environment_reads(tree) == {"A", "B", "C", "D", "E", "?"}
