@@ -84,10 +84,16 @@ def _noram(label: str) -> ConstructionStep:
     return ConstructionStep(StepKind.I, Variant.WITHOUT_REAL_RAM, label)
 
 
-def _alternating(label: str, count: int) -> List[ConstructionStep]:
-    """count steps of construction I on one circle, ram first, netting zero."""
-    ram, noram = _ram(label), _noram(label)
-    return [ram if i % 2 == 0 else noram for i in range(count)]
+def _wraps_then_folds(label: str, wraps: int, folds: int) -> List[ConstructionStep]:
+    """wraps steps of I/noram, then folds steps of I/ram, on one circle.
+
+    Only the net winding change matters to the target, so the planner puts
+    every wrap first: the circle never folds at winding 0, and the folds
+    halve wide climbs level by level, so realize's denominator grows by
+    about log2 of the fold count in bits, not by up to 3 bits per fold
+    (see plsim._splice).
+    """
+    return [_noram(label)] * wraps + [_ram(label)] * folds
 
 
 def _pump_to_degrees(labels: List[str], degrees: tuple[int, ...]) -> List[ConstructionStep]:
@@ -103,7 +109,8 @@ def _case3_recipe(g: int, k: int, nonzero: tuple[int, ...]) -> tuple[BaseSeed, L
 
     Start from the winding-(2) double covering, fold once to reach winding
     1, spin up the remaining circles, pump each to its target winding, and
-    absorb the even remainder by alternating folds on the first circle.
+    absorb the even remainder on the first circle: half of it as wraps,
+    then half as folds back to its target winding.
     """
     s_prime = len(nonzero)
     seed = Hyperelliptic(TopType(g - s_prime + 1, 1, 0), DegreeVector((2,)))
@@ -111,7 +118,8 @@ def _case3_recipe(g: int, k: int, nonzero: tuple[int, ...]) -> tuple[BaseSeed, L
     steps.extend([_III] * (s_prime - 1))
     labels = ["C1"] + [f"N{i + 1}" for i in range(s_prime - 1)]
     steps.extend(_pump_to_degrees(labels, nonzero))
-    steps.extend(_alternating("C1", k - sum(nonzero) - 2))
+    spare = (k - sum(nonzero) - 2) // 2
+    steps.extend(_wraps_then_folds("C1", spare, spare))
     return seed, steps
 
 
@@ -144,8 +152,8 @@ def plan(target: CoverSpec) -> Union[Plan, Infeasible]:
             return Plan(seed, steps, "A1-s0-big-g")
         # s >= 1: start from an all-zero double covering of the right type,
         # spin up one circle per nonzero winding, pump, then absorb the
-        # remainder.  With a zero circle present, repeated folds on it
-        # bounce its winding 0 -> 1 -> 0; otherwise alternate on the first
+        # remainder as wraps followed by as many folds: on the first zero
+        # circle when there is one (0 -> spare -> 0), otherwise on the first
         # nonzero circle.
         s_prime = sum(1 for d in degrees if d != 0)
         nonzero = degrees[:s_prime]
@@ -156,11 +164,8 @@ def plan(target: CoverSpec) -> Union[Plan, Infeasible]:
         steps.extend([_III] * s_prime)
         labels = [f"N{i + 1}" for i in range(s_prime)]
         steps.extend(_pump_to_degrees(labels, nonzero))
-        remainder = k - 2 - total
-        if s != s_prime:
-            steps.extend([_ram("C1")] * remainder)
-        else:
-            steps.extend(_alternating("N1", remainder))
+        spare = (k - 2 - total) // 2
+        steps.extend(_wraps_then_folds("C1" if s != s_prime else "N1", spare, spare))
         return Plan(seed, tuple(steps), "A1-sPos")
 
     # Separating case (a = 0); here s >= 1.
@@ -183,8 +188,11 @@ def plan(target: CoverSpec) -> Union[Plan, Infeasible]:
 
     s_prime = sum(1 for d in degrees if d != 0)
     if s_prime == 0:
+        # All windings vanish: take C1 from winding 2 up to (k - 4) / 2 + 2,
+        # fold it down to 0, then add each other circle by a fold over a
+        # non-real point.
         seed = Hyperelliptic(TopType(g - s + 1, 1, 0), DegreeVector((2,)))
-        steps = [_ram("C1")] * (k - 2)
+        steps = _wraps_then_folds("C1", (k - 4) // 2, (k - 4) // 2 + 2)
         steps.extend([_II_RAM] * (s - 1))
         return Plan(seed, tuple(steps), "Case5")
     if s_prime == s:

@@ -36,7 +36,6 @@ from .constructions import (
     StepKind,
     Variant,
     _check_step,
-    next_new_label,
     seed_state,
 )
 from .topology import CoverTarget
@@ -304,7 +303,9 @@ def _splice(form: _Spans, j: int, fold: bool) -> None:
     a = (4 * w - m) // 8
     d[i : i + 1] = [a, m // 4 - form.den, a]
     closure -= 1
-    if closure < 0:  # read the circle backwards so the winding is nonnegative
+    # Read the circle backwards so the winding is nonnegative: an O(B) pass
+    # that only a fold at winding 0 needs, which planner plans never emit.
+    if closure < 0:
         x0, d, closure = x0 + closure * form.den, list(map(neg, reversed(d))), -closure
     form.circles[j] = (lbl, x0, d, closure)
 
@@ -389,8 +390,14 @@ def _half_gap(form: _Lifts, bound: int, h: Optional[int]) -> Tuple[int, int]:
 
 
 def _merge(form: _Lifts, ja: int, jb: int, t: int, h: Optional[int] = None) -> None:
-    """merge_components on the integer form, in place: the merged circle
-    replaces circle ja and circle jb is dropped."""
+    """Smooth a node joining the winding-0 circles ja and jb over the common
+    value t, in place.
+
+    Both circles are cut at their first climb through t and cross-joined
+    with folds at t -/+ h (h None: as wide as the climbs allow); the fibers
+    over the gap lose the two glued sheets, nothing else changes.  The
+    merged circle replaces circle ja and circle jb is dropped.
+    """
     (_, xa, wa), (_, xb, wb) = form.circles[ja], form.circles[jb]
     if wa or wb:
         raise ValueError("node smoothing is implemented for winding-0 circles")
@@ -414,8 +421,14 @@ def _merge(form: _Lifts, ja: int, jb: int, t: int, h: Optional[int] = None) -> N
 
 
 def _split(form: _Lifts, j: int, c: int, h: Optional[int], new_label: str) -> None:
-    """fold_split on the integer form, in place: the rest of circle j stays
-    at index j and the split-off circle, labeled new_label, is appended."""
+    """Smooth a self-node of the winding-0 circle j at a doubly covered value
+    c, in place.
+
+    The circle is cut at two consecutive crossings of c bounding an
+    excursion above c; the excursion closes into a new circle folding at
+    c + h, labeled new_label and appended, and the rest, still at index j,
+    folds at c - h.
+    """
     label, xs, w = form.circles[j]
     if w:
         raise ValueError("node smoothing is implemented for winding-0 circles")
@@ -441,46 +454,6 @@ def _split(form: _Lifts, j: int, c: int, h: Optional[int], new_label: str) -> No
     between = (iq - ip) % nb
     form.circles[j] = (label, [cstar - h] + after[between:], 0)
     form.circles.append((new_label, [cstar + h] + after[:between], 0))
-
-
-def _index(cover: PLCover, label: str) -> int:
-    """Index of the first circle with the label; KeyError when there is none."""
-    for j, (lbl, _) in enumerate(cover.components):
-        if lbl == label:
-            return j
-    raise KeyError(label)
-
-
-def merge_components(
-    cover: PLCover, label_a: str, label_b: str, t: Fraction, h: Optional[Fraction] = None
-) -> PLCover:
-    """Smooth a node joining two winding-0 circles over the common value t.
-
-    Both circles are cut at their first climb through t and cross-joined
-    with folds at t -/+ h; the fibers over the gap lose the two glued
-    sheets, nothing else changes.  The merged circle keeps label_a.
-    """
-    ja, jb = _index(cover, label_a), _index(cover, label_b)
-    form = _encode(cover)
-    _merge(form, ja, jb, *form.lift(t, h))
-    return _decode(form)
-
-
-def fold_split(
-    cover: PLCover, label: str, c: Fraction, h: Optional[Fraction] = None
-) -> Tuple[PLCover, str]:
-    """Smooth a self-node of one winding-0 circle at a doubly covered value c.
-
-    The circle is cut at two consecutive crossings of c bounding an
-    excursion above c; the excursion closes into a new circle folding at
-    c + h, the rest folds at c - h.  Returns the new cover and the label of
-    the split-off circle.
-    """
-    j = _index(cover, label)
-    form = _encode(cover)
-    new_label = next_new_label(cover.components)
-    _split(form, j, *form.lift(c, h), new_label)
-    return _decode(form), new_label
 
 
 # ---------------------------------------------------------------------------

@@ -9,20 +9,40 @@ helpers that only tests need live here too.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from fractions import Fraction
 from math import ceil, floor, lcm
 from typing import List, Optional, Tuple
 
 from realcover.arcs import Arc, FullCircle
 from realcover.constructions import (
+    ConstructionStep,
+    GenericPencil,
+    GenericR0Pencil,
+    Hyperelliptic,
+    HyperellipticToR0,
+    LabeledState,
     PreconditionViolated,
+    SeedNotInCatalog,
     StepKind,
     Variant,
+    apply_step,
     execute_states,
     next_new_label,
+    seed_state,
 )
-from realcover.plsim import BudgetExceeded, PLCover, PLMap, critical_values, seed_cover
-from realcover.topology import CoverTarget
+from realcover.plsim import (
+    BudgetExceeded,
+    PLCover,
+    PLMap,
+    _decode,
+    _encode,
+    _merge,
+    _split,
+    critical_values,
+    seed_cover,
+)
+from realcover.topology import CoverTarget, DegreeVector, TopType
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +254,93 @@ def oracle_admissible_tuples(g_max, k_min, k_max):
                         out.add((g, s, a, "P1", k, d))
                     if s == 0 and a == 1 and (k - g - 1) % 2 == 0:
                         out.add((g, 0, 1, "R0", k, ()))
+    return out
+
+
+def _catalog_seeds(g_max, k_max):
+    """Every catalog seed of genus <= g_max and degree <= k_max: each
+    candidate is kept when the catalog admits it."""
+    candidates = []
+    for g in range(g_max + 1):
+        for s in range(g + 2):
+            for a in (0, 1):
+                candidates.append(Hyperelliptic(TopType(g, s, a), DegreeVector((0,) * s)))
+        candidates.append(Hyperelliptic(TopType(g, 1, 0), DegreeVector((2,))))
+        candidates.append(Hyperelliptic(TopType(g, 2, 0), DegreeVector((1, 1))))
+        candidates.append(HyperellipticToR0(g))
+        for k in range(2, k_max + 1):
+            candidates.extend([GenericPencil(g, k), GenericR0Pencil(g, k)])
+    for seed in candidates:
+        try:
+            state = seed_state(seed)
+        except SeedNotInCatalog:
+            continue
+        if state.k <= k_max:
+            yield seed, state
+
+
+def _canonical_state(state):
+    """The state with its circles relabeled C1, C2, ... by non-increasing
+    winding: states that differ only in labels step alike."""
+    windings = sorted((d for _, d in state.components), reverse=True)
+    comps = tuple((f"C{i + 1}", d) for i, d in enumerate(windings))
+    return LabeledState(state.g, state.a, state.k, state.target, comps)
+
+
+_BFS_STEPS = (
+    ConstructionStep(StepKind.II, Variant.WITH_REAL_RAM),
+    ConstructionStep(StepKind.II, Variant.WITHOUT_REAL_RAM),
+    ConstructionStep(StepKind.III),
+    ConstructionStep(StepKind.IV),
+    ConstructionStep(StepKind.V),
+)
+
+
+def reachable_specs(g_max, k_max):
+    """{spec tuple: (seed, steps)} for every spec the step language reaches
+    from a catalog seed within g <= g_max and k <= k_max, with a shortest
+    step path to it.
+
+    A breadth-first search over canonical LabeledStates through apply_step:
+    one kind-I step of each variant per distinct winding, plus II (both
+    variants), III, IV and V.  No step lowers g or k, so pruning at the box
+    is exact.  Every visited state must pass invariant_failure.  Spec tuples
+    are (g, s, a, target, k, degrees), as in oracle_admissible_tuples.
+    """
+    paths = {}
+    queue = deque()
+    for seed, state in _catalog_seeds(g_max, k_max):
+        state = _canonical_state(state)
+        if state not in paths:
+            paths[state] = (seed, ())
+            queue.append(state)
+    while queue:
+        state = queue.popleft()
+        seed, steps = paths[state]
+        assert state.invariant_failure() is None, (state, seed, steps)
+        labels = {d: lbl for lbl, d in reversed(state.components)}
+        moves = [
+            ConstructionStep(StepKind.I, variant, lbl)
+            for lbl in labels.values()
+            for variant in (Variant.WITH_REAL_RAM, Variant.WITHOUT_REAL_RAM)
+        ]
+        for step in moves + list(_BFS_STEPS):
+            try:
+                nxt = apply_step(state, step)
+            except PreconditionViolated:
+                continue
+            if nxt.g > g_max or nxt.k > k_max:
+                continue
+            nxt = _canonical_state(nxt)
+            if nxt not in paths:
+                paths[nxt] = (seed, steps + (step,))
+                queue.append(nxt)
+    out = {}
+    for state, path in paths.items():
+        spec = state.canonical_spec()
+        key = (spec.top.g, spec.top.s, spec.top.a, spec.target.value, spec.k,
+               spec.degrees.entries)
+        out.setdefault(key, path)
     return out
 
 
@@ -524,3 +631,40 @@ def fraction_fold_split(
     comps = [(lbl, remainder if lbl == label else mm) for lbl, mm in cover.components]
     comps.append((new_label, lobe))
     return PLCover(tuple(comps), cover.k, cover.target), new_label
+
+
+# ---------------------------------------------------------------------------
+# The node smoothings on Fraction inputs, by label: thin wrappers that lift
+# the values onto the package's integer form and run its smoothings there.
+# The package calls _merge and _split on circle indices directly; these are
+# what the oracles above are compared against.
+
+
+def _index(cover: PLCover, label: str) -> int:
+    """Index of the first circle with the label; KeyError when there is none."""
+    for j, (lbl, _) in enumerate(cover.components):
+        if lbl == label:
+            return j
+    raise KeyError(label)
+
+
+def merge_components(
+    cover: PLCover, label_a: str, label_b: str, t: Fraction, h: Optional[Fraction] = None
+) -> PLCover:
+    """plsim._merge on the circles labeled label_a and label_b, over t."""
+    ja, jb = _index(cover, label_a), _index(cover, label_b)
+    form = _encode(cover)
+    _merge(form, ja, jb, *form.lift(t, h))
+    return _decode(form)
+
+
+def fold_split(
+    cover: PLCover, label: str, c: Fraction, h: Optional[Fraction] = None
+) -> Tuple[PLCover, str]:
+    """plsim._split on the circle labeled label, at c; returns the new cover
+    and the label of the split-off circle."""
+    j = _index(cover, label)
+    form = _encode(cover)
+    new_label = next_new_label(cover.components)
+    _split(form, j, *form.lift(c, h), new_label)
+    return _decode(form), new_label

@@ -173,6 +173,87 @@ class TestPlanVerifyRealize:
         assert "plan file" in doc["error"]
 
 
+_SPEC_FIELDS = {"g": 4, "s": 2, "a": 0, "target": "P1", "k": 4}
+
+
+class TestErrorMessages:
+    """Each malformed input names its field in one JSON document."""
+
+    @pytest.mark.parametrize("command", ["admissible", "plan"])
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[1,2]", "spec: expected a JSON object"),
+            (json.dumps(_SPEC_FIELDS), "spec.deg: missing"),
+            (
+                json.dumps({**_SPEC_FIELDS, "deg": [1, 2]}),
+                "spec.deg: entries must be sorted non-increasing",
+            ),
+            (
+                json.dumps({**_SPEC_FIELDS, "k": 1, "deg": [1, 0]}),
+                "spec.k: covering degree must be >= 2",
+            ),
+            (
+                json.dumps({**_SPEC_FIELDS, "g": -1, "deg": [1, 0]}),
+                "spec.g/spec.s: must be nonnegative",
+            ),
+        ],
+    )
+    def test_malformed_spec(self, capsys, command, text, message):
+        assert invoke_json(capsys, command, text) == (1, {"error": message})
+
+    @pytest.mark.parametrize("command", ["verify", "realize"])
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ([1], "plan: expected a JSON object"),
+            (
+                {"seed": HYPER_2, "steps": {}, "provenance": "Case1"},
+                "plan.steps: expected a list",
+            ),
+            (
+                {"seed": HYPER_2, "steps": [], "provenance": "Case9"},
+                "plan.provenance: unknown tag 'Case9'",
+            ),
+            (
+                {"seed": 5, "steps": [], "provenance": "Case1"},
+                "seed: expected an object with a 'kind' field",
+            ),
+            (
+                {"seed": {"g": 2}, "steps": [], "provenance": "Case1"},
+                "seed: expected an object with a 'kind' field",
+            ),
+        ],
+    )
+    def test_malformed_plan(self, capsys, tmp_path, command, doc, message):
+        plan_file = tmp_path / "plan.json"
+        plan_file.write_text(json.dumps(doc))
+        extra = [SPEC_6333] if command == "verify" else []
+        assert invoke_json(capsys, command, str(plan_file), *extra) == (1, {"error": message})
+
+    def test_target_not_an_object(self, capsys):
+        expected = (1, {"error": "target: expected a JSON object"})
+        assert invoke_json(capsys, "covnum", "[1]") == expected
+
+    @pytest.mark.parametrize(
+        "seed, message",
+        [
+            ({**HYPER_2, "deg": [2, 0]}, "winding vector length differs from circle count"),
+            ({**HYPER_2, "a": 1}, "winding (2) needs a separating curve with one circle"),
+            (
+                {**HYPER_2, "s": 2, "a": 1, "deg": [1, 1]},
+                "winding (1,1) needs a separating curve with two circles",
+            ),
+        ],
+    )
+    def test_seed_outside_the_catalog(self, capsys, tmp_path, seed, message):
+        plan_file = write_plan(tmp_path, seed)
+        verdict = {"verified": False, "diagnostics": [f"seed rejected: {message}"]}
+        assert invoke_json(capsys, "verify", plan_file, SPEC_6333) == (2, verdict)
+        rejected = {"rejected": f"seed not in catalog: {message}"}
+        assert invoke_json(capsys, "realize", plan_file) == (2, rejected)
+
+
 class TestCovnum:
     def test_build_summary(self, capsys):
         code, doc = invoke_json(capsys, "covnum", '{"g":2,"s":3,"a":0,"kcov":3}')

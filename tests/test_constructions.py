@@ -15,12 +15,13 @@ from realcover.constructions import (
     Variant,
     apply_step,
     seed_state,
+    seed_to_json,
     step_from_json,
     step_to_json,
 )
 from realcover.topology import CoverSpec, CoverTarget, DegreeVector, TopType, weichold_admissible
 
-from oracles import execute
+from oracles import execute, oracle_admissible_tuples, reachable_specs
 
 RAM = Variant.WITH_REAL_RAM
 NORAM = Variant.WITHOUT_REAL_RAM
@@ -263,3 +264,22 @@ class TestStepInvariants:
             return
         out = apply_step(state, step)
         assert weichold_admissible(out.g, out.s, out.a)
+
+
+class TestReachability:
+    """The step language reaches exactly the admissible set: a BFS over
+    every catalog seed and every applicable step, independent of the
+    planner and of topology's predicates, against the nested-loop oracle."""
+
+    def test_reachable_specs_are_the_admissible_ones(self):
+        paths = reachable_specs(10, 8)  # asserts the invariant on every state
+        reached = {spec for spec in paths if spec[4] >= 3}
+        admissible = oracle_admissible_tuples(10, 3, 8)
+        for spec in sorted(reached - admissible):
+            seed, steps = paths[spec]
+            path = [seed_to_json(seed)] + [step_to_json(step) for step in steps]
+            print(f"reachable, not admissible: {spec} by {path}")
+        for spec in sorted(admissible - reached):
+            print(f"admissible, not reachable: {spec}")
+        assert reached == admissible
+        assert len(reached) == 3658

@@ -8,6 +8,7 @@ from realcover.constructions import (
     Hyperelliptic,
     StepKind,
     Variant,
+    execute_states,
 )
 from realcover.planner import (
     Infeasible,
@@ -19,7 +20,7 @@ from realcover.planner import (
 )
 from realcover.topology import CoverSpec, CoverTarget, DegreeVector, TopType, enumerate_admissible
 
-from oracles import execute
+from oracles import execute, oracle_admissible_tuples
 
 
 def spec(g, s, a, target, k, deg=()):
@@ -104,6 +105,43 @@ class TestBranchGuards:
         assert isinstance(result, Plan)
         for i in range(len(result.steps) + 1):
             execute(result.seed, result.steps[:i])  # must not raise
+
+
+class TestPlanShape:
+    def test_no_fold_at_winding_zero(self):
+        # Spare sheets go to wraps first, then folds, so no plan folds a
+        # circle of winding 0 and realize never turns a circle around.
+        n = 0
+        for g, s, a, target, k, deg in sorted(oracle_admissible_tuples(10, 3, 8)):
+            if target != "P1":
+                continue
+            result = plan(spec(g, s, a, target, k, deg))
+            states = execute_states(result.seed, result.steps)
+            for i, (state, step) in enumerate(zip(states, result.steps)):
+                if step.kind is StepKind.I and step.variant is Variant.WITH_REAL_RAM:
+                    winding = dict(state.components)[step.placement]
+                    assert winding > 0, (result.provenance, g, s, a, k, deg, i)
+            n += 1
+        assert n == 3625
+
+    @pytest.mark.parametrize(
+        "target, provenance, label, wraps, folds",
+        [
+            (spec(6, 1, 0, "P1", 11, (3,)), "Case3", "C1", 3, 3),
+            (spec(6, 3, 0, "P1", 9, (1, 0, 0)), "Case4", "C1", 3, 3),
+            (spec(6, 3, 0, "P1", 12, (0, 0, 0)), "Case5", "C1", 4, 6),
+            (spec(8, 3, 1, "P1", 14, (5, 3, 0)), "A1-sPos", "C1", 2, 2),
+            (spec(8, 2, 1, "P1", 14, (5, 3)), "A1-sPos", "N1", 2, 2),
+        ],
+    )
+    def test_spare_sheets_wrap_then_fold(self, target, provenance, label, wraps, folds):
+        # the last wraps + folds kind-I steps on the label, III/II aside
+        result = plan(target)
+        assert result.provenance == provenance and verify_plan(result, target)
+        tail = [st for st in result.steps if st.kind is StepKind.I][-(wraps + folds) :]
+        wrap = ConstructionStep(StepKind.I, Variant.WITHOUT_REAL_RAM, label)
+        fold = ConstructionStep(StepKind.I, Variant.WITH_REAL_RAM, label)
+        assert tail == [wrap] * wraps + [fold] * folds
 
 
 class TestVerify:

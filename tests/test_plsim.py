@@ -22,7 +22,7 @@ from realcover.constructions import (
     execute_states,
 )
 from realcover.covering4 import CoveringNumberTarget, build_covnum, covering_number
-from realcover.planner import Plan, plan
+from realcover.planner import Plan, plan, verify_plan
 from realcover.plsim import (
     BudgetExceeded,
     PLCover,
@@ -32,9 +32,7 @@ from realcover.plsim import (
     fiber_budget_violations,
     fiber_csv,
     fiber_profile,
-    fold_split,
     image_arcs,
-    merge_components,
     realize,
     regular_samples,
     seed_cover,
@@ -47,6 +45,7 @@ from oracles import (
     arc,
     arc_contains,
     brute_fiber_count,
+    fold_split,
     fraction_fiber_profile,
     fraction_realize,
     fraction_fold_split,
@@ -54,6 +53,7 @@ from oracles import (
     fraction_surgery,
     lifts,
     map_of,
+    merge_components,
     pl_map,
     reverse,
     segments,
@@ -587,16 +587,49 @@ LADDERS = (
 )
 
 
-# One rung past each ladder's top, the deepest the Fraction oracle is run on.
+# Rungs past each ladder's top for the Fraction oracle, up to k near 500.
 DEEPER_RUNGS = (
     ("Case3", (6, 1, 0), (1,), 201),
     ("Case5", (6, 3, 0), (0, 0, 0), 128),
     ("A1-sPos", (8, 3, 1), (5, 3, 0), 128),
+    ("Case3", (6, 1, 0), (1,), 501),
+    ("Case5", (6, 3, 0), (0, 0, 0), 500),
+)
+
+
+# The deepest rung of each ladder, realized without the oracle.
+DEEPEST_RUNGS = (
+    ("Case3", (6, 1, 0), (1,), 4001),
+    ("Case5", (6, 3, 0), (0, 0, 0), 4000),
+    ("A1-sPos", (8, 3, 1), (5, 3, 0), 2000),
 )
 
 
 def p1_spec(g, s, a, k, deg):
     return CoverSpec(TopType(g, s, a), CoverTarget.PROJ_LINE, k, DegreeVector(tuple(deg)))
+
+
+def alternating_case3(k):
+    """A Case3 plan for (6, 1, 0) with winding (1,): the opening fold, then
+    folds and wraps alternating, so each fold lands on a span shorter than a
+    turn and most folds refine the grid."""
+    fold, wrap = ConstructionStep(StepKind.I, RAM, "C1"), ConstructionStep(StepKind.I, NORAM, "C1")
+    steps = (fold,) + (fold, wrap) * ((k - 3) // 2)
+    return p1_spec(6, 1, 0, k, (1,)), Plan(hyper(6, 1, 0, (2,)), steps, "Case3")
+
+
+def bouncing_case5(k):
+    """A Case5 plan for (6, 3, 0) with windings (0, 0, 0): C1 folds straight
+    down from winding 2 and then bounces through winding 0, so every other
+    fold reverses the circle."""
+    fold = ConstructionStep(StepKind.I, RAM, "C1")
+    steps = (fold,) * (k - 2) + (ConstructionStep(StepKind.II, RAM),) * 2
+    return p1_spec(6, 3, 0, k, (0, 0, 0)), Plan(hyper(4, 1, 0, (2,)), steps, "Case5")
+
+
+# Plans that fold on narrow spans and at winding 0: planner plans never do,
+# hand-written plans may.
+HAND_BUILT = (alternating_case3(201), bouncing_case5(128))
 
 
 def criterion_box_plans():
@@ -683,6 +716,15 @@ class TestIntegerLifts:
             cover_to_json(fraction_realize(p.seed, p.steps))
         )
 
+    @pytest.mark.parametrize("spec, p", HAND_BUILT, ids=["alternating-case3", "bouncing-case5"])
+    def test_hand_built_plan_matches_fraction_oracle(self, spec, p):
+        # the reversal in _splice and long runs of strided refinements
+        assert verify_plan(p, spec)
+        cover = realize(p.seed, p.steps)
+        assert json.dumps(cover_to_json(cover)) == json.dumps(
+            cover_to_json(fraction_realize(p.seed, p.steps))
+        )
+
     @settings(max_examples=300, deadline=None)
     @given(step_sequences())
     def test_step_sequences_match_fraction_oracle(self, drawn):
@@ -724,7 +766,8 @@ class TestIntegerLifts:
     def test_refinement_stays_strided(self, monkeypatch):
         # A fold needs den times 8 at most; refining by a whole 2**30 stride
         # leaves the O(B) rescale to about one fold in ten.
-        p = plan(p1_spec(6, 1, 0, 1001, (1,)))
+        spec, p = alternating_case3(1001)
+        assert verify_plan(p, spec)
         folds = sum(step.kind is StepKind.I and step.variant is RAM for step in p.steps)
         calls = 0
         refine = plsim._refine
@@ -739,12 +782,17 @@ class TestIntegerLifts:
         assert folds == 500
         assert 0 < calls <= ceil(3 * folds / 30) + 2
 
-    def test_deep_case3_plan(self):
-        # 999 steps: 1,002 breakpoints with 1,498-bit denominators
-        p = plan(p1_spec(6, 1, 0, 1001, (1,)))
+    @pytest.mark.parametrize("provenance, top, deg, k", DEEPEST_RUNGS)
+    def test_deep_plans_keep_small_denominators(self, provenance, top, deg, k):
+        # The plans wrap before they fold, so the folds halve wide climbs
+        # level by level and the denominator grows by about log2 k bits:
+        # Case3 k=4001 ends with 4,002 breakpoints over a 15-bit denominator.
+        p = plan(p1_spec(*top, k, deg))
+        assert p.provenance == provenance
         cover = realize(p.seed, p.steps)
-        assert cover.k == 1001
-        assert [m.closure for _, m in cover.components] == [1]
+        assert cover.k == k
+        assert sorted(m.closure for _, m in cover.components) == sorted(deg)
+        assert all(m.den < 2**64 for _, m in cover.components)
         assert fiber_budget_violations(cover) == []
 
 
@@ -844,7 +892,8 @@ class TestFractionViews:
         assert made == 0
 
     def test_hashing_builds_no_fractions(self, monkeypatch):
-        p = plan(p1_spec(6, 3, 0, 16, (0, 0, 0)))
+        # Case5 k=8: two wraps and four folds on C1, whose image stays a proper arc
+        p = plan(p1_spec(6, 3, 0, 8, (0, 0, 0)))
         cover = realize(p.seed, p.steps)
         maps = [m for _, m in cover.components]
         arcs = [a for _, a in image_arcs(cover)]
