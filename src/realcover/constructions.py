@@ -22,9 +22,9 @@ so its winding stays nonnegative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from enum import Enum
-from typing import Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
 from .topology import (
     CoverSpec,
@@ -94,9 +94,9 @@ class ConstructionStep:
 class LabeledState:
     """Covering state with individually labeled real circles.
 
-    Labels are opaque ids in creation order ("C1".. at seed time, "N1"..
-    for circles created by steps); they let plans address a specific circle
-    even though the canonical degree vector forgets the ordering.
+    Labels are distinct opaque ids in creation order ("C1".. at seed time,
+    "N1".. for circles created by steps); they let plans address a specific
+    circle even though the canonical degree vector forgets the ordering.
     """
 
     g: int
@@ -104,6 +104,10 @@ class LabeledState:
     k: int
     target: CoverTarget
     components: tuple[tuple[str, int], ...]
+    # The winding sum, set by execute_states from its running sum or here on
+    # first read; outside __init__, ==, hash and repr, so replace() and
+    # equality never see it.
+    _sum: Optional[int] = field(default=None, init=False, compare=False, repr=False)
 
     @property
     def s(self) -> int:
@@ -111,7 +115,11 @@ class LabeledState:
 
     @property
     def delta_sum(self) -> int:
-        return sum(d for _, d in self.components)
+        total = self._sum
+        if total is None:
+            total = sum([d for _, d in self.components])
+            object.__setattr__(self, "_sum", total)
+        return total
 
     def canonical_spec(self) -> CoverSpec:
         degrees = DegreeVector.canonical(d for _, d in self.components)
@@ -125,7 +133,7 @@ class LabeledState:
         degree parity is tied to the genus instead and is checked by the
         admissibility predicates, not here.
         """
-        if self.target is CoverTarget.PROJ_LINE:
+        if self.target is _P1:
             total = self.delta_sum
             if total > self.k:
                 return f"winding sum {total} exceeds degree {self.k}"
@@ -226,14 +234,10 @@ def seed_state(seed: BaseSeed) -> LabeledState:
     return LabeledState(seed.g, 1, seed.k, CoverTarget.ANISOTROPIC_CONIC, ())
 
 
-def next_new_label(components: Sequence[tuple[str, int]]) -> str:
-    n = sum(1 for lbl, _ in components if lbl.startswith("N"))
-    return f"N{n + 1}"
-
-
 # The step rules run on every step of every replay and realization, and an
 # Enum member read through its class costs several module-name reads.
 _I, _II, _III, _IV, _V = StepKind
+_RAM = Variant.WITH_REAL_RAM
 _P1, _R0 = CoverTarget.PROJ_LINE, CoverTarget.ANISOTROPIC_CONIC
 # Sheet-budget gain k' - k of each kind.
 _SHEETS = {_I: 1, _II: 0, _III: 1, _IV: 2, _V: 1}
@@ -243,16 +247,23 @@ def _check_step(
     step: ConstructionStep,
     target: CoverTarget,
     k: int,
-    circles: Sequence[tuple[str, int]],
+    circles: Mapping[str, object],
+    total: int,
+    new: int,
     index: Optional[int] = None,
 ) -> tuple[int, Optional[tuple[str, int]]]:
     """The step rules, shared by the symbolic and the PL interpreter.
 
-    circles are the (label, winding) pairs of the real locus.  Raises
-    PreconditionViolated, carrying index as its step index, when the state
-    does not support the step; otherwise returns the sheet-budget gain and
-    the (label, winding) of the circle the step creates, or None: II/ram
-    opens a fold of winding 0, III a monotone wrap of winding 1.
+    circles maps the labels of the real locus to what the interpreter keeps
+    per circle (its winding, or its place in the span form); only its keys
+    are read.  total is the sum of the absolute windings and new the number
+    of circles labeled N..; both interpreters keep the two running, so the
+    rules cost O(1) per step.  Raises PreconditionViolated, carrying index
+    as its step index, when the state does not support the step; otherwise
+    returns the sheet-budget gain and the (label, winding) of the circle the
+    step creates, or None: II/ram opens a fold of winding 0, III a monotone
+    wrap of winding 1.  A new label that already names a circle, which only
+    a hand-built state can hold, raises ValueError.
     """
     kind, reason = step.kind, None
     if kind is _V:
@@ -263,21 +274,81 @@ def _check_step(
     elif kind is _I:
         if not circles:
             reason = "needs at least one real circle"
-        elif step.placement not in [lbl for lbl, _ in circles]:
+        elif step.placement not in circles:
             reason = f"no circle labeled {step.placement!r}"
     elif kind is _II:
-        if sum([abs(d) for _, d in circles]) >= k:
+        if total >= k:
             reason = "needs a non-real point over a real value (winding sum < k)"
     elif kind is _IV and circles:
         reason = "needs an empty real locus"
     if reason is not None:
         raise PreconditionViolated(kind, reason, index)
-    new = None
-    if kind is _III:
-        new = (next_new_label(circles), 1)
-    elif kind is _II and step.variant is Variant.WITH_REAL_RAM:
-        new = (next_new_label(circles), 0)
-    return _SHEETS[kind], new
+    if kind is _III or (kind is _II and step.variant is _RAM):
+        label = f"N{new + 1}"
+        if label in circles:  # N circles numbered out of creation order
+            raise ValueError("circle labels must be distinct")
+        return _SHEETS[kind], (label, 1 if kind is _III else 0)
+    return _SHEETS[kind], None
+
+
+class _Replay:
+    """The mutable state the symbolic interpreter steps: the LabeledState
+    fields with the real locus as a label -> winding dict in creation order,
+    plus the sum of the absolute windings and the count of N circles that
+    _check_step reads.  One step updates them in O(1)."""
+
+    __slots__ = ("g", "a", "k", "target", "windings", "total", "new")
+
+    def __init__(self, state: LabeledState):
+        comps = state.components
+        self.g, self.a, self.k, self.target = state.g, state.a, state.k, state.target
+        self.windings = dict(comps)
+        if len(self.windings) != len(comps):
+            raise ValueError("circle labels must be distinct")
+        self.total = sum([abs(d) for _, d in comps])
+        self.new = sum([lbl.startswith("N") for lbl, _ in comps])
+
+    def step(self, step: ConstructionStep, index: Optional[int] = None) -> None:
+        """Apply one step in place; a refusal leaves the state as it was."""
+        dk, new = _check_step(step, self.target, self.k, self.windings, self.total, self.new, index)
+        kind = step.kind
+        if new is not None:
+            label, w = new
+            self.windings[label] = w
+            self.total += w
+            self.new += 1
+        elif kind is _I:
+            windings, label = self.windings, step.placement
+            d = windings[label]
+            w = windings[label] = (d - 1 if d >= 1 else 1) if step.variant is _RAM else d + 1
+            self.total += abs(w) - abs(d)
+        elif kind is _II:
+            self.a = 1
+        if kind is not _I:
+            self.g += 1
+        self.k += dk
+
+    def state(self, carry_sum: bool = False) -> LabeledState:
+        """The state as a LabeledState; with carry_sum, the running sum is
+        its winding sum, which holds when every winding is nonnegative.
+
+        Built slot by slot: LabeledState.__init__ writes each field through
+        object.__setattr__, which would double the cost of a replay step.
+        """
+        state = _new(LabeledState)
+        _set_g(state, self.g)
+        _set_a(state, self.a)
+        _set_k(state, self.k)
+        _set_target(state, self.target)
+        _set_components(state, tuple(self.windings.items()))
+        _set_sum(state, self.total if carry_sum else None)
+        return state
+
+
+_new = object.__new__
+_set_g, _set_a, _set_k, _set_target, _set_components, _set_sum = (
+    LabeledState.__dict__[f.name].__set__ for f in fields(LabeledState)
+)
 
 
 def apply_step(
@@ -287,35 +358,31 @@ def apply_step(
 
     Raises PreconditionViolated, carrying index as the step index, when the
     state does not support the step; an invalid plan is never silently
-    repaired.
+    repaired.  The step runs on a copy of the state, through the same
+    update execute_states uses; a state whose circles repeat a label
+    raises ValueError.
     """
-    dk, new = _check_step(step, state.target, state.k, state.components, index)
-    kind, comps, a = step.kind, state.components, state.a
-    if new is not None:
-        comps += (new,)
-    elif kind is _I:
-        ram = step.variant is Variant.WITH_REAL_RAM
-        comps = tuple(
-            [
-                (lbl, ((d - 1 if d >= 1 else 1) if ram else d + 1) if lbl == step.placement else d)
-                for lbl, d in comps
-            ]
-        )
-    elif kind is _II:
-        a = 1
-    return LabeledState(state.g + (kind is not _I), a, state.k + dk, state.target, comps)
+    replay = _Replay(state)
+    replay.step(step, index)
+    return replay.state()
 
 
 def execute_states(seed: BaseSeed, steps: Sequence[ConstructionStep]):
     """Yield the seed state and each intermediate state of a step sequence.
 
-    A PreconditionViolated carries the index of the failing step.
+    One mutable working state takes every step, so a step costs O(1) apart
+    from copying the components into the LabeledState it yields.  Each
+    yielded state carries the running winding sum, so invariant_failure
+    does not re-sum it.  A PreconditionViolated carries the index of the
+    failing step.
     """
     state = seed_state(seed)
     yield state
+    replay = _Replay(state)
     for i, step in enumerate(steps):
-        state = apply_step(state, step, i)
-        yield state
+        replay.step(step, i)
+        # Catalog seeds have nonnegative windings and the rules keep them so.
+        yield replay.state(carry_sum=True)
 
 
 # ---------------------------------------------------------------------------

@@ -250,15 +250,18 @@ def image_arcs(cover: PLCover) -> List[Tuple[str, ArcLike]]:
 # The step rules live in constructions._check_step; these are the geometry.
 
 _STRIDE = 2**30  # one CPython digit; see _refine
+_I, _RAM, _NORAM = StepKind.I, Variant.WITH_REAL_RAM, Variant.WITHOUT_REAL_RAM
 
 
 class _Spans:
     """The form plan steps run on: per circle its label, first lift x0,
     segment spans d[i] = x[i+1] - x[i] (the closing one included, so
     sum(d) == closure * den) and closure.  A splice rewrites a few spans,
-    not every later lift."""
+    not every later lift.  Alongside, what constructions._check_step reads,
+    kept running: label -> circle index (labels are distinct), the sum of
+    the absolute closures and the count of N circles."""
 
-    __slots__ = ("den", "circles", "k", "target")
+    __slots__ = ("den", "circles", "k", "target", "index", "total", "new")
 
     def __init__(self, form: _Lifts):
         den, self.den, self.k, self.target = form.den, form.den, form.k, form.target
@@ -266,6 +269,11 @@ class _Spans:
             (lbl, xs[0], list(map(sub, xs[1:] + [xs[0] + w * den], xs)), w)
             for lbl, xs, w in form.circles
         ]
+        self.index = {lbl: j for j, (lbl, _, _) in enumerate(form.circles)}
+        if len(self.index) != len(self.circles):
+            raise ValueError("circle labels must be distinct")
+        self.total = sum([abs(w) for _, _, w in form.circles])
+        self.new = sum([lbl.startswith("N") for lbl, _, _ in form.circles])
 
     def lifts(self) -> _Lifts:
         circles = [(lbl, list(accumulate(d[:-1], initial=x0)), w) for lbl, x0, d, w in self.circles]
@@ -280,18 +288,21 @@ def _refine(form: _Spans) -> None:
     form.circles[:] = [(lbl, x0 * f, [x * f for x in d], w) for lbl, x0, d, w in form.circles]
 
 
-def _splice(form: _Spans, j: int, fold: bool) -> None:
-    """Splice into the widest climb of circle j (ties to the earliest) a full
-    turn, winding + 1, or for a fold a backward turn, winding - 1, whose
-    small gap loses a preimage where every other value gains one."""
+def _splice(form: _Spans, j: int, fold: bool, m: int = 1) -> None:
+    """Splice into the widest climb of circle j (ties to the earliest) m full
+    turns, winding + m, or for a fold (m = 1) a backward turn, winding - 1,
+    whose small gap loses a preimage where every other value gains one.
+
+    A wrap leaves its climb strictly the widest, so m single wraps all land
+    on the climb the first one takes: a run costs one scan of the spans."""
     lbl, x0, d, closure = form.circles[j]
     w = max(d)
     if w <= 0:
         raise ValueError("map has no increasing segment")
     i = d.index(w)
     if not fold:
-        d[i] += form.den
-        form.circles[j] = (lbl, x0, d, closure + 1)
+        d[i] += m * form.den
+        form.circles[j] = (lbl, x0, d, closure + m)
         return
     # u -> u + w becomes u -> c - h -> c + h - den -> u + w - den, c = u + w/2,
     # h = m/8 <= den/4: spans a = (4w - m)/8, m/4 - den (< 0) and a again.
@@ -323,22 +334,28 @@ def _new_fold(form: _Spans) -> Tuple[int, List[int]]:
     return a + gap // 4, [gap // 2, -gap // 2]
 
 
-def _step(form: _Spans, step: ConstructionStep, index: Optional[int] = None) -> None:
-    """Apply the PL surgery of one construction step to the span form in
-    place; constructions._check_step enforces its rules, gives the budget
-    gain and names a new circle, this adds the splice, new fold or wrap."""
-    circles = [(lbl, w) for lbl, _, _, w in form.circles]
-    dk, new = _check_step(step, form.target, form.k, circles, index)
+def _step(form: _Spans, step: ConstructionStep, index: Optional[int] = None, m: int = 1) -> None:
+    """Apply the PL surgery of one construction step, or of a run of m equal
+    I/noram steps, to the span form in place; constructions._check_step
+    enforces the rules, gives the budget gain and names a new circle, this
+    adds the splice, new fold or wrap.  A run needs one check: a wrap keeps
+    the labels and the target, so its equal successors pass too."""
+    dk, new = _check_step(step, form.target, form.k, form.index, form.total, form.new, index)
     if new is not None:
         label, w = new
         if w and form.den % 2:  # III: a monotone wrap over half the circle
             _refine(form)
         x0, d = (0, [form.den // 2] * 2) if w else _new_fold(form)  # else II/ram: a fold
+        form.index[label] = len(form.circles)
         form.circles.append((label, x0, d, w))
-    elif step.kind is StepKind.I:
-        for j in [j for j, (lbl, _) in enumerate(circles) if lbl == step.placement]:
-            _splice(form, j, step.variant is Variant.WITH_REAL_RAM)
-    form.k += dk
+        form.total += w
+        form.new += 1
+    elif step.kind is _I:
+        j = form.index[step.placement]
+        w = form.circles[j][3]
+        _splice(form, j, step.variant is _RAM, m)
+        form.total += abs(form.circles[j][3]) - abs(w)
+    form.k += m * dk
 
 
 def surgery(cover: PLCover, step: ConstructionStep) -> PLCover:
@@ -348,7 +365,8 @@ def surgery(cover: PLCover, step: ConstructionStep) -> PLCover:
     ones (constructions._check_step), so a refusal reads as apply_step's.
     Kinds I, II and III operate on the real locus; IV and V have no real
     picture and only update the sheet budget.  Sites are chosen canonically,
-    so realizations are deterministic.
+    so realizations are deterministic.  A cover whose circles repeat a
+    label raises ValueError.
     """
     form = _Spans(_encode(cover))
     _step(form, step)
@@ -482,14 +500,23 @@ def seed_cover(seed: BaseSeed) -> PLCover:
 def realize(seed: BaseSeed, steps: Sequence[ConstructionStep]) -> PLCover:
     """Fold the PL surgeries of a plan over its seed realization.
 
-    The seed cover is encoded once into span form, each step splices a few
-    spans, refining den by a stride of 2**30 about once in ten folds, and
-    the result is decoded and validated, at its least denominator, once at
-    the end.  A refused step raises PreconditionViolated carrying its index.
+    The seed cover is encoded once into span form and each step splices a
+    few spans, refining den by a stride of 2**30 about once in ten folds.
+    A maximal run of m equal I/noram steps is one splice, d[i] += m * den,
+    the same spans as m single wraps; a fold still scans its circle's spans
+    for the widest climb.  The result is decoded and validated, at its
+    least denominator, once at the end.  A refused step raises
+    PreconditionViolated carrying its index, the first of its run.
     """
     form = _Spans(_encode(seed_cover(seed)))
-    for i, step in enumerate(steps):
-        _step(form, step, i)
+    i, n = 0, len(steps)
+    while i < n:
+        step, m = steps[i], 1
+        if step.kind is _I and step.variant is _NORAM:
+            while i + m < n and steps[i + m] == step:
+                m += 1
+        _step(form, step, i, m)
+        i += m
     return _decode(form.lifts())
 
 

@@ -276,10 +276,10 @@ def spec_from_json(obj: object) -> CoverSpec:
     vec = DegreeVector(tuple(deg))
     if not vec.is_canonical():
         raise ValueError("spec.deg: entries must be sorted non-increasing")
+    if obj["g"] < 0 or obj["s"] < 0:
+        raise ValueError("spec.g/spec.s: must be nonnegative")
     if len(deg) != obj["s"]:
         raise ValueError("spec.deg: length must equal s")
     if obj["k"] < 2:
         raise ValueError("spec.k: covering degree must be >= 2")
-    if obj["g"] < 0 or obj["s"] < 0:
-        raise ValueError("spec.g/spec.s: must be nonnegative")
     return CoverSpec(TopType(obj["g"], obj["s"], obj["a"]), target, obj["k"], vec)

@@ -28,7 +28,6 @@ from realcover.constructions import (
     Variant,
     apply_step,
     execute_states,
-    next_new_label,
     seed_state,
 )
 from realcover.plsim import (
@@ -75,6 +74,13 @@ def map_of(cover, label):
         if lbl == label:
             return m
     raise KeyError(label)
+
+
+def next_new_label(components):
+    """The label of the next circle a step creates: N1, N2, ... counting the
+    N circles already there."""
+    n = sum(1 for lbl, _ in components if lbl.startswith("N"))
+    return f"N{n + 1}"
 
 
 def windings(cover):

@@ -197,6 +197,10 @@ class TestErrorMessages:
                 json.dumps({**_SPEC_FIELDS, "g": -1, "deg": [1, 0]}),
                 "spec.g/spec.s: must be nonnegative",
             ),
+            (
+                json.dumps({**_SPEC_FIELDS, "s": -1, "deg": []}),
+                "spec.g/spec.s: must be nonnegative",
+            ),
         ],
     )
     def test_malformed_spec(self, capsys, command, text, message):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -14,6 +16,7 @@ from realcover.constructions import (
     StepKind,
     Variant,
     apply_step,
+    execute_states,
     seed_state,
     seed_to_json,
     step_from_json,
@@ -195,6 +198,29 @@ class TestExecute:
     def test_invariant_failure_messages(self, k, windings, target, failure):
         comps = tuple((f"C{i + 1}", d) for i, d in enumerate(windings))
         assert LabeledState(3, 0, k, target, comps).invariant_failure() == failure
+
+
+class TestReplay:
+    @pytest.mark.parametrize("labels", [("C1", "C1"), ("C1", "N2")])
+    def test_repeated_labels_refused(self, labels):
+        # ("C1", "N2") would name its next new circle N2 again
+        comps = tuple((lbl, 1) for lbl in labels)
+        state = LabeledState(3, 0, 4, CoverTarget.PROJ_LINE, comps)
+        with pytest.raises(ValueError, match="labels must be distinct"):
+            apply_step(state, ConstructionStep(StepKind.III))
+
+    def test_carried_winding_sum_is_invisible(self):
+        # execute_states hands each state its running winding sum; equality,
+        # hashing, repr and replace() do not see it.
+        steps = [ConstructionStep(StepKind.I, NORAM, "C1"), ConstructionStep(StepKind.III)]
+        *_, replayed = execute_states(hyper(4, 1, 0, (2,)), steps)
+        built = LabeledState(
+            replayed.g, replayed.a, replayed.k, replayed.target, replayed.components
+        )
+        assert replayed == built and hash(replayed) == hash(built)
+        assert repr(replayed) == repr(built)
+        assert replayed.delta_sum == built.delta_sum == 4
+        assert replace(replayed, components=(("C1", 1),)).delta_sum == 1
 
 
 def _random_states():

@@ -19,7 +19,9 @@ from realcover.constructions import (
     PreconditionViolated,
     StepKind,
     Variant,
+    apply_step,
     execute_states,
+    seed_state,
 )
 from realcover.covering4 import CoveringNumberTarget, build_covnum, covering_number
 from realcover.planner import Plan, plan, verify_plan
@@ -632,6 +634,47 @@ def bouncing_case5(k):
 HAND_BUILT = (alternating_case3(201), bouncing_case5(128))
 
 
+def surgery_chain(seed, steps):
+    """realize by one surgery per step, each encoding and decoding its cover."""
+    cover = seed_cover(seed)
+    for i, step in enumerate(steps):
+        try:
+            cover = surgery(cover, step)
+        except PreconditionViolated as exc:
+            raise PreconditionViolated(exc.kind, exc.reason, i) from None
+    return cover
+
+
+def _runs(*parts):
+    """Steps from (step, count) parts."""
+    return tuple(step for step, m in parts for _ in range(m))
+
+
+_FOLD1, _WRAP1 = ConstructionStep(StepKind.I, RAM, "C1"), ConstructionStep(StepKind.I, NORAM, "C1")
+_WRAP2 = ConstructionStep(StepKind.I, NORAM, "C2")
+_WRAPN1 = ConstructionStep(StepKind.I, NORAM, "N1")
+_III, _II_RAM = ConstructionStep(StepKind.III), ConstructionStep(StepKind.II, RAM)
+_II_NORAM, _V = ConstructionStep(StepKind.II, NORAM), ConstructionStep(StepKind.V)
+
+# Runs of wraps broken by folds, by wraps on other circles, by new circles
+# and by steps off the real locus; the last two are refused, one at the
+# first step of a run and one between runs.
+BROKEN_RUNS = [
+    (hyper(6, 1, 0, (2,)), _runs((_WRAP1, 3), (_FOLD1, 1), (_WRAP1, 2), (_FOLD1, 2), (_WRAP1, 5))),
+    (hyper(3, 2, 0, (1, 1)), _runs((_WRAP1, 2), (_WRAP2, 3), (_WRAP1, 4), (_III, 1), (_WRAPN1, 3))),
+    (
+        hyper(4, 3, 1, (0, 0, 0)),
+        _runs((_WRAP2, 4), (_II_NORAM, 1), (_WRAP2, 2), (_II_RAM, 1), (_WRAP1, 3)),
+    ),
+    (
+        hyper(2, 1, 0, (2,)),
+        _runs((_WRAP1, 40), (_FOLD1, 1), (_WRAP1, 39), (_FOLD1, 30), (_WRAP1, 7)),
+    ),
+    (hyper(2, 1, 0, (2,)), _runs((_WRAP1, 2), (_WRAPN1, 3), (_WRAP1, 2))),
+    (hyper(4, 1, 0, (0,)), _runs((_WRAP1, 2), (_II_RAM, 1), (_WRAP1, 2), (_V, 1), (_WRAP1, 2))),
+]
+
+
 def criterion_box_plans():
     """Every plan over P1 in g <= 8, 3 <= k <= 6 (947 plans)."""
     for g, s, a, target, k, deg in all_box_tuples(8, 3, 6):
@@ -745,6 +788,12 @@ class TestIntegerLifts:
         step = ConstructionStep(*kind, label if kind[0] is StepKind.I else None)
         assert outcome(surgery, cover, step) == outcome(fraction_surgery, cover, step)
 
+    def test_surgery_refuses_repeated_labels(self):
+        m = map_of(seed_cover(hyper(4, 3, 1, (0, 0, 0))), "C1")
+        cover = PLCover((("C1", m), ("C1", m)), 4, CoverTarget.PROJ_LINE)
+        with pytest.raises(ValueError, match="labels must be distinct"):
+            surgery(cover, ConstructionStep(StepKind.I, NORAM, "C1"))
+
     def test_surgery_keeps_untouched_maps(self):
         cover = seed_cover(hyper(4, 3, 1, (0, 0, 0)))
         before = dict(cover.components)
@@ -782,6 +831,38 @@ class TestIntegerLifts:
         assert folds == 500
         assert 0 < calls <= ceil(3 * folds / 30) + 2
 
+    def test_wrap_runs_are_one_splice(self, monkeypatch):
+        # The planner's Case3 plans wrap C1 in one run before they fold it:
+        # realize splices the run once, so a fold or a run costs one scan of
+        # the spans, not every wrap.
+        p = plan(p1_spec(6, 1, 0, 1001, (1,)))
+        folds = sum(step.variant is RAM for step in p.steps)
+        runs = sum(
+            step.variant is NORAM and (i == 0 or p.steps[i - 1] != step)
+            for i, step in enumerate(p.steps)
+        )
+        assert (folds, runs) == (500, 1)
+        calls = 0
+        splice = plsim._splice
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            splice(*args)
+
+        monkeypatch.setattr(plsim, "_splice", counting)
+        cover = realize(p.seed, p.steps)
+        assert 0 < calls <= folds + runs
+        assert cover_to_json(cover) == cover_to_json(surgery_chain(p.seed, p.steps))
+
+    @pytest.mark.parametrize(
+        "seed, steps", BROKEN_RUNS + [(p.seed, p.steps) for _, p in HAND_BUILT]
+    )
+    def test_wrap_runs_match_single_surgeries(self, seed, steps):
+        # A run of m wraps gives the bytes of m single-step surgeries, also
+        # where other steps break the runs and where a run is refused.
+        assert outcome(realize, seed, steps) == outcome(surgery_chain, seed, steps)
+
     @pytest.mark.parametrize("provenance, top, deg, k", DEEPEST_RUNGS)
     def test_deep_plans_keep_small_denominators(self, provenance, top, deg, k):
         # The plans wrap before they fold, so the folds halve wide climbs
@@ -796,15 +877,20 @@ class TestIntegerLifts:
         assert fiber_budget_violations(cover) == []
 
 
-# Steps drawn blind: placements among labels a cover may or may not have.
+# Steps drawn blind: placements among labels a cover may or may not have,
+# each step repeated up to three times so that runs of equal wraps occur;
+# at most 12 steps.
 blind_steps = st.lists(
-    st.builds(
-        lambda kind, label: ConstructionStep(*kind, label if kind[0] is StepKind.I else None),
-        fuzz_kinds,
-        st.sampled_from(["C1", "C2", "C3", "N1", "N2", "C9"]),
+    st.tuples(
+        st.builds(
+            lambda kind, label: ConstructionStep(*kind, label if kind[0] is StepKind.I else None),
+            fuzz_kinds,
+            st.sampled_from(["C1", "C2", "C3", "N1", "N2", "C9"]),
+        ),
+        st.integers(1, 3),
     ),
     max_size=8,
-)
+).map(lambda runs: [step for step, m in runs for _ in range(m)][:12])
 
 
 def refusal_or(fn):
@@ -821,15 +907,32 @@ class TestStepRules:
     @settings(max_examples=300, deadline=None)
     @given(st.sampled_from(FUZZ_SEEDS), blind_steps)
     def test_execute_states_and_realize_agree(self, seed, steps):
-        def symbolic():
-            *_, state = execute_states(seed, steps)
-            return dict(state.components), state.k
+        # execute_states steps one mutable state and apply_step a copy per
+        # step: both must give the same states, or the same refusal at the
+        # same step, and the winding sum each yielded state carries must be
+        # its own.
+        def replayed():
+            return list(execute_states(seed, steps))
+
+        def folded():
+            states = [seed_state(seed)]
+            for i, step in enumerate(steps):
+                states.append(apply_step(states[-1], step, i))
+            return states
 
         def pl():
             cover = realize(seed, steps)
             return windings(cover), cover.k
 
-        assert refusal_or(symbolic) == refusal_or(pl)
+        states = refusal_or(replayed)
+        assert states == refusal_or(folded)
+        if isinstance(states, list):
+            sums = [sum(d for _, d in s.components) for s in states]
+            assert [s.delta_sum for s in states] == sums
+            final = dict(states[-1].components), states[-1].k
+        else:
+            final = states
+        assert final == refusal_or(pl)
 
 
 def rebuilt(cover):

@@ -84,3 +84,38 @@ def test_environment_reads_are_found():
         "os.getenv('D'); getenv('E'); environ.get(name)\n"
     )
     assert environment_reads(tree) == {"A", "B", "C", "D", "E", "?"}
+
+
+def constructions_of(tree, name):
+    """(enclosing function, line) of every call name(...) or x.name(...) in
+    the module; the function is None at module or class level."""
+
+    def walk(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                callee = child.func
+                if getattr(callee, "id", getattr(callee, "attr", None)) == name:
+                    yield func, child.lineno
+            is_def = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            yield from walk(child, child.name if is_def else func)
+
+    return list(walk(tree, None))
+
+
+def test_step_refusals_come_from_the_step_table():
+    # The symbolic and the PL interpreter share one step table: a refusal
+    # raised anywhere else would be a rule only one of them knows.
+    sites = {
+        (path.name, func)
+        for path in SOURCES
+        for func, _ in constructions_of(parse(path), "PreconditionViolated")
+    }
+    assert sites == {("constructions.py", "_check_step")}
+
+
+def test_constructions_are_found():
+    tree = ast.parse(
+        "E(1)\nclass C:\n    def m(self):\n        raise mod.E('a')\n"
+        "def f():\n    def g():\n        return E(2)\n    return [E(3) for _ in ()]\n"
+    )
+    assert constructions_of(tree, "E") == [(None, 1), ("m", 4), ("g", 7), ("f", 8)]
