@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 from typing import Iterable, List, Optional
 
@@ -149,21 +148,10 @@ def _cmd_covnum(args) -> int:
     return 0
 
 
-def _enum_block(args_tuple) -> str:
+def _enum_block(g: int, k_max: int) -> str:
     """The genus block's specs as a JSON array without its brackets."""
-    g, k_max = args_tuple
     specs = [topology.spec_to_json(s) for s in topology.enumerate_admissible_genus(g, k_max)]
     return json.dumps(specs, separators=(",", ":"))[1:-1]
-
-
-def _scan_workers(blocks: int) -> int:
-    try:
-        workers = int(os.environ.get("REALCOVER_SCAN_WORKERS", "1"))
-    except ValueError:
-        raise ValueError("REALCOVER_SCAN_WORKERS: expected an integer") from None
-    # A process pool starts all its workers at the first submit, so never ask
-    # for more than there are blocks or CPUs.
-    return min(workers, blocks, os.cpu_count() or 1)
 
 
 def _write_blocks(blocks: Iterable[str]) -> None:
@@ -182,15 +170,7 @@ def _write_blocks(blocks: Iterable[str]) -> None:
 def _cmd_enumerate(args) -> int:
     if args.g_max < 0 or args.k_max < 2:
         raise ValueError("enumerate: need g_max >= 0 and k_max >= 2")
-    tasks = [(g, args.k_max) for g in range(args.g_max + 1)]
-    workers = _scan_workers(len(tasks))
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            _write_blocks(pool.map(_enum_block, tasks))
-    else:
-        _write_blocks(map(_enum_block, tasks))
+    _write_blocks(_enum_block(g, args.k_max) for g in range(args.g_max + 1))
     return 0
 
 

@@ -8,7 +8,7 @@ real locus is untouched near the node).
 
 Delta table, per (kind, variant):
 
-    I/ram     g+0  k+1  s+0  placed winding d -> d-1 if d >= 1 else 1
+    I/ram     g+0  k+1  s+0  placed winding d -> |d-1|
     I/noram   g+0  k+1  s+0  placed winding d -> d+1
     II/ram    g+1  k+0  s+1  new circle with winding 0
     II/noram  g+1  k+0  s+0  a -> 1
@@ -16,15 +16,15 @@ Delta table, per (kind, variant):
     IV        g+1  k+2  s=0 unchanged (target P1, no real points)
     V         g+1  k+1  s=0 unchanged (target R0)
 
-The flip in I/ram at winding 0 comes from re-orienting the deformed circle
-so its winding stays nonnegative.
+The absolute value in I/ram comes from re-orienting the deformed circle
+so its winding stays nonnegative: at winding 0 the fold gives winding 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from enum import Enum
-from typing import Mapping, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .topology import (
     CoverSpec,
@@ -244,28 +244,20 @@ _SHEETS = {_I: 1, _II: 0, _III: 1, _IV: 2, _V: 1}
 
 
 def _check_step(
-    step: ConstructionStep,
-    target: CoverTarget,
-    k: int,
-    circles: Mapping[str, object],
-    total: int,
-    new: int,
-    index: Optional[int] = None,
-) -> tuple[int, Optional[tuple[str, int]]]:
+    state: _Replay, step: ConstructionStep, index: Optional[int] = None
+) -> Optional[tuple[str, int]]:
     """The step rules, shared by the symbolic and the PL interpreter.
 
-    circles maps the labels of the real locus to what the interpreter keeps
-    per circle (its winding, or its place in the span form); only its keys
-    are read.  total is the sum of the absolute windings and new the number
-    of circles labeled N..; both interpreters keep the two running, so the
-    rules cost O(1) per step.  Raises PreconditionViolated, carrying index
-    as its step index, when the state does not support the step; otherwise
-    returns the sheet-budget gain and the (label, winding) of the circle the
-    step creates, or None: II/ram opens a fold of winding 0, III a monotone
-    wrap of winding 1.  A new label that already names a circle, which only
-    a hand-built state can hold, raises ValueError.
+    Reads the working state: its target, k, the labels of its real locus,
+    the sum of its absolute windings and its count of N circles, all kept
+    running, so the rules cost O(1) per step.  Raises PreconditionViolated,
+    carrying index as its step index, when the state does not support the
+    step; otherwise returns the (label, winding) of the circle the step
+    creates, or None: II/ram opens a fold of winding 0, III a monotone wrap
+    of winding 1.  A new label that already names a circle, which only a
+    hand-built state can hold, raises ValueError.
     """
-    kind, reason = step.kind, None
+    kind, target, circles, reason = step.kind, state.target, state.windings, None
     if kind is _V:
         if target is not _R0:
             reason = "requires a covering of R0"
@@ -277,25 +269,26 @@ def _check_step(
         elif step.placement not in circles:
             reason = f"no circle labeled {step.placement!r}"
     elif kind is _II:
-        if total >= k:
+        if state.total >= state.k:
             reason = "needs a non-real point over a real value (winding sum < k)"
     elif kind is _IV and circles:
         reason = "needs an empty real locus"
     if reason is not None:
         raise PreconditionViolated(kind, reason, index)
     if kind is _III or (kind is _II and step.variant is _RAM):
-        label = f"N{new + 1}"
+        label = f"N{state.new + 1}"
         if label in circles:  # N circles numbered out of creation order
             raise ValueError("circle labels must be distinct")
-        return _SHEETS[kind], (label, 1 if kind is _III else 0)
-    return _SHEETS[kind], None
+        return label, 1 if kind is _III else 0
+    return None
 
 
 class _Replay:
-    """The mutable state the symbolic interpreter steps: the LabeledState
-    fields with the real locus as a label -> winding dict in creation order,
-    plus the sum of the absolute windings and the count of N circles that
-    _check_step reads.  One step updates them in O(1)."""
+    """The working state both interpreters step: the LabeledState fields
+    with the real locus as a label -> winding dict in creation order, plus
+    the sum of the absolute windings and the count of N circles that
+    _check_step reads.  One step updates them in O(1); plsim's span form is
+    this state plus the geometry of each circle."""
 
     __slots__ = ("g", "a", "k", "target", "windings", "total", "new")
 
@@ -308,10 +301,15 @@ class _Replay:
         self.total = sum([abs(d) for _, d in comps])
         self.new = sum([lbl.startswith("N") for lbl, _ in comps])
 
-    def step(self, step: ConstructionStep, index: Optional[int] = None) -> None:
-        """Apply one step in place; a refusal leaves the state as it was."""
-        dk, new = _check_step(step, self.target, self.k, self.windings, self.total, self.new, index)
+    def step(
+        self, step: ConstructionStep, index: Optional[int] = None, m: int = 1
+    ) -> Optional[tuple[str, int]]:
+        """Apply one step in place, or a run of m equal I/noram steps: a wrap
+        keeps the labels and the target, so its equal successors pass the
+        rules too.  Returns the (label, winding) of the circle the step
+        creates, or None; a refusal leaves the state as it was."""
         kind = step.kind
+        new = _check_step(self, step, index)
         if new is not None:
             label, w = new
             self.windings[label] = w
@@ -320,13 +318,14 @@ class _Replay:
         elif kind is _I:
             windings, label = self.windings, step.placement
             d = windings[label]
-            w = windings[label] = (d - 1 if d >= 1 else 1) if step.variant is _RAM else d + 1
+            w = windings[label] = abs(d - 1) if step.variant is _RAM else d + m
             self.total += abs(w) - abs(d)
         elif kind is _II:
             self.a = 1
         if kind is not _I:
             self.g += 1
-        self.k += dk
+        self.k += m * _SHEETS[kind]
+        return new
 
     def state(self, carry_sum: bool = False) -> LabeledState:
         """The state as a LabeledState; with carry_sum, the running sum is

@@ -31,7 +31,7 @@ are built only when a caller reads its breakpoints.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from math import lcm
 from typing import Tuple
 
 from .arcs import min_circle_cover
@@ -100,9 +100,11 @@ def _build_m_split(g: int, kcov: int) -> _Lifts:
     form = _build_m_max(kcov - 1)
     n = g - kcov + 1
     m = kcov + kcov % 2
-    lo = Fraction(1 + kcov % 2, m) - Fraction(1, 8 * m)
-    start, q = form.lift(lo, Fraction(1, 16 * m * (n + 1)))  # q: a quarter spacing
+    unit = 16 * m * (n + 1)  # 1 / unit: a quarter spacing
+    form.scale(lcm(form.den, unit) // form.den)
     den = form.den
+    q = den // unit
+    start = (16 * (1 + kcov % 2) - 2) * (n + 1) * q  # (1 + kcov % 2)/m - 1/(8 m), over den
     j = 0  # C1 first, then the circle split off last; the base has no N labels
     for i in range(1, n + 1):
         f = form.den // den  # a split refines den when its gap needs halving

@@ -33,9 +33,10 @@ from .arcs import FULL_CIRCLE, Arc, ArcLike
 from .constructions import (
     BaseSeed,
     ConstructionStep,
+    LabeledState,
     StepKind,
     Variant,
-    _check_step,
+    _Replay,
     seed_state,
 )
 from .topology import CoverTarget
@@ -136,12 +137,6 @@ class _Lifts:
         if f != 1:
             self.den *= f
             self.circles = [(lbl, [x * f for x in xs], w) for lbl, xs, w in self.circles]
-
-    def lift(self, *values) -> List[Optional[int]]:
-        """The values in units of 1 / den (None passes), after scaling den to fit all."""
-        fracs = [None if v is None else Fraction(v) for v in values]
-        self.scale(lcm(self.den, *(v.denominator for v in fracs if v is not None)) // self.den)
-        return [None if v is None else v.numerator * (self.den // v.denominator) for v in fracs]
 
 
 def _encode(cover: PLCover) -> _Lifts:
@@ -247,37 +242,43 @@ def image_arcs(cover: PLCover) -> List[Tuple[str, ArcLike]]:
 
 # ---------------------------------------------------------------------------
 # Surgeries mirroring the symbolic constructions, on the span form.
-# The step rules live in constructions._check_step; these are the geometry.
+# The step rules and the windings live in constructions._Replay; these are
+# the geometry.
 
 _STRIDE = 2**30  # one CPython digit; see _refine
 _I, _RAM, _NORAM = StepKind.I, Variant.WITH_REAL_RAM, Variant.WITHOUT_REAL_RAM
 
 
 class _Spans:
-    """The form plan steps run on: per circle its label, first lift x0,
-    segment spans d[i] = x[i+1] - x[i] (the closing one included, so
-    sum(d) == closure * den) and closure.  A splice rewrites a few spans,
-    not every later lift.  Alongside, what constructions._check_step reads,
-    kept running: label -> circle index (labels are distinct), the sum of
-    the absolute closures and the count of N circles."""
+    """The form plan steps run on: replay, the symbolic working state
+    (constructions._Replay) of the cover's windings, k and target, plus den
+    and per label its circle's first lift x0 and segment spans d[i] =
+    x[i+1] - x[i], the closing one included, so sum(d) == winding * den.
+    A splice rewrites a few spans, not every later lift.  Holding the state
+    rather than subclassing it keeps the rules' attribute reads on one type
+    in both interpreters."""
 
-    __slots__ = ("den", "circles", "k", "target", "index", "total", "new")
+    __slots__ = ("replay", "den", "spans")
 
-    def __init__(self, form: _Lifts):
-        den, self.den, self.k, self.target = form.den, form.den, form.k, form.target
-        self.circles = [
-            (lbl, xs[0], list(map(sub, xs[1:] + [xs[0] + w * den], xs)), w)
+    def __init__(self, cover: PLCover):
+        # The rules read neither the genus nor a, which a PLCover does not have.
+        windings = tuple([(lbl, m.closure) for lbl, m in cover.components])
+        self.replay = _Replay(LabeledState(0, 0, cover.k, cover.target, windings))
+        form = _encode(cover)
+        den = self.den = form.den
+        self.spans = {
+            lbl: (xs[0], list(map(sub, xs[1:] + [xs[0] + w * den], xs)))
             for lbl, xs, w in form.circles
-        ]
-        self.index = {lbl: j for j, (lbl, _, _) in enumerate(form.circles)}
-        if len(self.index) != len(self.circles):
-            raise ValueError("circle labels must be distinct")
-        self.total = sum([abs(w) for _, _, w in form.circles])
-        self.new = sum([lbl.startswith("N") for lbl, _, _ in form.circles])
+        }
 
     def lifts(self) -> _Lifts:
-        circles = [(lbl, list(accumulate(d[:-1], initial=x0)), w) for lbl, x0, d, w in self.circles]
-        return _Lifts(self.den, circles, self.k, self.target)
+        replay = self.replay
+        w = replay.windings
+        circles = [
+            (lbl, list(accumulate(d[:-1], initial=x0)), w[lbl])
+            for lbl, (x0, d) in self.spans.items()
+        ]
+        return _Lifts(self.den, circles, replay.k, replay.target)
 
 
 def _refine(form: _Spans) -> None:
@@ -285,46 +286,46 @@ def _refine(form: _Spans) -> None:
     times 8 at most, so this O(B) rescale runs about once in ten folds."""
     f = _STRIDE
     form.den *= f
-    form.circles[:] = [(lbl, x0 * f, [x * f for x in d], w) for lbl, x0, d, w in form.circles]
+    form.spans = {lbl: (x0 * f, [x * f for x in d]) for lbl, (x0, d) in form.spans.items()}
 
 
-def _splice(form: _Spans, j: int, fold: bool, m: int = 1) -> None:
-    """Splice into the widest climb of circle j (ties to the earliest) m full
-    turns, winding + m, or for a fold (m = 1) a backward turn, winding - 1,
+def _splice(form: _Spans, label: str, before: int, fold: bool, m: int = 1) -> None:
+    """Splice into the widest climb of the circle, of winding before (ties
+    to the earliest), m full turns, or for a fold (m = 1) a backward turn
     whose small gap loses a preimage where every other value gains one.
+    The state already holds the new winding; where it is not the spliced
+    spans' before - 1, the circle is read backwards.
 
     A wrap leaves its climb strictly the widest, so m single wraps all land
     on the climb the first one takes: a run costs one scan of the spans."""
-    lbl, x0, d, closure = form.circles[j]
+    x0, d = form.spans[label]
     w = max(d)
     if w <= 0:
         raise ValueError("map has no increasing segment")
     i = d.index(w)
     if not fold:
         d[i] += m * form.den
-        form.circles[j] = (lbl, x0, d, closure + m)
         return
     # u -> u + w becomes u -> c - h -> c + h - den -> u + w - den, c = u + w/2,
     # h = m/8 <= den/4: spans a = (4w - m)/8, m/4 - den (< 0) and a again.
     m = min(w, 2 * form.den)
     if (4 * w - m) % 8 or m % 4:
         _refine(form)
-        lbl, x0, d, closure = form.circles[j]
+        x0, d = form.spans[label]
         w, m = w * _STRIDE, m * _STRIDE
     a = (4 * w - m) // 8
     d[i : i + 1] = [a, m // 4 - form.den, a]
-    closure -= 1
-    # Read the circle backwards so the winding is nonnegative: an O(B) pass
+    # Read the circle backwards so its winding is the state's: an O(B) pass
     # that only a fold at winding 0 needs, which planner plans never emit.
-    if closure < 0:
-        x0, d, closure = x0 + closure * form.den, list(map(neg, reversed(d))), -closure
-    form.circles[j] = (lbl, x0, d, closure)
+    closure = before - 1
+    if closure != form.replay.windings[label]:
+        form.spans[label] = (x0 + closure * form.den, list(map(neg, reversed(d))))
 
 
 def _new_fold(form: _Spans) -> Tuple[int, List[int]]:
     """x0 and spans of a winding-0 fold a quarter of the way into the widest
     interval where two more sheets fit, back out a quarter before its end."""
-    slack = [iv for iv in _sweep(form.lifts()) if iv[2] <= form.k - 2]
+    slack = [iv for iv in _sweep(form.lifts()) if iv[2] <= form.replay.k - 2]
     if not slack:
         raise BudgetExceeded("no regular interval has room for two more real sheets")
     a, gap, _ = max(slack, key=lambda iv: (iv[1], -iv[0]))
@@ -335,40 +336,35 @@ def _new_fold(form: _Spans) -> Tuple[int, List[int]]:
 
 
 def _step(form: _Spans, step: ConstructionStep, index: Optional[int] = None, m: int = 1) -> None:
-    """Apply the PL surgery of one construction step, or of a run of m equal
-    I/noram steps, to the span form in place; constructions._check_step
-    enforces the rules, gives the budget gain and names a new circle, this
-    adds the splice, new fold or wrap.  A run needs one check: a wrap keeps
-    the labels and the target, so its equal successors pass too."""
-    dk, new = _check_step(step, form.target, form.k, form.index, form.total, form.new, index)
-    if new is not None:
+    """Apply one construction step, or a run of m equal I/noram steps, to
+    the span form in place.  _Replay.step checks the rules and updates the
+    windings, k and labels; this adds only the geometry: a new fold or wrap,
+    or a splice into the placed circle.  A refusal raises before any span
+    changes."""
+    label = step.placement  # kind I only
+    replay = form.replay
+    before = replay.windings.get(label)
+    new = replay.step(step, index, m)
+    if label is not None:
+        _splice(form, label, before, step.variant is _RAM, m)
+    elif new is not None:
         label, w = new
         if w and form.den % 2:  # III: a monotone wrap over half the circle
             _refine(form)
-        x0, d = (0, [form.den // 2] * 2) if w else _new_fold(form)  # else II/ram: a fold
-        form.index[label] = len(form.circles)
-        form.circles.append((label, x0, d, w))
-        form.total += w
-        form.new += 1
-    elif step.kind is _I:
-        j = form.index[step.placement]
-        w = form.circles[j][3]
-        _splice(form, j, step.variant is _RAM, m)
-        form.total += abs(form.circles[j][3]) - abs(w)
-    form.k += m * dk
+        form.spans[label] = (0, [form.den // 2] * 2) if w else _new_fold(form)  # II/ram
 
 
 def surgery(cover: PLCover, step: ConstructionStep) -> PLCover:
     """Apply the PL surgery mirroring one construction step.
 
-    The step's preconditions, budget gain and new label are the symbolic
-    ones (constructions._check_step), so a refusal reads as apply_step's.
-    Kinds I, II and III operate on the real locus; IV and V have no real
-    picture and only update the sheet budget.  Sites are chosen canonically,
-    so realizations are deterministic.  A cover whose circles repeat a
-    label raises ValueError.
+    The step runs on the symbolic working state of the cover's windings, so
+    its rules, refusals, windings and new labels are apply_step's.  Kinds
+    I, II and III operate on the real locus; IV and V have no real picture
+    and only update the sheet budget.  Sites are chosen canonically, so
+    realizations are deterministic.  A cover whose circles repeat a label
+    raises ValueError.
     """
-    form = _Spans(_encode(cover))
+    form = _Spans(cover)
     _step(form, step)
     return _decode(form.lifts())
 
@@ -500,20 +496,23 @@ def seed_cover(seed: BaseSeed) -> PLCover:
 def realize(seed: BaseSeed, steps: Sequence[ConstructionStep]) -> PLCover:
     """Fold the PL surgeries of a plan over its seed realization.
 
-    The seed cover is encoded once into span form and each step splices a
-    few spans, refining den by a stride of 2**30 about once in ten folds.
-    A maximal run of m equal I/noram steps is one splice, d[i] += m * den,
-    the same spans as m single wraps; a fold still scans its circle's spans
-    for the widest climb.  The result is decoded and validated, at its
-    least denominator, once at the end.  A refused step raises
+    The seed cover is encoded once into span form.  Each step runs the
+    symbolic step on the form's state, so the windings and k of the result
+    are the symbolic ones, then splices a few spans, refining den by a
+    stride of 2**30 about once in ten folds.  A maximal run of m equal
+    I/noram steps is one step and one splice, d[i] += m * den, the same
+    spans as m single wraps; a fold still scans its circle's spans for the
+    widest climb.  The result is decoded and validated, at its least
+    denominator, once at the end.  A refused step raises
     PreconditionViolated carrying its index, the first of its run.
     """
-    form = _Spans(_encode(seed_cover(seed)))
+    form = _Spans(seed_cover(seed))
     i, n = 0, len(steps)
     while i < n:
         step, m = steps[i], 1
         if step.kind is _I and step.variant is _NORAM:
-            while i + m < n and steps[i + m] == step:
+            # Plans repeat one step object, which spares the dataclass __eq__.
+            while i + m < n and (steps[i + m] is step or steps[i + m] == step):
                 m += 1
         _step(form, step, i, m)
         i += m

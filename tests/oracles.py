@@ -654,13 +654,21 @@ def _index(cover: PLCover, label: str) -> int:
     raise KeyError(label)
 
 
+def lift(form, *values) -> List[Optional[int]]:
+    """The values in units of 1 / den of the integer form (None passes),
+    after scaling its den to fit all."""
+    fracs = [None if v is None else Fraction(v) for v in values]
+    form.scale(lcm(form.den, *(v.denominator for v in fracs if v is not None)) // form.den)
+    return [None if v is None else v.numerator * (form.den // v.denominator) for v in fracs]
+
+
 def merge_components(
     cover: PLCover, label_a: str, label_b: str, t: Fraction, h: Optional[Fraction] = None
 ) -> PLCover:
     """plsim._merge on the circles labeled label_a and label_b, over t."""
     ja, jb = _index(cover, label_a), _index(cover, label_b)
     form = _encode(cover)
-    _merge(form, ja, jb, *form.lift(t, h))
+    _merge(form, ja, jb, *lift(form, t, h))
     return _decode(form)
 
 
@@ -672,5 +680,5 @@ def fold_split(
     j = _index(cover, label)
     form = _encode(cover)
     new_label = next_new_label(cover.components)
-    _split(form, j, *form.lift(c, h), new_label)
+    _split(form, j, *lift(form, c, h), new_label)
     return _decode(form), new_label

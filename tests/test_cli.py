@@ -1,4 +1,3 @@
-import concurrent.futures
 import contextlib
 import io
 import json
@@ -323,52 +322,12 @@ class TestEnumerate:
         docs = json.loads(out)
         assert {"g": 1, "s": 2, "a": 0, "target": "P1", "k": 2, "deg": [1, 1]} in docs
 
-    def test_worker_fanout_matches_serial(self, capsys, monkeypatch):
-        _, serial = invoke(capsys, "enumerate", "3", "4")
-        monkeypatch.setenv("REALCOVER_SCAN_WORKERS", "3")
-        _, fanned = invoke(capsys, "enumerate", "3", "4")
-        assert serial == fanned
-
     @pytest.mark.parametrize("box", [(0, 2), (3, 4), (5, 6)])
     def test_streamed_bytes_match_one_dump(self, capsys, box):
         whole = [spec_to_json(s) for s in enumerate_admissible(*box)]
         code, out = invoke(capsys, "enumerate", *map(str, box))
         assert code == 0
         assert out == json.dumps(whole, separators=(",", ":")) + "\n"
-
-    @pytest.mark.parametrize("cpus, expected", [(64, 4), (2, 2), (None, 1)])
-    def test_scan_workers_clamped(self, capsys, monkeypatch, cpus, expected):
-        # The stub maps in this process: no worker is ever started.
-        requested = []
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                requested.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, iterable):
-                return map(fn, iterable)
-
-        _, serial = invoke(capsys, "enumerate", "3", "4")
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        monkeypatch.setenv("REALCOVER_SCAN_WORKERS", "64")
-        code, fanned = invoke(capsys, "enumerate", "3", "4")
-        assert code == 0 and fanned == serial
-        # four genus blocks; one worker means no pool at all
-        assert requested == ([expected] if expected > 1 else [])
-
-    @pytest.mark.parametrize("value", ["x", "2.5", ""])
-    def test_scan_workers_not_integer(self, capsys, monkeypatch, value):
-        monkeypatch.setenv("REALCOVER_SCAN_WORKERS", value)
-        code, doc = invoke_json(capsys, "enumerate", "3", "4")
-        assert code == 1
-        assert doc == {"error": "REALCOVER_SCAN_WORKERS: expected an integer"}
 
 
 class TestCalculators:

@@ -15,6 +15,7 @@ from realcover.constructions import (
     SeedNotInCatalog,
     StepKind,
     Variant,
+    _Replay,
     apply_step,
     execute_states,
     seed_state,
@@ -221,6 +222,36 @@ class TestReplay:
         assert repr(replayed) == repr(built)
         assert replayed.delta_sum == built.delta_sum == 4
         assert replace(replayed, components=(("C1", 1),)).delta_sum == 1
+
+    @pytest.mark.parametrize("m", [1, 2, 5])
+    def test_wrap_run_is_m_single_wraps(self, m):
+        # realize steps a run of m equal wraps as one _Replay.step.
+        start = LabeledState(2, 0, 5, CoverTarget.PROJ_LINE, (("C1", 1), ("N1", 0)))
+        wrap = ConstructionStep(StepKind.I, NORAM, "N1")
+        run, singles = _Replay(start), _Replay(start)
+        assert run.step(wrap, 0, m) is None
+        for i in range(m):
+            singles.step(wrap, i)
+        assert run.state(carry_sum=True) == singles.state(carry_sum=True)
+        assert (run.total, run.new) == (singles.total, singles.new) == (1 + m, 1)
+
+    @pytest.mark.parametrize(
+        "comps, step",
+        [
+            ((("C1", 1),), ConstructionStep(StepKind.V)),
+            ((("C1", 1),), ConstructionStep(StepKind.I, RAM, "C2")),
+            ((("C1", 4),), ConstructionStep(StepKind.II, RAM)),
+            ((("C1", 0),), ConstructionStep(StepKind.IV)),
+        ],
+    )
+    def test_refusal_leaves_the_state(self, comps, step):
+        # Both interpreters step this state; a refused step changes none of it.
+        replay = _Replay(LabeledState(3, 0, 4, CoverTarget.PROJ_LINE, comps))
+        before = replay.state(carry_sum=True), replay.total, replay.new
+        with pytest.raises(PreconditionViolated) as info:
+            replay.step(step, 7)
+        assert info.value.step_index == 7
+        assert (replay.state(carry_sum=True), replay.total, replay.new) == before
 
 
 def _random_states():

@@ -16,6 +16,7 @@ from realcover.constructions import (
     GenericR0Pencil,
     Hyperelliptic,
     HyperellipticToR0,
+    LabeledState,
     PreconditionViolated,
     StepKind,
     Variant,
@@ -933,6 +934,34 @@ class TestStepRules:
         else:
             final = states
         assert final == refusal_or(pl)
+
+    @pytest.mark.parametrize("d", [-3, -2, -1])
+    def test_fold_at_negative_winding_agrees(self, d):
+        # A fold at winding d < 0 reads its circle backwards to winding
+        # 1 - d, in both interpreters; only hand-built states reach a
+        # negative winding.
+        fold = ConstructionStep(StepKind.I, RAM, "C1")
+        state = LabeledState(3, 0, 6, CoverTarget.PROJ_LINE, (("C1", d),))
+        cover = PLCover((("C1", PLMap(1, [0, 1], d)),), 6, CoverTarget.PROJ_LINE)
+        assert apply_step(state, fold).components == (("C1", 1 - d),)
+        for pl in (surgery, fraction_surgery):
+            assert [(lbl, m.closure) for lbl, m in pl(cover, fold).components] == [("C1", 1 - d)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(FUZZ_SEEDS), blind_steps)
+    def test_spans_close_up_to_the_symbolic_windings(self, seed, steps):
+        # The span form takes its windings from the symbolic state; its
+        # geometry must keep up: after every step each circle's spans sum
+        # to its winding times den, and its labels are the state's.
+        form = plsim._Spans(seed_cover(seed))
+        for i, step in enumerate(steps):
+            try:
+                plsim._step(form, step, i)
+            except (PreconditionViolated, BudgetExceeded):
+                break
+            assert {lbl: sum(d) for lbl, (_, d) in form.spans.items()} == {
+                lbl: w * form.den for lbl, w in form.replay.windings.items()
+            }
 
 
 def rebuilt(cover):

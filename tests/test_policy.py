@@ -74,7 +74,7 @@ def test_environment_knobs_are_pinned():
     # Each environment variable is a setting every test and benchmark run must
     # cover; a change that adds one names it here.
     reads = set().union(*(environment_reads(parse(path)) for path in SOURCES))
-    assert reads == {"REALCOVER_SCAN_WORKERS"}
+    assert reads == set()
 
 
 def test_environment_reads_are_found():
