@@ -19,9 +19,17 @@ import sys
 from typing import Iterable, List, Optional
 
 from . import brill_noether, covering4, planner, plsim, topology
-from .constructions import PreconditionViolated, SeedNotInCatalog
+from .constructions import (
+    Hyperelliptic,
+    PreconditionViolated,
+    SeedNotInCatalog,
+    StepKind,
+    Variant,
+)
 from .topology import CoverSpec
 
+
+_I, _III, _RAM = StepKind.I, StepKind.III, Variant.WITH_REAL_RAM
 
 # Help text is wrapped at this width whatever the terminal, so that stdout
 # does not depend on COLUMNS.
@@ -29,6 +37,12 @@ _HELP_WIDTH = 80
 
 # covnum's cost is linear in s and quadratic in g + 1 - s (see the README).
 _COVNUM_MAX_S, _COVNUM_MAX_DEFICIT = 100_000, 5_000
+
+# A plan record can ask for any number of steps.  verify and realize take
+# time and memory linear in the circles a plan creates, and realize about
+# quadratic in the breakpoints it emits: a planner plan at the breakpoint
+# cap realizes in about 10 s (see the README).
+_PLAN_MAX_CIRCLES, _REALIZE_MAX_BREAKPOINTS = 100_000, 40_000
 
 
 class _UsageError(Exception):
@@ -87,13 +101,35 @@ def _cmd_plan(args) -> int:
     return 0
 
 
-def _read_plan_file(path: str) -> planner.Plan:
+def _read_plan_file(path: str, realizing: bool = False) -> planner.Plan:
+    """The plan in the file, refused before any replay when it creates more
+    circles than _PLAN_MAX_CIRCLES or, when realizing, emits more
+    breakpoints than _REALIZE_MAX_BREAKPOINTS: two per seed circle, per
+    fold and per new circle, counted from the records."""
     try:
         with open(path) as fh:
             text = fh.read()
     except OSError as exc:
         raise ValueError(f"plan file: {exc}") from None
-    return planner.plan_from_json(_load_json(text, "plan"))
+    plan_ = planner.plan_from_json(_load_json(text, "plan"))
+    circles = folds = 0
+    for step in plan_.steps:
+        if step.variant is _RAM:
+            if step.kind is _I:
+                folds += step.repeat
+            else:
+                circles += step.repeat
+        elif step.kind is _III:
+            circles += step.repeat
+    if circles > _PLAN_MAX_CIRCLES:
+        raise ValueError(f"plan: too large; a plan creates at most {_PLAN_MAX_CIRCLES} circles")
+    if realizing:
+        seed = plan_.seed
+        seed_circles = len(seed.degrees) if isinstance(seed, Hyperelliptic) else 0
+        if 2 * (seed_circles + folds + circles) > _REALIZE_MAX_BREAKPOINTS:
+            limit = f"at most {_REALIZE_MAX_BREAKPOINTS} breakpoints"
+            raise ValueError(f"plan: too large to realize; realize emits {limit}")
+    return plan_
 
 
 def _cmd_verify(args) -> int:
@@ -106,7 +142,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_realize(args) -> int:
-    plan_ = _read_plan_file(args.plan_file)
+    plan_ = _read_plan_file(args.plan_file, realizing=True)
     try:
         cover = plsim.realize(plan_.seed, plan_.steps)
     except SeedNotInCatalog as exc:

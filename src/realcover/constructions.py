@@ -18,13 +18,14 @@ Delta table, per (kind, variant):
 
 The absolute value in I/ram comes from re-orienting the deformed circle
 so its winding stays nonnegative: at winding 0 the fold gives winding 1.
+A record of m equal steps applies m times each delta, in closed form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from enum import Enum
-from typing import Optional, Sequence, Union
+from typing import List, Optional, Sequence, Union
 
 from .topology import (
     CoverSpec,
@@ -67,27 +68,36 @@ class PreconditionViolated(Exception):
 
 @dataclass(frozen=True, slots=True)
 class ConstructionStep:
-    """One application of a construction: kind, smoothing variant, placement.
+    """A run of repeat applications of one construction: kind, smoothing
+    variant, placement.
 
     Kind I acts on a named circle (placement is its label); kind II needs a
-    variant but no placement; kinds III, IV, V take neither.
+    variant but no placement; kinds III, IV, V take neither.  A plan holds
+    one record per run of equal steps, so its length does not grow with k.
     """
 
     kind: StepKind
     variant: Optional[Variant] = None
     placement: Optional[str] = None
+    repeat: int = 1
 
     def __post_init__(self):
-        if self.kind in (StepKind.I, StepKind.II) and self.variant is None:
-            raise ValueError(f"construction {self.kind.value} requires a variant")
-        if self.kind in (StepKind.III, StepKind.IV, StepKind.V):
-            if self.variant is not None:
-                raise ValueError(f"construction {self.kind.value} takes no variant")
-        if self.kind is StepKind.I:
+        kind = self.kind
+        if type(self.repeat) is not int or self.repeat < 1:
+            raise ValueError("repeat must be a positive integer")
+        if kind in _VARIANT_KINDS:
+            if self.variant is None:
+                raise ValueError(f"construction {kind.value} requires a variant")
+        elif self.variant is not None:
+            raise ValueError(f"construction {kind.value} takes no variant")
+        if kind is StepKind.I:
             if self.placement is None:
                 raise ValueError("construction I requires a placement label")
         elif self.placement is not None:
-            raise ValueError(f"construction {self.kind.value} takes no placement")
+            raise ValueError(f"construction {kind.value} takes no placement")
+
+
+_VARIANT_KINDS = (StepKind.I, StepKind.II)
 
 
 @dataclass(frozen=True, slots=True)
@@ -245,17 +255,17 @@ _SHEETS = {_I: 1, _II: 0, _III: 1, _IV: 2, _V: 1}
 
 def _check_step(
     state: _Replay, step: ConstructionStep, index: Optional[int] = None
-) -> Optional[tuple[str, int]]:
+) -> Optional[int]:
     """The step rules, shared by the symbolic and the PL interpreter.
 
-    Reads the working state: its target, k, the labels of its real locus,
-    the sum of its absolute windings and its count of N circles, all kept
-    running, so the rules cost O(1) per step.  Raises PreconditionViolated,
-    carrying index as its step index, when the state does not support the
-    step; otherwise returns the (label, winding) of the circle the step
-    creates, or None: II/ram opens a fold of winding 0, III a monotone wrap
-    of winding 1.  A new label that already names a circle, which only a
-    hand-built state can hold, raises ValueError.
+    Reads the working state: its target, k, the labels of its real locus
+    and the sum of its absolute windings, all kept running, so the rules
+    cost O(1) per record.  A record's later steps keep every quantity the
+    rules read, so its rules hold at every step iff they hold at the first.
+    Raises PreconditionViolated, carrying index as its step index, when the
+    state does not support the step; otherwise returns the winding of each
+    circle the step creates, or None: II/ram opens a fold of winding 0, III
+    a monotone wrap of winding 1.
     """
     kind, target, circles, reason = step.kind, state.target, state.windings, None
     if kind is _V:
@@ -275,20 +285,30 @@ def _check_step(
         reason = "needs an empty real locus"
     if reason is not None:
         raise PreconditionViolated(kind, reason, index)
-    if kind is _III or (kind is _II and step.variant is _RAM):
-        label = f"N{state.new + 1}"
-        if label in circles:  # N circles numbered out of creation order
-            raise ValueError("circle labels must be distinct")
-        return label, 1 if kind is _III else 0
+    if kind is _III:
+        return 1
+    if kind is _II and step.variant is _RAM:
+        return 0
     return None
+
+
+def _folds(d: int, m: int) -> int:
+    """The winding after m >= 1 I/ram steps at winding d: |d - 1| iterated
+    in closed form.  A fold at d <= 0 turns the circle around to 1 - d >= 1;
+    from d >= 1 the winding falls by one per fold to 0, then alternates
+    1, 0."""
+    if d < 1:
+        d, m = 1 - d, m - 1
+    return d - m if m <= d else (m - d) % 2
 
 
 class _Replay:
     """The working state both interpreters step: the LabeledState fields
     with the real locus as a label -> winding dict in creation order, plus
     the sum of the absolute windings and the count of N circles that
-    _check_step reads.  One step updates them in O(1); plsim's span form is
-    this state plus the geometry of each circle."""
+    _check_step reads.  A record updates them in O(1), or O(repeat) when
+    it creates circles; plsim's span form is this state plus the geometry
+    of each circle."""
 
     __slots__ = ("g", "a", "k", "target", "windings", "total", "new")
 
@@ -301,31 +321,36 @@ class _Replay:
         self.total = sum([abs(d) for _, d in comps])
         self.new = sum([lbl.startswith("N") for lbl, _ in comps])
 
-    def step(
-        self, step: ConstructionStep, index: Optional[int] = None, m: int = 1
-    ) -> Optional[tuple[str, int]]:
-        """Apply one step in place, or a run of m equal I/noram steps: a wrap
-        keeps the labels and the target, so its equal successors pass the
-        rules too.  Returns the (label, winding) of the circle the step
-        creates, or None; a refusal leaves the state as it was."""
-        kind = step.kind
-        new = _check_step(self, step, index)
-        if new is not None:
-            label, w = new
-            self.windings[label] = w
-            self.total += w
-            self.new += 1
+    def step(self, step: ConstructionStep, index: Optional[int] = None) -> Optional[List[str]]:
+        """Apply a record, its repeat equal steps, in place and in closed
+        form: I/noram adds repeat to the winding, I/ram iterates |d - 1|,
+        III and II/ram add circles N(new + 1) .. N(new + repeat), and k
+        gains repeat times the kind's sheets.  Returns the labels of the
+        circles the record creates, or None; a refusal leaves the state as
+        it was.  A new label that already names a circle, which only a
+        hand-built state can hold, raises ValueError."""
+        kind, m = step.kind, step.repeat
+        w = _check_step(self, step, index)
+        labels = None
+        if w is not None:
+            windings, new = self.windings, self.new
+            labels = [f"N{new + j}" for j in range(1, m + 1)]
+            if not windings.keys().isdisjoint(labels):  # N circles numbered out of order
+                raise ValueError("circle labels must be distinct")
+            windings.update(dict.fromkeys(labels, w))
+            self.total += m * w
+            self.new = new + m
         elif kind is _I:
             windings, label = self.windings, step.placement
             d = windings[label]
-            w = windings[label] = abs(d - 1) if step.variant is _RAM else d + m
-            self.total += abs(w) - abs(d)
+            after = windings[label] = _folds(d, m) if step.variant is _RAM else d + m
+            self.total += abs(after) - abs(d)
         elif kind is _II:
             self.a = 1
         if kind is not _I:
-            self.g += 1
+            self.g += m
         self.k += m * _SHEETS[kind]
-        return new
+        return labels
 
     def state(self, carry_sum: bool = False) -> LabeledState:
         """The state as a LabeledState; with carry_sum, the running sum is
@@ -353,7 +378,8 @@ _set_g, _set_a, _set_k, _set_target, _set_components, _set_sum = (
 def apply_step(
     state: LabeledState, step: ConstructionStep, index: Optional[int] = None
 ) -> LabeledState:
-    """Apply one construction step, enforcing its preconditions.
+    """Apply one construction record, its repeat equal steps, enforcing
+    their preconditions.
 
     Raises PreconditionViolated, carrying index as the step index, when the
     state does not support the step; an invalid plan is never silently
@@ -367,13 +393,14 @@ def apply_step(
 
 
 def execute_states(seed: BaseSeed, steps: Sequence[ConstructionStep]):
-    """Yield the seed state and each intermediate state of a step sequence.
+    """Yield the seed state and the state after each record of a plan.
 
-    One mutable working state takes every step, so a step costs O(1) apart
-    from copying the components into the LabeledState it yields.  Each
-    yielded state carries the running winding sum, so invariant_failure
-    does not re-sum it.  A PreconditionViolated carries the index of the
-    failing step.
+    One mutable working state takes every record in closed form, so a
+    record costs O(1), or O(repeat) when it creates circles, apart from
+    copying the components into the LabeledState it yields.  Each yielded
+    state carries the running winding sum, so invariant_failure does not
+    re-sum it.  A PreconditionViolated carries the index of the failing
+    record.
     """
     state = seed_state(seed)
     yield state
@@ -437,11 +464,16 @@ def seed_from_json(obj: object) -> BaseSeed:
 
 
 def step_to_json(step: ConstructionStep) -> dict:
-    return {
+    """The wire object of a record; "repeat" only when it is not 1, so a
+    plan of single steps keeps its old form."""
+    obj = {
         "kind": step.kind.value,
         "variant": step.variant.value if step.variant else None,
         "placement": step.placement,
     }
+    if step.repeat != 1:
+        obj["repeat"] = step.repeat
+    return obj
 
 
 def step_from_json(obj: object, index: int = 0) -> ConstructionStep:
@@ -461,7 +493,10 @@ def step_from_json(obj: object, index: int = 0) -> ConstructionStep:
     placement = obj.get("placement")
     if placement is not None and not isinstance(placement, str):
         raise ValueError(f"steps[{index}].placement: expected a string or null")
+    repeat = obj.get("repeat", 1)
+    if type(repeat) is not int or repeat < 1:  # bool is an int subclass
+        raise ValueError(f"steps[{index}].repeat: expected a positive integer")
     try:
-        return ConstructionStep(kind, variant, placement)
+        return ConstructionStep(kind, variant, placement, repeat)
     except ValueError as exc:
         raise ValueError(f"steps[{index}]: {exc}") from None

@@ -147,7 +147,7 @@ def build_covnum(target: CoveringNumberTarget) -> Tuple[PLCover, CoverSpec]:
     The separating case costs time quadratic in g + 1 - s: it merges
     (g + 1 - s)/2 chain arcs into the first circle, and each merge scans
     that circle from its start for the first climb through the merge value.
-    For s = 1 that is about 0.13, 0.6 and 2.4 s at g = 1000, 2000 and 4000.
+    For s = 1 that is about 0.10, 0.43 and 2.0 s at g = 1000, 2000 and 4000.
     Only the realcover command bounds it (g + 1 - s <= 5,000); callers of
     this function must bound g + 1 - s themselves.
     """

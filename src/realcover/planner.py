@@ -15,7 +15,7 @@ out of scope here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Union
+from typing import Iterable, List, Optional, Tuple, Union
 
 from .constructions import (
     BaseSeed,
@@ -68,23 +68,43 @@ class Infeasible:
     reason: str
 
 
-# Plans share one step object per distinct step: a plan of length k holds
-# only a few distinct records.
-_III = ConstructionStep(StepKind.III)
-_IV = ConstructionStep(StepKind.IV)
-_V = ConstructionStep(StepKind.V)
-_II_RAM = ConstructionStep(StepKind.II, Variant.WITH_REAL_RAM)
+# A run of n applications of one step, written (kind, variant, placement),
+# as a recipe lists it; _records makes one ConstructionStep per maximal run.
+Step = Tuple[StepKind, Optional[Variant], Optional[str]]
+Run = Tuple[Step, int]
+_III: Step = (StepKind.III, None, None)
+_IV: Step = (StepKind.IV, None, None)
+_V: Step = (StepKind.V, None, None)
+_II_RAM: Step = (StepKind.II, Variant.WITH_REAL_RAM, None)
 
 
-def _ram(label: str) -> ConstructionStep:
-    return ConstructionStep(StepKind.I, Variant.WITH_REAL_RAM, label)
+def _ram(label: str) -> Step:
+    return StepKind.I, Variant.WITH_REAL_RAM, label
 
 
-def _noram(label: str) -> ConstructionStep:
-    return ConstructionStep(StepKind.I, Variant.WITHOUT_REAL_RAM, label)
+def _noram(label: str) -> Step:
+    return StepKind.I, Variant.WITHOUT_REAL_RAM, label
 
 
-def _wraps_then_folds(label: str, wraps: int, folds: int) -> List[ConstructionStep]:
+def _records(runs: Iterable[Run]) -> tuple[ConstructionStep, ...]:
+    """One record per maximal run of equal steps: empty runs vanish, and a
+    run of the same step as the one before it joins that record."""
+    out: List[ConstructionStep] = []
+    last, count = None, 0
+    for step, n in runs:
+        if n > 0:
+            if step == last:
+                count += n
+                continue
+            if last is not None:
+                out.append(ConstructionStep(*last, count))
+            last, count = step, n
+    if last is not None:
+        out.append(ConstructionStep(*last, count))
+    return tuple(out)
+
+
+def _wraps_then_folds(label: str, wraps: int, folds: int) -> List[Run]:
     """wraps steps of I/noram, then folds steps of I/ram, on one circle.
 
     Only the net winding change matters to the target, so the planner puts
@@ -93,18 +113,15 @@ def _wraps_then_folds(label: str, wraps: int, folds: int) -> List[ConstructionSt
     about log2 of the fold count in bits, not by up to 3 bits per fold
     (see plsim._splice).
     """
-    return [_noram(label)] * wraps + [_ram(label)] * folds
+    return [(_noram(label), wraps), (_ram(label), folds)]
 
 
-def _pump_to_degrees(labels: List[str], degrees: tuple[int, ...]) -> List[ConstructionStep]:
+def _pump_to_degrees(labels: List[str], degrees: tuple[int, ...]) -> List[Run]:
     """Raise circle i from winding 1 to degrees[i], in ascending circle order."""
-    steps: List[ConstructionStep] = []
-    for label, d in zip(labels, degrees):
-        steps.extend([_noram(label)] * (d - 1))
-    return steps
+    return [(_noram(label), d - 1) for label, d in zip(labels, degrees)]
 
 
-def _case3_recipe(g: int, k: int, nonzero: tuple[int, ...]) -> tuple[BaseSeed, List[ConstructionStep]]:
+def _case3_recipe(g: int, k: int, nonzero: tuple[int, ...]) -> tuple[BaseSeed, List[Run]]:
     """Separating target with every winding nonzero and winding sum < k.
 
     Start from the winding-(2) double covering, fold once to reach winding
@@ -114,17 +131,19 @@ def _case3_recipe(g: int, k: int, nonzero: tuple[int, ...]) -> tuple[BaseSeed, L
     """
     s_prime = len(nonzero)
     seed = Hyperelliptic(TopType(g - s_prime + 1, 1, 0), DegreeVector((2,)))
-    steps: List[ConstructionStep] = [_ram("C1")]
-    steps.extend([_III] * (s_prime - 1))
+    runs = [(_ram("C1"), 1), (_III, s_prime - 1)]
     labels = ["C1"] + [f"N{i + 1}" for i in range(s_prime - 1)]
-    steps.extend(_pump_to_degrees(labels, nonzero))
+    runs.extend(_pump_to_degrees(labels, nonzero))
     spare = (k - sum(nonzero) - 2) // 2
-    steps.extend(_wraps_then_folds("C1", spare, spare))
-    return seed, steps
+    runs.extend(_wraps_then_folds("C1", spare, spare))
+    return seed, runs
 
 
 def plan(target: CoverSpec) -> Union[Plan, Infeasible]:
-    """Synthesize a plan reproducing the target, or explain why none exists."""
+    """Synthesize a plan reproducing the target, or explain why none exists.
+
+    The plan holds one record per maximal run of equal steps, so its
+    length is O(s) whatever k is."""
     failure = admissibility_failure(target)
     if failure is not None:
         return Infeasible(failure)
@@ -140,16 +159,14 @@ def plan(target: CoverSpec) -> Union[Plan, Infeasible]:
         if k >= g + 1:
             return Plan(GenericR0Pencil(g, k), (), "R0-big-k")
         seed = HyperellipticToR0(g - k + 2)
-        steps = (_V,) * (k - 2)
-        return Plan(seed, steps, "R0-small-k")
+        return Plan(seed, _records([(_V, k - 2)]), "R0-small-k")
 
     if a == 1:
         if s == 0:
             if g < k:
                 return Plan(GenericPencil(g, k), (), "A1-s0-small-g")
             seed = Hyperelliptic(TopType(g - k // 2 + 1, 0, 1), DegreeVector())
-            steps = (_IV,) * (k // 2 - 1)
-            return Plan(seed, steps, "A1-s0-big-g")
+            return Plan(seed, _records([(_IV, k // 2 - 1)]), "A1-s0-big-g")
         # s >= 1: start from an all-zero double covering of the right type,
         # spin up one circle per nonzero winding, pump, then absorb the
         # remainder as wraps followed by as many folds: on the first zero
@@ -160,31 +177,25 @@ def plan(target: CoverSpec) -> Union[Plan, Infeasible]:
         seed = Hyperelliptic(
             TopType(g - s_prime, s - s_prime, 1), DegreeVector((0,) * (s - s_prime))
         )
-        steps: List[ConstructionStep] = []
-        steps.extend([_III] * s_prime)
         labels = [f"N{i + 1}" for i in range(s_prime)]
-        steps.extend(_pump_to_degrees(labels, nonzero))
+        runs = [(_III, s_prime)] + _pump_to_degrees(labels, nonzero)
         spare = (k - 2 - total) // 2
-        steps.extend(_wraps_then_folds("C1" if s != s_prime else "N1", spare, spare))
-        return Plan(seed, tuple(steps), "A1-sPos")
+        runs.extend(_wraps_then_folds("C1" if s != s_prime else "N1", spare, spare))
+        return Plan(seed, _records(runs), "A1-sPos")
 
     # Separating case (a = 0); here s >= 1.
     if total == k:
         if s == 1:
             seed = Hyperelliptic(TopType(g, 1, 0), DegreeVector((2,)))
-            steps = (_noram("C1"),) * (k - 2)
-            return Plan(seed, steps, "Case1")
+            return Plan(seed, _records([(_noram("C1"), k - 2)]), "Case1")
         if degrees[0] == 1:
             seed = Hyperelliptic(TopType(g - k + 2, 2, 0), DegreeVector((1, 1)))
-            steps = (_III,) * (k - 2)
-            return Plan(seed, steps, "Case2-all1")
+            return Plan(seed, _records([(_III, k - 2)]), "Case2-all1")
         seed = Hyperelliptic(TopType(g - s + 1, 1, 0), DegreeVector((2,)))
-        steps = []
-        steps.extend([_III] * (s - 1))
-        steps.extend([_noram("C1")] * (degrees[0] - 2))
         labels = [f"N{i + 1}" for i in range(s - 1)]
-        steps.extend(_pump_to_degrees(labels, degrees[1:]))
-        return Plan(seed, tuple(steps), "Case2-big")
+        runs = [(_III, s - 1), (_noram("C1"), degrees[0] - 2)]
+        runs.extend(_pump_to_degrees(labels, degrees[1:]))
+        return Plan(seed, _records(runs), "Case2-big")
 
     s_prime = sum(1 for d in degrees if d != 0)
     if s_prime == 0:
@@ -192,26 +203,32 @@ def plan(target: CoverSpec) -> Union[Plan, Infeasible]:
         # fold it down to 0, then add each other circle by a fold over a
         # non-real point.
         seed = Hyperelliptic(TopType(g - s + 1, 1, 0), DegreeVector((2,)))
-        steps = _wraps_then_folds("C1", (k - 4) // 2, (k - 4) // 2 + 2)
-        steps.extend([_II_RAM] * (s - 1))
-        return Plan(seed, tuple(steps), "Case5")
+        runs = _wraps_then_folds("C1", (k - 4) // 2, (k - 4) // 2 + 2)
+        runs.append((_II_RAM, s - 1))
+        return Plan(seed, _records(runs), "Case5")
     if s_prime == s:
-        seed, steps = _case3_recipe(g, k, degrees)
-        return Plan(seed, tuple(steps), "Case3")
+        seed, runs = _case3_recipe(g, k, degrees)
+        return Plan(seed, _records(runs), "Case3")
     # Some windings vanish: build the all-nonzero covering at the genus
     # reached before the extra circles, then add each zero circle by a
     # fold over a non-real point.
-    seed, steps = _case3_recipe(g - (s - s_prime), k, degrees[:s_prime])
-    steps.extend([_II_RAM] * (s - s_prime))
-    return Plan(seed, tuple(steps), "Case4")
+    seed, runs = _case3_recipe(g - (s - s_prime), k, degrees[:s_prime])
+    runs.append((_II_RAM, s - s_prime))
+    return Plan(seed, _records(runs), "Case4")
 
 
 def verify_plan(plan_: Plan, target: CoverSpec, trail: Optional[List[str]] = None) -> bool:
     """Replay the plan and check it lands exactly on the target.
 
     Every intermediate state must satisfy the running state invariants and
-    no step may violate its preconditions.  Diagnostics are appended to
-    `trail` when given; the return value alone answers the question.
+    no step may violate its preconditions.  Both are checked once per
+    record, which is exactly as strong as checking them after every step:
+    within a run the defect k - sum|w| keeps its parity and never
+    decreases, so the invariants hold after every step of a run iff they
+    hold before it, and a run's steps change nothing its preconditions
+    read, so they hold at every step iff they hold at the first.  A
+    refusal names its record's index.  Diagnostics are appended to `trail`
+    when given; the return value alone answers the question.
     """
 
     def note(msg: str) -> bool:
@@ -258,15 +275,18 @@ def plan_from_json(obj: object) -> Plan:
     raw_steps = obj["steps"]
     if not isinstance(raw_steps, list):
         raise ValueError("plan.steps: expected a list")
-    # A plan repeats a few distinct steps about k times: parse each distinct
-    # wire step once and share its ConstructionStep, as plan() does.  Only
-    # valid steps are stored, and their three fields are str or None.
+    # A plan written one object per step repeats a few distinct steps about
+    # k times: parse each distinct wire step once and share its record.
+    # Only valid steps are stored; their kind, variant and placement are
+    # str or None, and the key holds the repeat's type, since True == 1 and
+    # 2.0 == 2 would otherwise find a valid record.
     shared: dict = {}
     steps = []
     for i, raw in enumerate(raw_steps):
         key = None
         if isinstance(raw, dict):
-            key = (raw.get("kind"), raw.get("variant"), raw.get("placement"))
+            repeat = raw.get("repeat", 1)
+            key = (raw.get("kind"), raw.get("variant"), raw.get("placement"), repeat, type(repeat))
         try:
             step = shared[key]
         except (KeyError, TypeError):  # a new step, or one with a list or object field

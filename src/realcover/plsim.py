@@ -22,7 +22,8 @@ most k and has the parity of k (coverings of the projective line).
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, dataclass
+from bisect import insort
+from dataclasses import FrozenInstanceError, dataclass, replace
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd, lcm
@@ -34,8 +35,8 @@ from .constructions import (
     BaseSeed,
     ConstructionStep,
     LabeledState,
-    StepKind,
     Variant,
+    _folds,
     _Replay,
     seed_state,
 )
@@ -246,7 +247,7 @@ def image_arcs(cover: PLCover) -> List[Tuple[str, ArcLike]]:
 # the geometry.
 
 _STRIDE = 2**30  # one CPython digit; see _refine
-_I, _RAM, _NORAM = StepKind.I, Variant.WITH_REAL_RAM, Variant.WITHOUT_REAL_RAM
+_RAM = Variant.WITH_REAL_RAM
 
 
 class _Spans:
@@ -289,12 +290,12 @@ def _refine(form: _Spans) -> None:
     form.spans = {lbl: (x0 * f, [x * f for x in d]) for lbl, (x0, d) in form.spans.items()}
 
 
-def _splice(form: _Spans, label: str, before: int, fold: bool, m: int = 1) -> None:
-    """Splice into the widest climb of the circle, of winding before (ties
-    to the earliest), m full turns, or for a fold (m = 1) a backward turn
-    whose small gap loses a preimage where every other value gains one.
-    The state already holds the new winding; where it is not the spliced
-    spans' before - 1, the circle is read backwards.
+def _splice(form: _Spans, label: str, before: int, after: int, fold: bool) -> None:
+    """Splice into the widest climb of the circle (ties to the earliest) its
+    change of winding from before to after: after - before full turns for a
+    wrap, or for a fold a backward turn whose small gap loses a preimage
+    where every other value gains one.  A fold whose after is not the
+    spliced spans' before - 1 reads the circle backwards.
 
     A wrap leaves its climb strictly the widest, so m single wraps all land
     on the climb the first one takes: a run costs one scan of the spans."""
@@ -304,7 +305,7 @@ def _splice(form: _Spans, label: str, before: int, fold: bool, m: int = 1) -> No
         raise ValueError("map has no increasing segment")
     i = d.index(w)
     if not fold:
-        d[i] += m * form.den
+        d[i] += (after - before) * form.den
         return
     # u -> u + w becomes u -> c - h -> c + h - den -> u + w - den, c = u + w/2,
     # h = m/8 <= den/4: spans a = (4w - m)/8, m/4 - den (< 0) and a again.
@@ -315,49 +316,82 @@ def _splice(form: _Spans, label: str, before: int, fold: bool, m: int = 1) -> No
         w, m = w * _STRIDE, m * _STRIDE
     a = (4 * w - m) // 8
     d[i : i + 1] = [a, m // 4 - form.den, a]
-    # Read the circle backwards so its winding is the state's: an O(B) pass
-    # that only a fold at winding 0 needs, which planner plans never emit.
+    # Read the circle backwards so its winding is after: an O(B) pass that
+    # only a fold at winding 0 needs, which planner plans never emit.
     closure = before - 1
-    if closure != form.replay.windings[label]:
+    if closure != after:
         form.spans[label] = (x0 + closure * form.den, list(map(neg, reversed(d))))
 
 
-def _new_fold(form: _Spans) -> Tuple[int, List[int]]:
-    """x0 and spans of a winding-0 fold a quarter of the way into the widest
-    interval where two more sheets fit, back out a quarter before its end."""
-    slack = [iv for iv in _sweep(form.lifts()) if iv[2] <= form.replay.k - 2]
-    if not slack:
-        raise BudgetExceeded("no regular interval has room for two more real sheets")
-    a, gap, _ = max(slack, key=lambda iv: (iv[1], -iv[0]))
-    if gap % 4:
-        _refine(form)
-        a, gap = a * _STRIDE, gap * _STRIDE
-    return a + gap // 4, [gap // 2, -gap // 2]
+def _new_folds(form: _Spans, labels: List[str]) -> None:
+    """Add a winding-0 fold per label, each a quarter of the way into the
+    widest regular interval where two more sheets fit (ties to the lowest
+    start), back out a quarter before its end.  A fold adds two sheets
+    between its ends and splits its interval in three, so the cover is
+    swept once and the intervals are then split in a sorted list; a cover
+    with no breakpoints has no true interval ends, so the first fold there
+    sweeps again."""
+    room, order = form.replay.k - 2, None
+    for label in labels:
+        if order is None:
+            ends = bool(form.spans)
+            order = sorted([(-gap, a, n) for a, gap, n in _sweep(form.lifts()) if n <= room])
+        if not order:
+            raise BudgetExceeded("no regular interval has room for two more real sheets")
+        gap, a, n = order.pop(0)
+        gap = -gap
+        if gap % 4:
+            _refine(form)
+            a, gap = a * _STRIDE, gap * _STRIDE
+            order = [(g * _STRIDE, b * _STRIDE, c) for g, b, c in order]  # still sorted
+        q = gap // 4
+        form.spans[label] = (a + q, [2 * q, -2 * q])
+        if not ends:
+            order = None
+            continue
+        den = form.den
+        insort(order, (-q, a, n))
+        insort(order, (-q, (a + 3 * q) % den, n))
+        if n + 2 <= room:
+            insort(order, (-2 * q, (a + q) % den, n + 2))
 
 
-def _step(form: _Spans, step: ConstructionStep, index: Optional[int] = None, m: int = 1) -> None:
-    """Apply one construction step, or a run of m equal I/noram steps, to
-    the span form in place.  _Replay.step checks the rules and updates the
-    windings, k and labels; this adds only the geometry: a new fold or wrap,
-    or a splice into the placed circle.  A refusal raises before any span
-    changes."""
+def _step(form: _Spans, step: ConstructionStep, index: Optional[int] = None) -> None:
+    """Apply one record to the span form in place.  _Replay.step checks the
+    rules and updates the windings, k and labels once for the whole record;
+    this adds only the geometry: one splice for a run of wraps, one splice
+    per fold, each given its own windings, or a new fold or wrap per circle
+    the record creates.  A refusal raises before any span changes."""
     label = step.placement  # kind I only
     replay = form.replay
-    before = replay.windings.get(label)
-    new = replay.step(step, index, m)
     if label is not None:
-        _splice(form, label, before, step.variant is _RAM, m)
-    elif new is not None:
-        label, w = new
-        if w and form.den % 2:  # III: a monotone wrap over half the circle
-            _refine(form)
-        form.spans[label] = (0, [form.den // 2] * 2) if w else _new_fold(form)  # II/ram
+        before = replay.windings.get(label)
+        replay.step(step, index)
+        if step.variant is not _RAM:
+            _splice(form, label, before, replay.windings[label], False)
+            return
+        for _ in range(step.repeat):
+            after = _folds(before, 1)
+            _splice(form, label, before, after, True)
+            before = after
+        return
+    labels = replay.step(step, index)
+    if labels is None:
+        return
+    if step.variant is _RAM:  # II/ram
+        _new_folds(form, labels)
+        return
+    if form.den % 2:  # III: monotone wraps over half the circle
+        _refine(form)
+    for label in labels:
+        form.spans[label] = (0, [form.den // 2] * 2)
 
 
 def surgery(cover: PLCover, step: ConstructionStep) -> PLCover:
-    """Apply the PL surgery mirroring one construction step.
+    """Apply the PL surgeries mirroring one construction record, its repeat
+    equal steps.
 
-    The step runs on the symbolic working state of the cover's windings, so
+    The record runs on the symbolic working state of the cover's windings, so
     its rules, refusals, windings and new labels are apply_step's.  Kinds
     I, II and III operate on the real locus; IV and V have no real picture
     and only update the sheet budget.  Sites are chosen canonically, so
@@ -496,26 +530,33 @@ def seed_cover(seed: BaseSeed) -> PLCover:
 def realize(seed: BaseSeed, steps: Sequence[ConstructionStep]) -> PLCover:
     """Fold the PL surgeries of a plan over its seed realization.
 
-    The seed cover is encoded once into span form.  Each step runs the
-    symbolic step on the form's state, so the windings and k of the result
-    are the symbolic ones, then splices a few spans, refining den by a
-    stride of 2**30 about once in ten folds.  A maximal run of m equal
-    I/noram steps is one step and one splice, d[i] += m * den, the same
-    spans as m single wraps; a fold still scans its circle's spans for the
-    widest climb.  The result is decoded and validated, at its least
-    denominator, once at the end.  A refused step raises
-    PreconditionViolated carrying its index, the first of its run.
+    The seed cover is encoded once into span form.  Each record runs the
+    symbolic step on the form's state once, so the windings and k of the
+    result are the symbolic ones, then splices a few spans, refining den by
+    a stride of 2**30 about once in ten folds.  A run of m wraps is one
+    splice, d[i] += m * den, the same spans as m single wraps; a run of m
+    folds is m splices, each of which still scans its circle's spans for
+    the widest climb, and a run of new folds sweeps the cover once.
+    Consecutive equal records are one run, so a plan
+    written one record per step keeps its runs of wraps one splice.  The
+    result is decoded and validated, at its least denominator, once at the
+    end.  A refused record raises PreconditionViolated carrying its index,
+    the first of its run.
     """
     form = _Spans(seed_cover(seed))
     i, n = 0, len(steps)
     while i < n:
-        step, m = steps[i], 1
-        if step.kind is _I and step.variant is _NORAM:
-            # Plans repeat one step object, which spares the dataclass __eq__.
-            while i + m < n and (steps[i + m] is step or steps[i + m] == step):
-                m += 1
-        _step(form, step, i, m)
-        i += m
+        step, j = steps[i], i + 1
+        key, m = (step.kind, step.variant, step.placement), step.repeat
+        # Plans parsed from the wire share one record object per distinct
+        # step, which spares building the key.
+        while j < n and (
+            steps[j] is step or (steps[j].kind, steps[j].variant, steps[j].placement) == key
+        ):
+            m += steps[j].repeat
+            j += 1
+        _step(form, step if m == step.repeat else replace(step, repeat=m), i)
+        i = j
     return _decode(form.lifts())
 
 

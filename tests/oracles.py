@@ -466,8 +466,11 @@ def fraction_surgery(cover, step):
 
     Kinds I, II and III operate on the real locus; IV and V have no real
     picture and only update the sheet budget.  Sites are chosen canonically,
-    so realizations are deterministic.
+    so realizations are deterministic.  The step is a single step, not a
+    record of several.
     """
+    if step.repeat != 1:
+        raise ValueError("fraction_surgery takes single steps; expand the record first")
     kind, variant = step.kind, step.variant
     if kind in (StepKind.I, StepKind.II, StepKind.III, StepKind.IV):
         if cover.target is not CoverTarget.PROJ_LINE:
@@ -510,8 +513,28 @@ def fraction_surgery(cover, step):
     return PLCover(cover.components, cover.k + 1, cover.target)
 
 
+def expand(steps):
+    """The plan's records written out as single steps: a record of repeat m
+    becomes m records of repeat 1."""
+    out = []
+    for record in steps:
+        one = ConstructionStep(record.kind, record.variant, record.placement)
+        out.extend([one] * record.repeat)
+    return out
+
+
+def record_index(steps, j):
+    """The index of the record that holds step j of expand(steps)."""
+    for i, record in enumerate(steps):
+        j -= record.repeat
+        if j < 0:
+            return i
+    raise IndexError("step index past the end of the plan")
+
+
 def fraction_realize(seed, steps):
-    """Fold the PL surgeries of a plan over its seed realization."""
+    """Fold the PL surgeries of a plan of single steps over its seed
+    realization; expand a plan of records first."""
     cover = seed_cover(seed)
     for i, step in enumerate(steps):
         try:

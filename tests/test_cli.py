@@ -6,6 +6,7 @@ import re
 import resource
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -234,6 +235,16 @@ class TestErrorMessages:
         extra = [SPEC_6333] if command == "verify" else []
         assert invoke_json(capsys, command, str(plan_file), *extra) == (1, {"error": message})
 
+    @pytest.mark.parametrize("command", ["verify", "realize"])
+    @pytest.mark.parametrize("repeat", [True, False, 2.0, "2", None, 0, -3])
+    def test_malformed_repeat(self, capsys, tmp_path, command, repeat):
+        iii = {"kind": "III", "variant": None, "placement": None}
+        steps = [iii, {**iii, "repeat": 2}, {**iii, "repeat": repeat}]
+        plan_file = write_plan(tmp_path, HYPER_2, steps)
+        extra = [SPEC_6333] if command == "verify" else []
+        message = "steps[2].repeat: expected a positive integer"
+        assert invoke_json(capsys, command, plan_file, *extra) == (1, {"error": message})
+
     def test_target_not_an_object(self, capsys):
         expected = (1, {"error": "target: expected a JSON object"})
         assert invoke_json(capsys, "covnum", "[1]") == expected
@@ -308,6 +319,69 @@ class TestCovnum:
         assert invoke_json(capsys, "covnum", '{"g":4,"s":5,"a":0,"kcov":3}')[0] == 1
         assert invoke_json(capsys, "covnum", '{"g":3,"s":2,"a":0,"kcov":1}')[0] == 0
         assert invoke_json(capsys, "covnum", '{"g":5,"s":2,"a":0,"kcov":1}')[0] == 1
+
+
+def run_child(*argv):
+    """The command in a child process with 1 GiB of address space, so that a
+    request a cap fails to stop ends in a MemoryError rather than a full
+    machine: (exit code, stdout, stderr, seconds)."""
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = Path(cli.__file__).resolve().parents[1]
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "realcover", *argv],
+        capture_output=True, text=True, timeout=60, preexec_fn=limit,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    return done.returncode, done.stdout, done.stderr, time.perf_counter() - start
+
+
+class TestPlanCaps:
+    """A record can ask for any number of steps; verify and realize refuse,
+    before any replay, plans past their circle and breakpoint caps."""
+
+    @pytest.mark.parametrize(
+        "command, step, limit",
+        [
+            ("verify", {"kind": "III"}, "at most 100000 circles"),
+            ("realize", {"kind": "II", "variant": "ram"}, "at most 100000 circles"),
+            ("realize", {"kind": "I", "variant": "ram", "placement": "C1"}, "40000 breakpoints"),
+        ],
+    )
+    def test_huge_repeat_is_refused_at_once(self, tmp_path, command, step, limit):
+        plan_file = write_plan(tmp_path, HYPER_2, [{**step, "repeat": 10**12}])
+        extra = [SPEC_6333] if command == "verify" else []
+        code, out, err, seconds = run_child(command, plan_file, *extra)
+        assert (code, err, out.count("\n")) == (1, "", 1)
+        assert limit in json.loads(out)["error"]
+        assert seconds < 1
+
+    def test_huge_folds_verify_at_once(self, tmp_path):
+        # verify applies a record in O(1) and has no fold cap
+        fold = {"kind": "I", "variant": "ram", "placement": "C1"}
+        plan_file = write_plan(tmp_path, HYPER_2, [{**fold, "repeat": 10**12 + 1}])
+        # winding 2 -> 1 -> 0 -> 1 -> 0 ...: 1 after 10**12 + 1 folds
+        spec = '{"g":2,"s":1,"a":0,"target":"P1","k":1000000000003,"deg":[1]}'
+        code, out, err, seconds = run_child("verify", plan_file, spec)
+        assert (code, err, json.loads(out)) == (0, "", {"verified": True, "diagnostics": []})
+        assert seconds < 1
+
+    def test_caps_are_inclusive(self, capsys, tmp_path):
+        # HYPER_2 has one circle: 2 + 2 * 19999 breakpoints is the cap
+        def request(command, steps):
+            plan_file = write_plan(tmp_path, HYPER_2, steps)
+            extra = [SPEC_6333] if command == "verify" else []
+            return invoke_json(capsys, command, plan_file, *extra)
+
+        iii = {"kind": "III"}
+        assert request("verify", [{**iii, "repeat": 99_999}, iii])[0] == 2  # not the target
+        assert request("verify", [{**iii, "repeat": 100_000}, iii])[0] == 1
+        code, doc = request("realize", [{**iii, "repeat": 19_998}, iii])
+        assert code == 0 and sum(len(c["breakpoints"]) for c in doc["components"]) == 40_000
+        assert request("realize", [{**iii, "repeat": 19_999}, iii])[0] == 1
 
 
 class TestEnumerate:

@@ -15,6 +15,7 @@ from realcover.constructions import (
     SeedNotInCatalog,
     StepKind,
     Variant,
+    _folds,
     _Replay,
     apply_step,
     execute_states,
@@ -89,6 +90,18 @@ class TestStepValidation:
         assert step_from_json(step_to_json(step)) == step
         bare = ConstructionStep(StepKind.V)
         assert step_from_json(step_to_json(bare)) == bare
+
+    def test_repeat_is_written_only_past_one(self):
+        # a plan of single steps keeps the wire form it had before records
+        one, run = ConstructionStep(StepKind.III), ConstructionStep(StepKind.III, repeat=10**30)
+        assert step_to_json(one) == {"kind": "III", "variant": None, "placement": None}
+        assert step_to_json(run) == {**step_to_json(one), "repeat": 10**30}
+        assert step_from_json(step_to_json(run)) == run != one
+
+    @pytest.mark.parametrize("repeat", [0, -1, True, 2.0, "2", None])
+    def test_repeat_must_be_a_positive_integer(self, repeat):
+        with pytest.raises(ValueError, match="repeat must be a positive integer"):
+            ConstructionStep(StepKind.V, repeat=repeat)
 
 
 class TestApplyStep:
@@ -210,6 +223,14 @@ class TestReplay:
         with pytest.raises(ValueError, match="labels must be distinct"):
             apply_step(state, ConstructionStep(StepKind.III))
 
+    def test_record_of_new_circles_refuses_a_taken_label(self):
+        # after ("C1", "N3") the second of three new circles would be N3
+        state = LabeledState(3, 0, 4, CoverTarget.PROJ_LINE, (("C1", 1), ("N3", 1)))
+        replay = _Replay(state)
+        with pytest.raises(ValueError, match="labels must be distinct"):
+            replay.step(ConstructionStep(StepKind.III, repeat=3))
+        assert replay.state() == state and (replay.total, replay.new) == (2, 1)
+
     def test_carried_winding_sum_is_invisible(self):
         # execute_states hands each state its running winding sum; equality,
         # hashing, repr and replace() do not see it.
@@ -225,15 +246,63 @@ class TestReplay:
 
     @pytest.mark.parametrize("m", [1, 2, 5])
     def test_wrap_run_is_m_single_wraps(self, m):
-        # realize steps a run of m equal wraps as one _Replay.step.
+        # One _Replay.step of a record of m wraps leaves the state of m
+        # single wraps.
         start = LabeledState(2, 0, 5, CoverTarget.PROJ_LINE, (("C1", 1), ("N1", 0)))
         wrap = ConstructionStep(StepKind.I, NORAM, "N1")
         run, singles = _Replay(start), _Replay(start)
-        assert run.step(wrap, 0, m) is None
+        assert run.step(replace(wrap, repeat=m), 0) is None
         for i in range(m):
             singles.step(wrap, i)
         assert run.state(carry_sum=True) == singles.state(carry_sum=True)
         assert (run.total, run.new) == (singles.total, singles.new) == (1 + m, 1)
+
+    @pytest.mark.parametrize("d", range(-3, 7))
+    def test_fold_run_closed_form(self, d):
+        # m folds at winding d iterate |d - 1| m times, for every integer d;
+        # only hand-built states hold a negative winding.
+        start = LabeledState(2, 0, 40, CoverTarget.PROJ_LINE, (("C1", d), ("C2", 2)))
+        fold = ConstructionStep(StepKind.I, RAM, "C1")
+        for m in range(1, 10):
+            w = d
+            for _ in range(m):
+                w = abs(w - 1)
+            assert _folds(d, m) == w, (d, m)
+            run, singles = _Replay(start), _Replay(start)
+            run.step(replace(fold, repeat=m), 0)
+            for i in range(m):
+                singles.step(fold, i)
+            assert run.state() == singles.state() == replace(
+                start, k=40 + m, components=(("C1", w), ("C2", 2))
+            )
+            assert (run.total, run.new) == (singles.total, singles.new) == (w + 2, 0)
+
+    @pytest.mark.parametrize(
+        "step",
+        [
+            ConstructionStep(StepKind.III),
+            ConstructionStep(StepKind.II, RAM),
+            ConstructionStep(StepKind.II, NORAM),
+            ConstructionStep(StepKind.I, RAM, "C1"),
+        ],
+    )
+    @pytest.mark.parametrize("m", [1, 3, 7])
+    def test_record_is_its_single_steps(self, step, m):
+        # a record creating circles numbers them N(new + 1) .. N(new + m)
+        start = LabeledState(2, 0, 9, CoverTarget.PROJ_LINE, (("C1", 3), ("N1", 1)))
+        run, singles = _Replay(start), _Replay(start)
+        run.step(replace(step, repeat=m), 0)
+        for i in range(m):
+            singles.step(step, i)
+        assert run.state(carry_sum=True) == singles.state(carry_sum=True)
+        assert (run.total, run.new) == (singles.total, singles.new)
+
+    @pytest.mark.parametrize("kind, gain", [(StepKind.IV, 2), (StepKind.V, 1)])
+    def test_budget_records_add_m_gains(self, kind, gain):
+        target = CoverTarget.PROJ_LINE if kind is StepKind.IV else CoverTarget.ANISOTROPIC_CONIC
+        replay = _Replay(LabeledState(3, 1, 4, target, ()))
+        replay.step(ConstructionStep(kind, repeat=10**40))
+        assert (replay.g, replay.k) == (3 + 10**40, 4 + gain * 10**40)
 
     @pytest.mark.parametrize(
         "comps, step",

@@ -1,4 +1,6 @@
+import hashlib
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -20,7 +22,7 @@ from realcover.planner import (
 )
 from realcover.topology import CoverSpec, CoverTarget, DegreeVector, TopType, enumerate_admissible
 
-from oracles import execute, oracle_admissible_tuples
+from oracles import execute, expand, oracle_admissible_tuples
 
 
 def spec(g, s, a, target, k, deg=()):
@@ -107,22 +109,53 @@ class TestBranchGuards:
             execute(result.seed, result.steps[:i])  # must not raise
 
 
+# sha256 of the plans over P1 in g <= 10, 3 <= k <= 8, one JSON line each
+# with every record written out as single steps, as the planner emitted them
+# before plans were run-length records.
+SINGLE_STEP_PLANS_SHA256 = "6a25a4bcc8ecef61fc06edb8ab17bf2362d1463b4e83df9981e4d67ab6086770"
+
+
+def p1_box_plans():
+    """(spec, plan) for every plan over P1 in g <= 10, 3 <= k <= 8."""
+    for g, s, a, target, k, deg in sorted(oracle_admissible_tuples(10, 3, 8)):
+        if target == "P1":
+            target_spec = spec(g, s, a, target, k, deg)
+            yield target_spec, plan(target_spec)
+
+
 class TestPlanShape:
     def test_no_fold_at_winding_zero(self):
         # Spare sheets go to wraps first, then folds, so no plan folds a
-        # circle of winding 0 and realize never turns a circle around.
+        # circle of winding 0 and realize never turns a circle around: a
+        # record of m folds starts at winding m or more.
         n = 0
-        for g, s, a, target, k, deg in sorted(oracle_admissible_tuples(10, 3, 8)):
-            if target != "P1":
-                continue
-            result = plan(spec(g, s, a, target, k, deg))
+        for target, result in p1_box_plans():
             states = execute_states(result.seed, result.steps)
             for i, (state, step) in enumerate(zip(states, result.steps)):
                 if step.kind is StepKind.I and step.variant is Variant.WITH_REAL_RAM:
                     winding = dict(state.components)[step.placement]
-                    assert winding > 0, (result.provenance, g, s, a, k, deg, i)
+                    assert winding >= step.repeat, (result.provenance, target, i)
             n += 1
         assert n == 3625
+
+    def test_records_are_the_single_steps_of_before(self):
+        # Written out as single steps, every plan is the step list the
+        # planner emitted before it wrote runs as records, and no two
+        # consecutive records are equal steps.
+        digest = hashlib.sha256()
+        for _, result in p1_box_plans():
+            for a, b in zip(result.steps, result.steps[1:]):
+                assert (a.kind, a.variant, a.placement) != (b.kind, b.variant, b.placement)
+            single = Plan(result.seed, tuple(expand(result.steps)), result.provenance)
+            doc = json.dumps(plan_to_json(single), separators=(",", ":"))
+            digest.update(doc.encode() + b"\n")
+        assert digest.hexdigest() == SINGLE_STEP_PLANS_SHA256
+
+    def test_plan_length_does_not_grow_with_k(self):
+        for k in (101, 10**6 + 1, 10**100 + 1):
+            result = plan(spec(6, 1, 0, "P1", k, (1,)))
+            assert [st.repeat for st in result.steps] == [1, (k - 3) // 2, (k - 3) // 2]
+            assert verify_plan(result, spec(6, 1, 0, "P1", k, (1,)))
 
     @pytest.mark.parametrize(
         "target, provenance, label, wraps, folds",
@@ -135,13 +168,18 @@ class TestPlanShape:
         ],
     )
     def test_spare_sheets_wrap_then_fold(self, target, provenance, label, wraps, folds):
-        # the last wraps + folds kind-I steps on the label, III/II aside
+        # the last two kind-I records, III/II aside: wraps, then folds; a
+        # circle pumped before its spare wraps (Case3 (3,): two) holds its
+        # pump in the same record
         result = plan(target)
         assert result.provenance == provenance and verify_plan(result, target)
-        tail = [st for st in result.steps if st.kind is StepKind.I][-(wraps + folds) :]
+        tail = [st for st in result.steps if st.kind is StepKind.I][-2:]
         wrap = ConstructionStep(StepKind.I, Variant.WITHOUT_REAL_RAM, label)
-        fold = ConstructionStep(StepKind.I, Variant.WITH_REAL_RAM, label)
-        assert tail == [wrap] * wraps + [fold] * folds
+        fold = ConstructionStep(StepKind.I, Variant.WITH_REAL_RAM, label, folds)
+        pumped = 2 if provenance == "Case3" else 0  # C1 from winding 1 to 3
+        assert tail == [replace(wrap, repeat=wraps + pumped), fold]
+        single = [wrap] * wraps + [replace(fold, repeat=1)] * folds
+        assert expand(tail)[-(wraps + folds) :] == single
 
 
 class TestVerify:
@@ -214,6 +252,19 @@ class TestDeterminism:
                     "provenance": "Case1",
                 }
             )
+
+    def test_steps_differing_in_repeat_are_different_records(self):
+        # the shared-step cache keys on the repeat and its type
+        doc = {"seed": {"kind": "GenericPencil", "g": 1, "k": 2}, "provenance": "Case1"}
+        iii = {"kind": "III", "variant": None, "placement": None}
+        raw = [iii, {**iii, "repeat": 3}, {**iii, "repeat": 1}, {**iii, "repeat": 3}, iii]
+        parsed = plan_from_json({**doc, "steps": raw})
+        assert [st.repeat for st in parsed.steps] == [1, 3, 1, 3, 1]
+        assert parsed.steps[1] is parsed.steps[3] and parsed.steps[0] is parsed.steps[4]
+        for bad in (True, 3.0):
+            steps = [iii, {**iii, "repeat": 3}, {**iii, "repeat": bad}]
+            with pytest.raises(ValueError, match=r"steps\[2\]\.repeat: expected a positive"):
+                plan_from_json({**doc, "steps": steps})
 
     @pytest.mark.parametrize(
         "bad, message",

@@ -1,5 +1,5 @@
 import json
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 from functools import lru_cache
 from math import ceil, floor, lcm
@@ -48,6 +48,7 @@ from oracles import (
     arc,
     arc_contains,
     brute_fiber_count,
+    expand,
     fold_split,
     fraction_fiber_profile,
     fraction_realize,
@@ -58,6 +59,7 @@ from oracles import (
     map_of,
     merge_components,
     pl_map,
+    record_index,
     reverse,
     segments,
     windings,
@@ -737,7 +739,8 @@ class TestIntegerLifts:
         n = 0
         for p in criterion_box_plans():
             cover = realize(p.seed, p.steps)
-            assert cover_to_json(cover) == cover_to_json(fraction_realize(p.seed, p.steps))
+            oracle = fraction_realize(p.seed, expand(p.steps))
+            assert cover_to_json(cover) == cover_to_json(oracle)
             assert fiber_profile(cover) == fraction_fiber_profile(cover)
             n += 1
         assert n == 947
@@ -748,7 +751,8 @@ class TestIntegerLifts:
             p = plan(p1_spec(*top, k, deg))
             assert p.provenance == provenance
             cover = realize(p.seed, p.steps)
-            assert cover_to_json(cover) == cover_to_json(fraction_realize(p.seed, p.steps))
+            oracle = fraction_realize(p.seed, expand(p.steps))
+            assert cover_to_json(cover) == cover_to_json(oracle)
             assert fiber_profile(cover) == fraction_fiber_profile(cover)
 
     @pytest.mark.parametrize("provenance, top, deg, k", DEEPER_RUNGS)
@@ -757,7 +761,7 @@ class TestIntegerLifts:
         assert p.provenance == provenance
         cover = realize(p.seed, p.steps)
         assert json.dumps(cover_to_json(cover)) == json.dumps(
-            cover_to_json(fraction_realize(p.seed, p.steps))
+            cover_to_json(fraction_realize(p.seed, expand(p.steps)))
         )
 
     @pytest.mark.parametrize("spec, p", HAND_BUILT, ids=["alternating-case3", "bouncing-case5"])
@@ -766,7 +770,7 @@ class TestIntegerLifts:
         assert verify_plan(p, spec)
         cover = realize(p.seed, p.steps)
         assert json.dumps(cover_to_json(cover)) == json.dumps(
-            cover_to_json(fraction_realize(p.seed, p.steps))
+            cover_to_json(fraction_realize(p.seed, expand(p.steps)))
         )
 
     @settings(max_examples=300, deadline=None)
@@ -833,15 +837,12 @@ class TestIntegerLifts:
         assert 0 < calls <= ceil(3 * folds / 30) + 2
 
     def test_wrap_runs_are_one_splice(self, monkeypatch):
-        # The planner's Case3 plans wrap C1 in one run before they fold it:
-        # realize splices the run once, so a fold or a run costs one scan of
-        # the spans, not every wrap.
+        # The planner's Case3 plans wrap C1 in one record before they fold
+        # it: realize splices the run of wraps once and each fold once, so
+        # a fold or a run costs one scan of the spans, not every wrap.
         p = plan(p1_spec(6, 1, 0, 1001, (1,)))
-        folds = sum(step.variant is RAM for step in p.steps)
-        runs = sum(
-            step.variant is NORAM and (i == 0 or p.steps[i - 1] != step)
-            for i, step in enumerate(p.steps)
-        )
+        folds = sum(step.repeat for step in p.steps if step.variant is RAM)
+        runs = sum(step.variant is NORAM for step in p.steps)
         assert (folds, runs) == (500, 1)
         calls = 0
         splice = plsim._splice
@@ -854,7 +855,10 @@ class TestIntegerLifts:
         monkeypatch.setattr(plsim, "_splice", counting)
         cover = realize(p.seed, p.steps)
         assert 0 < calls <= folds + runs
-        assert cover_to_json(cover) == cover_to_json(surgery_chain(p.seed, p.steps))
+        assert cover_to_json(cover) == cover_to_json(surgery_chain(p.seed, expand(p.steps)))
+        calls = 0
+        assert cover_to_json(realize(p.seed, expand(p.steps))) == cover_to_json(cover)
+        assert 0 < calls <= folds + runs  # consecutive equal records are one run
 
     @pytest.mark.parametrize(
         "seed, steps", BROKEN_RUNS + [(p.seed, p.steps) for _, p in HAND_BUILT]
@@ -863,6 +867,35 @@ class TestIntegerLifts:
         # A run of m wraps gives the bytes of m single-step surgeries, also
         # where other steps break the runs and where a run is refused.
         assert outcome(realize, seed, steps) == outcome(surgery_chain, seed, steps)
+
+    @pytest.mark.parametrize(
+        "seed, before, m",
+        [
+            (GenericPencil(0, 2), (), 40),  # no breakpoints before the first fold
+            (GenericPencil(3, 4), (), 40),
+            (hyper(4, 3, 1, (0, 0, 0)), (), 25),
+            (hyper(2, 1, 0, (2,)), (ConstructionStep(StepKind.I, RAM, "C1", 2),), 6),
+            (hyper(2, 1, 0, (2,)), (_WRAP1, ConstructionStep(StepKind.I, RAM, "C1", 3)), 6),
+            (hyper(2, 1, 0, (2,)), (), 3),  # refused: winding sum 2 = k
+        ],
+    )
+    def test_new_fold_runs_match_single_surgeries(self, seed, before, m):
+        # A record of m new folds sweeps the cover once and then splits its
+        # regular intervals; the bytes are those of m single surgeries.
+        steps = [*before, ConstructionStep(StepKind.II, RAM, repeat=m)]
+        assert outcome(realize, seed, steps) == outcome(surgery_chain, seed, expand(steps))
+
+    def test_new_fold_run_splits_a_wrapping_interval(self):
+        # Regular intervals (7/20, 11/20), (11/20, 19/20) and (19/20, 27/20),
+        # the last through 0: a record of eight new folds splits it into
+        # pieces whose starts pass 1, and every piece must then sort by its
+        # residue among the pieces of its width, as a fresh sweep would.
+        cover = PLCover((("C1", PLMap(20, [7, 19, 11], 0)),), 6, CoverTarget.PROJ_LINE)
+        fold = ConstructionStep(StepKind.II, RAM)
+        singles = cover
+        for _ in range(8):
+            singles = fraction_surgery(singles, fold)
+        assert cover_to_json(surgery(cover, replace(fold, repeat=8))) == cover_to_json(singles)
 
     @pytest.mark.parametrize("provenance, top, deg, k", DEEPEST_RUNGS)
     def test_deep_plans_keep_small_denominators(self, provenance, top, deg, k):
@@ -878,9 +911,10 @@ class TestIntegerLifts:
         assert fiber_budget_violations(cover) == []
 
 
-# Steps drawn blind: placements among labels a cover may or may not have,
-# each step repeated up to three times so that runs of equal wraps occur;
-# at most 12 steps.
+# Records drawn blind: placements among labels a cover may or may not
+# have; each drawn step either written out one to three times, so that runs
+# of equal records occur, or as one record of repeat 1 to 5; at most 12
+# records.
 blind_steps = st.lists(
     st.tuples(
         st.builds(
@@ -889,9 +923,16 @@ blind_steps = st.lists(
             st.sampled_from(["C1", "C2", "C3", "N1", "N2", "C9"]),
         ),
         st.integers(1, 3),
+        st.integers(0, 5),
     ),
     max_size=8,
-).map(lambda runs: [step for step, m in runs for _ in range(m)][:12])
+).map(
+    lambda runs: [
+        record
+        for step, m, repeat in runs
+        for record in ([replace(step, repeat=repeat)] if repeat else [step] * m)
+    ][:12]
+)
 
 
 def refusal_or(fn):
@@ -902,16 +943,26 @@ def refusal_or(fn):
         return str(exc)
 
 
+def at_record(steps, exc):
+    """A refusal of step j of expand(steps) as the refusal of the record
+    that holds step j."""
+    return PreconditionViolated(exc.kind, exc.reason, record_index(steps, exc.step_index))
+
+
 class TestStepRules:
     """The symbolic and the PL interpreter share one set of step rules."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.sampled_from(FUZZ_SEEDS), blind_steps)
     def test_execute_states_and_realize_agree(self, seed, steps):
-        # execute_states steps one mutable state and apply_step a copy per
-        # step: both must give the same states, or the same refusal at the
-        # same step, and the winding sum each yielded state carries must be
-        # its own.
+        # execute_states steps one mutable state a record at a time and
+        # apply_step a copy per record: both must give the same states, or
+        # the same refusal at the same record, and the winding sum each
+        # yielded state carries must be its own.  The records written out as
+        # single steps must end in the same state, or be refused at a step
+        # of the refused record, and realize to the same bytes.
+        single = expand(steps)
+
         def replayed():
             return list(execute_states(seed, steps))
 
@@ -921,19 +972,38 @@ class TestStepRules:
                 states.append(apply_step(states[-1], step, i))
             return states
 
+        def final_of_expansion():
+            try:
+                *_, final = execute_states(seed, single)
+            except PreconditionViolated as exc:
+                return str(at_record(steps, exc))
+            return final
+
         def pl():
             cover = realize(seed, steps)
             return windings(cover), cover.k
+
+        def fraction_pl():
+            try:
+                return cover_to_json(fraction_realize(seed, single))
+            except PreconditionViolated as exc:
+                exc = at_record(steps, exc)
+                return (PreconditionViolated, str(exc), exc.step_index)
+            except (BudgetExceeded, ValueError) as exc:
+                return (type(exc), str(exc), None)
 
         states = refusal_or(replayed)
         assert states == refusal_or(folded)
         if isinstance(states, list):
             sums = [sum(d for _, d in s.components) for s in states]
             assert [s.delta_sum for s in states] == sums
+            assert states[-1] == final_of_expansion()
             final = dict(states[-1].components), states[-1].k
         else:
+            assert states == final_of_expansion()
             final = states
         assert final == refusal_or(pl)
+        assert outcome(realize, seed, steps) == fraction_pl()
 
     @pytest.mark.parametrize("d", [-3, -2, -1])
     def test_fold_at_negative_winding_agrees(self, d):
@@ -950,18 +1020,26 @@ class TestStepRules:
     @settings(max_examples=300, deadline=None)
     @given(st.sampled_from(FUZZ_SEEDS), blind_steps)
     def test_spans_close_up_to_the_symbolic_windings(self, seed, steps):
-        # The span form takes its windings from the symbolic state; its
-        # geometry must keep up: after every step each circle's spans sum
-        # to its winding times den, and its labels are the state's.
+        # The span form takes its windings from the symbolic state once per
+        # record; its geometry must keep up: after every record each
+        # circle's spans sum to its winding times den, and its labels are
+        # the state's.  A form that takes every record ends where the
+        # records written out as single steps do: in their symbolic state,
+        # and with the bytes of their Fraction realization.
         form = plsim._Spans(seed_cover(seed))
         for i, step in enumerate(steps):
             try:
                 plsim._step(form, step, i)
             except (PreconditionViolated, BudgetExceeded):
-                break
+                return
             assert {lbl: sum(d) for lbl, (_, d) in form.spans.items()} == {
                 lbl: w * form.den for lbl, w in form.replay.windings.items()
             }
+        single = expand(steps)
+        *_, final = execute_states(seed, single)
+        assert (form.replay.windings, form.replay.k) == (dict(final.components), final.k)
+        cover = plsim._decode(form.lifts())
+        assert cover_to_json(cover) == cover_to_json(fraction_realize(seed, single))
 
 
 def rebuilt(cover):
