@@ -23,7 +23,7 @@ A record of m equal steps applies m times each delta, in closed form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 from enum import Enum
 from typing import List, Optional, Sequence, Union
 
@@ -114,45 +114,20 @@ class LabeledState:
     k: int
     target: CoverTarget
     components: tuple[tuple[str, int], ...]
-    # The winding sum, set by execute_states from its running sum or here on
-    # first read; outside __init__, ==, hash and repr, so replace() and
-    # equality never see it.
-    _sum: Optional[int] = field(default=None, init=False, compare=False, repr=False)
 
     @property
     def s(self) -> int:
         return len(self.components)
-
-    @property
-    def delta_sum(self) -> int:
-        total = self._sum
-        if total is None:
-            total = sum([d for _, d in self.components])
-            object.__setattr__(self, "_sum", total)
-        return total
 
     def canonical_spec(self) -> CoverSpec:
         degrees = DegreeVector.canonical(d for _, d in self.components)
         return CoverSpec(TopType(self.g, self.s, self.a), self.target, self.k, degrees)
 
     def invariant_failure(self) -> Optional[str]:
-        """Check the running bookkeeping invariants; None when they hold.
-
-        Coverings of the projective line keep sum(windings) <= k with even
-        defect.  Coverings of R0 have no real circles at all; there the
-        degree parity is tied to the genus instead and is checked by the
-        admissibility predicates, not here.
-        """
-        if self.target is _P1:
-            total = self.delta_sum
-            if total > self.k:
-                return f"winding sum {total} exceeds degree {self.k}"
-            if (self.k - total) % 2 != 0:
-                return f"degree defect {self.k - total} is odd"
-            return None
-        if self.components:
-            return "covering of R0 with nonempty real locus"
-        return None
+        """Check the state invariants of _Replay.invariant_failure; None
+        when they hold.  A state whose circles repeat a label raises
+        ValueError."""
+        return _Replay(self).invariant_failure()
 
 
 # ---------------------------------------------------------------------------
@@ -306,9 +281,9 @@ class _Replay:
     """The working state both interpreters step: the LabeledState fields
     with the real locus as a label -> winding dict in creation order, plus
     the sum of the absolute windings and the count of N circles that
-    _check_step reads.  A record updates them in O(1), or O(repeat) when
-    it creates circles; plsim's span form is this state plus the geometry
-    of each circle."""
+    _check_step and the invariants read.  A record updates them in O(1),
+    or O(repeat) when it creates circles; plsim's span form is this state
+    plus the geometry of each circle."""
 
     __slots__ = ("g", "a", "k", "target", "windings", "total", "new")
 
@@ -352,27 +327,30 @@ class _Replay:
         self.k += m * _SHEETS[kind]
         return labels
 
-    def state(self, carry_sum: bool = False) -> LabeledState:
-        """The state as a LabeledState; with carry_sum, the running sum is
-        its winding sum, which holds when every winding is nonnegative.
+    def invariant_failure(self) -> Optional[str]:
+        """Check the running bookkeeping invariants in O(1); None when they
+        hold.
 
-        Built slot by slot: LabeledState.__init__ writes each field through
-        object.__setattr__, which would double the cost of a replay step.
+        Coverings of the projective line keep sum(|windings|) <= k with even
+        defect: each circle of winding w meets a real fiber in at least |w|
+        points.  Coverings of R0 have no real circles at all; there the
+        degree parity is tied to the genus instead and is checked by the
+        admissibility predicates, not here.
         """
-        state = _new(LabeledState)
-        _set_g(state, self.g)
-        _set_a(state, self.a)
-        _set_k(state, self.k)
-        _set_target(state, self.target)
-        _set_components(state, tuple(self.windings.items()))
-        _set_sum(state, self.total if carry_sum else None)
-        return state
+        if self.target is _P1:
+            total, k = self.total, self.k
+            if total > k:
+                return f"winding sum {total} exceeds degree {k}"
+            if (k - total) % 2 != 0:
+                return f"degree defect {k - total} is odd"
+            return None
+        if self.windings:
+            return "covering of R0 with nonempty real locus"
+        return None
 
-
-_new = object.__new__
-_set_g, _set_a, _set_k, _set_target, _set_components, _set_sum = (
-    LabeledState.__dict__[f.name].__set__ for f in fields(LabeledState)
-)
+    def state(self) -> LabeledState:
+        """A snapshot of the state as a LabeledState."""
+        return LabeledState(self.g, self.a, self.k, self.target, tuple(self.windings.items()))
 
 
 def apply_step(
@@ -393,22 +371,18 @@ def apply_step(
 
 
 def execute_states(seed: BaseSeed, steps: Sequence[ConstructionStep]):
-    """Yield the seed state and the state after each record of a plan.
-
-    One mutable working state takes every record in closed form, so a
-    record costs O(1), or O(repeat) when it creates circles, apart from
-    copying the components into the LabeledState it yields.  Each yielded
-    state carries the running winding sum, so invariant_failure does not
-    re-sum it.  A PreconditionViolated carries the index of the failing
+    """Yield the working state after the seed and after each record of a
+    plan: one mutable _Replay that takes every record in closed form, so a
+    record costs O(1), or O(repeat) when it creates circles.  A consumer
+    reads it before asking for the next record, or snapshots it with
+    .state().  A PreconditionViolated carries the index of the failing
     record.
     """
-    state = seed_state(seed)
-    yield state
-    replay = _Replay(state)
+    replay = _Replay(seed_state(seed))
+    yield replay
     for i, step in enumerate(steps):
         replay.step(step, i)
-        # Catalog seeds have nonnegative windings and the rules keep them so.
-        yield replay.state(carry_sum=True)
+        yield replay
 
 
 # ---------------------------------------------------------------------------
@@ -476,9 +450,15 @@ def step_to_json(step: ConstructionStep) -> dict:
     return obj
 
 
+_STEP_FIELDS = frozenset(("kind", "variant", "placement", "repeat"))
+
+
 def step_from_json(obj: object, index: int = 0) -> ConstructionStep:
     if not isinstance(obj, dict):
         raise ValueError(f"steps[{index}]: expected an object")
+    for name in obj:
+        if name not in _STEP_FIELDS:
+            raise ValueError(f"steps[{index}]: unknown field {name!r}")
     try:
         kind = StepKind(obj["kind"])
     except (KeyError, ValueError):

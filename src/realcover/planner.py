@@ -27,6 +27,7 @@ from .constructions import (
     PreconditionViolated,
     StepKind,
     Variant,
+    _STEP_FIELDS,
     execute_states,
     seed_from_json,
     seed_to_json,
@@ -237,17 +238,15 @@ def verify_plan(plan_: Plan, target: CoverSpec, trail: Optional[List[str]] = Non
         return False
 
     try:
-        final = None
         for i, state in enumerate(execute_states(plan_.seed, plan_.steps)):
             bad = state.invariant_failure()
             if bad is not None:
                 return note(f"state after step {i - 1}: {bad}")
-            final = state
     except PreconditionViolated as exc:
         return note(str(exc))
     except ValueError as exc:
         return note(f"seed rejected: {exc}")
-    outcome = final.canonical_spec()
+    outcome = state.state().canonical_spec()
     if outcome != target:
         return note(f"plan executes to {outcome}, not the target")
     return True
@@ -279,12 +278,13 @@ def plan_from_json(obj: object) -> Plan:
     # k times: parse each distinct wire step once and share its record.
     # Only valid steps are stored; their kind, variant and placement are
     # str or None, and the key holds the repeat's type, since True == 1 and
-    # 2.0 == 2 would otherwise find a valid record.
+    # 2.0 == 2 would otherwise find a valid record.  A step with an unknown
+    # field is never looked up.
     shared: dict = {}
     steps = []
     for i, raw in enumerate(raw_steps):
         key = None
-        if isinstance(raw, dict):
+        if isinstance(raw, dict) and raw.keys() <= _STEP_FIELDS:
             repeat = raw.get("repeat", 1)
             key = (raw.get("kind"), raw.get("variant"), raw.get("placement"), repeat, type(repeat))
         try:

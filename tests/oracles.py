@@ -124,10 +124,9 @@ def execute(seed, steps):
     The result is whatever the bookkeeping says, admissible or not; plans
     are judged by comparing it against their target.
     """
-    state = None
     for state in execute_states(seed, steps):
         pass
-    return state.canonical_spec()
+    return state.state().canonical_spec()
 
 
 def _segment_crossings(u, v, x):

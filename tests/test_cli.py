@@ -43,6 +43,7 @@ def write_plan(tmp_path, seed, steps=()):
 SPEC_431 = '{"g":4,"s":0,"a":1,"target":"P1","k":3,"deg":[]}'
 SPEC_6333 = '{"g":6,"s":3,"a":0,"target":"P1","k":3,"deg":[1,1,1]}'
 HYPER_2 = {"kind": "Hyperelliptic", "g": 2, "s": 1, "a": 0, "deg": [2]}
+WRAP_C1 = {"kind": "I", "variant": "noram", "placement": "C1"}
 
 
 class TestAdmissible:
@@ -226,6 +227,19 @@ class TestErrorMessages:
             (
                 {"seed": {"g": 2}, "steps": [], "provenance": "Case1"},
                 "seed: expected an object with a 'kind' field",
+            ),
+            # a misspelt repeat, alone and after the same step without it
+            (
+                {"seed": HYPER_2, "steps": [{**WRAP_C1, "repat": 5}], "provenance": "Case1"},
+                "steps[0]: unknown field 'repat'",
+            ),
+            (
+                {
+                    "seed": HYPER_2,
+                    "steps": [WRAP_C1, {**WRAP_C1, "repat": 5}],
+                    "provenance": "Case1",
+                },
+                "steps[1]: unknown field 'repat'",
             ),
         ],
     )

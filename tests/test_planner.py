@@ -8,8 +8,10 @@ from realcover.constructions import (
     ConstructionStep,
     GenericR0Pencil,
     Hyperelliptic,
+    LabeledState,
     StepKind,
     Variant,
+    _Replay,
     execute_states,
 )
 from realcover.planner import (
@@ -133,7 +135,7 @@ class TestPlanShape:
             states = execute_states(result.seed, result.steps)
             for i, (state, step) in enumerate(zip(states, result.steps)):
                 if step.kind is StepKind.I and step.variant is Variant.WITH_REAL_RAM:
-                    winding = dict(state.components)[step.placement]
+                    winding = state.windings[step.placement]
                     assert winding >= step.repeat, (result.provenance, target, i)
             n += 1
         assert n == 3625
@@ -211,6 +213,23 @@ class TestVerify:
         assert not verify_plan(bad, spec(5, 2, 0, "P1", 2, (2, 0)), trail)
         assert trail
 
+    def test_verify_snapshots_the_state_once(self, monkeypatch):
+        # verify checks every record on the one working state and builds a
+        # LabeledState only for the seed and the outcome, so its cost is
+        # linear in records plus circles, not their product.
+        s = 2000
+        target = spec(s - 1, s, 0, "P1", 2 * s, (2,) * s)
+        result = plan(target)
+        assert (result.provenance, len(result.steps)) == ("Case2-big", s)
+        snapshots, built = [], []
+        state, init = _Replay.state, LabeledState.__init__
+        monkeypatch.setattr(_Replay, "state", lambda self: snapshots.append(1) or state(self))
+        monkeypatch.setattr(
+            LabeledState, "__init__", lambda self, *args: built.append(1) or init(self, *args)
+        )
+        assert verify_plan(result, target)
+        assert (len(snapshots), len(built)) == (1, 2)
+
 
 class TestDeterminism:
     def test_plans_are_pure(self):
@@ -285,6 +304,10 @@ class TestDeterminism:
                 "steps[3]: construction I requires a placement label",
             ),
             ({"kind": "III", "variant": "ram"}, "steps[3]: construction III takes no variant"),
+            (
+                {"kind": "I", "variant": "ram", "placement": "C1", "repat": 5},
+                "steps[3]: unknown field 'repat'",
+            ),
         ],
     )
     def test_repeated_steps_are_shared_and_a_bad_one_fails_at_its_index(self, bad, message):
