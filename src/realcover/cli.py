@@ -40,9 +40,12 @@ _COVNUM_MAX_S, _COVNUM_MAX_DEFICIT = 100_000, 5_000
 
 # A plan record can ask for any number of steps.  verify and realize take
 # time and memory linear in the records and the circles a plan creates, and
-# realize about quadratic in the breakpoints it emits: a planner plan at the
-# circle cap verifies in about 1 s, one at the breakpoint cap realizes in
-# about 10 s (see the README).
+# realize O(B log B) in the B breakpoints a planner plan emits: a planner
+# plan at the circle cap verifies in about 1 s, one at the breakpoint cap
+# realizes and prints in under 1 s.  The breakpoint cap stays at 40,000 for
+# hand-written plans: one that alternates folds and wraps grows its
+# denominator by up to 3 bits per fold and takes minutes at the cap (see
+# the README).
 _PLAN_MAX_CIRCLES, _REALIZE_MAX_BREAKPOINTS = 100_000, 40_000
 
 

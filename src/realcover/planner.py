@@ -112,7 +112,7 @@ def _wraps_then_folds(label: str, wraps: int, folds: int) -> List[Run]:
     every wrap first: the circle never folds at winding 0, and the folds
     halve wide climbs level by level, so realize's denominator grows by
     about log2 of the fold count in bits, not by up to 3 bits per fold
-    (see plsim._splice).
+    (see plsim._fold).
     """
     return [(_noram(label), wraps), (_ram(label), folds)]
 

@@ -22,9 +22,9 @@ most k and has the parity of k (coverings of the projective line).
 
 from __future__ import annotations
 
-from bisect import insort
 from dataclasses import FrozenInstanceError, dataclass, replace
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from itertools import accumulate
 from math import gcd, lcm
 from operator import eq, neg, sub
@@ -36,7 +36,6 @@ from .constructions import (
     ConstructionStep,
     LabeledState,
     Variant,
-    _folds,
     _Replay,
     seed_state,
 )
@@ -229,12 +228,11 @@ def fiber_budget_violations(cover: PLCover) -> List[str]:
 
 def image_arcs(cover: PLCover) -> List[Tuple[str, ArcLike]]:
     """The image of each circle: the whole target circle, or a proper arc."""
-    form = _encode(cover)
-    den = form.den
     out: List[Tuple[str, ArcLike]] = []
-    for lbl, xs, closure in form.circles:
+    for lbl, m in cover.components:
+        xs, den = m.xs, m.den
         lo, hi = min(xs), max(xs)
-        if closure != 0 or hi - lo >= den:
+        if m.closure != 0 or hi - lo >= den:
             out.append((lbl, FULL_CIRCLE))
         else:
             out.append((lbl, Arc(den, lo, hi)))
@@ -261,16 +259,8 @@ class _Spans:
 
     __slots__ = ("replay", "den", "spans")
 
-    def __init__(self, cover: PLCover):
-        # The rules read neither the genus nor a, which a PLCover does not have.
-        windings = tuple([(lbl, m.closure) for lbl, m in cover.components])
-        self.replay = _Replay(LabeledState(0, 0, cover.k, cover.target, windings))
-        form = _encode(cover)
-        den = self.den = form.den
-        self.spans = {
-            lbl: (xs[0], list(map(sub, xs[1:] + [xs[0] + w * den], xs)))
-            for lbl, xs, w in form.circles
-        }
+    def __init__(self, replay: _Replay, den: int, spans: dict):
+        self.replay, self.den, self.spans = replay, den, spans
 
     def lifts(self) -> _Lifts:
         replay = self.replay
@@ -282,45 +272,109 @@ class _Spans:
         return _Lifts(self.den, circles, replay.k, replay.target)
 
 
+def _cover_spans(cover: PLCover) -> _Spans:
+    """The span form of a cover, over the common den of its maps."""
+    # The rules read neither the genus nor a, which a PLCover does not have.
+    windings = tuple([(lbl, m.closure) for lbl, m in cover.components])
+    replay = _Replay(LabeledState(0, 0, cover.k, cover.target, windings))
+    form = _encode(cover)
+    den = form.den
+    spans = {
+        lbl: (xs[0], list(map(sub, xs[1:] + [xs[0] + w * den], xs))) for lbl, xs, w in form.circles
+    }
+    return _Spans(replay, den, spans)
+
+
+def _seed_spans(seed: BaseSeed) -> _Spans:
+    """The span form of seed_cover(seed), built from its seed_state with no
+    PLMap: a circle of winding d > 0 climbs d/2 twice, the i-th of s circles
+    of winding 0 folds over [(4i + 1)/4s, (4i + 3)/4s]."""
+    state = seed_state(seed)
+    comps, s = state.components, state.s
+    den = lcm(*[2 // gcd(2, d) if d else 4 * s for _, d in comps])
+    spans = {}
+    for i, (lbl, d) in enumerate(comps):
+        if d:
+            spans[lbl] = (0, [d * den // 2] * 2)
+        else:
+            q = den // (4 * s)
+            spans[lbl] = ((4 * i + 1) * q, [2 * q, -2 * q])
+    return _Spans(_Replay(state), den, spans)
+
+
 def _refine(form: _Spans) -> None:
     """Multiply den, every x0 and every span by the stride: a step needs den
-    times 8 at most, so this O(B) rescale runs about once in ten folds."""
+    times 8 at most, so this O(B) rescale runs about once in ten single
+    folds, and at most once per level of a fold run (see _fold)."""
     f = _STRIDE
     form.den *= f
     form.spans = {lbl: (x0 * f, [x * f for x in d]) for lbl, (x0, d) in form.spans.items()}
 
 
-def _splice(form: _Spans, label: str, before: int, after: int, fold: bool) -> None:
-    """Splice into the widest climb of the circle (ties to the earliest) its
-    change of winding from before to after: after - before full turns for a
-    wrap, or for a fold a backward turn whose small gap loses a preimage
-    where every other value gains one.  A fold whose after is not the
-    spliced spans' before - 1 reads the circle backwards.
-
-    A wrap leaves its climb strictly the widest, so m single wraps all land
-    on the climb the first one takes: a run costs one scan of the spans."""
-    x0, d = form.spans[label]
+def _splice(form: _Spans, label: str, turns: int) -> None:
+    """Widen the widest climb of the circle (ties to the earliest) by turns
+    full turns.  A wrap leaves its climb strictly the widest, so m single
+    wraps all land on the climb the first one takes: a run of wraps is one
+    splice, d[i] += m * den, and costs one scan of the spans."""
+    d = form.spans[label][1]
     w = max(d)
     if w <= 0:
         raise ValueError("map has no increasing segment")
-    i = d.index(w)
-    if not fold:
-        d[i] += (after - before) * form.den
-        return
-    # u -> u + w becomes u -> c - h -> c + h - den -> u + w - den, c = u + w/2,
-    # h = m/8 <= den/4: spans a = (4w - m)/8, m/4 - den (< 0) and a again.
-    m = min(w, 2 * form.den)
-    if (4 * w - m) % 8 or m % 4:
-        _refine(form)
+    d[d.index(w)] += turns * form.den
+
+
+def _fold(form: _Spans, label: str, before: int, m: int) -> None:
+    """Apply m folds to the circle at winding before, level by level.
+
+    A fold turns the widest climb w (ties to the earliest) into a backward
+    turn whose small gap loses a preimage where every other value gains
+    one: u -> u + w becomes u -> c - h/8 -> c + h/8 - den -> u + w - den,
+    with c = u + w/2 and h = min(w, 2 den), that is spans a, h/4 - den < 0
+    and a again, with a = (4w - h)/8 < w/2.  All three are narrower than w,
+    so once the earliest climb of width w has folded, the widest climb is
+    the next one of width w.  Folds that do not pass winding 0 therefore
+    take every climb equal to max(d), earliest first and as many as are
+    still owed, in one rebuild of the spans, then the next max, and so on:
+    a run of n folds costs about log2(n) scans.  Whether den must be
+    refined depends only on w and den, and a refinement scales every span
+    alike, so it happens at most once per level.
+
+    A fold at winding <= 0, which only hand-written plans make, is a level
+    of one fold, after which the circle is read backwards so that its
+    winding is 1 - before: an O(B) pass."""
+    while m:
+        n = min(m, before) if before > 0 else 1
+        m, before = m - n, before - n
         x0, d = form.spans[label]
-        w, m = w * _STRIDE, m * _STRIDE
-    a = (4 * w - m) // 8
-    d[i : i + 1] = [a, m // 4 - form.den, a]
-    # Read the circle backwards so its winding is after: an O(B) pass that
-    # only a fold at winding 0 needs, which planner plans never emit.
-    closure = before - 1
-    if closure != after:
-        form.spans[label] = (x0 + closure * form.den, list(map(neg, reversed(d))))
+        while n:
+            w = max(d)
+            if w <= 0:
+                raise ValueError("map has no increasing segment")
+            h = min(w, 2 * form.den)
+            if (4 * w - h) % 8:  # 8 | 4w - h implies 4 | h
+                _refine(form)
+                x0, d = form.spans[label]
+                w, h = w * _STRIDE, h * _STRIDE
+            a = (4 * w - h) // 8
+            folded = [a, h // 4 - form.den, a]
+            i = d.index(w)
+            j = min(n, d.count(w)) if n > 1 else 1
+            n -= j
+            if j == 1:  # in place: spares a lone fold a copy of the spans
+                d[i : i + 1] = folded
+                continue
+            out, start = d[:i] + folded, i + 1
+            for _ in range(j - 1):
+                i = d.index(w, start)
+                out += d[start:i]
+                out += folded
+                start = i + 1
+            out += d[start:]
+            d = out
+            form.spans[label] = (x0, d)
+        if before < 0:
+            form.spans[label] = (x0 + before * form.den, list(map(neg, reversed(d))))
+            before = -before
 
 
 def _new_folds(form: _Spans, labels: List[str]) -> None:
@@ -328,52 +382,51 @@ def _new_folds(form: _Spans, labels: List[str]) -> None:
     widest regular interval where two more sheets fit (ties to the lowest
     start), back out a quarter before its end.  A fold adds two sheets
     between its ends and splits its interval in three, so the cover is
-    swept once and the intervals are then split in a sorted list; a cover
-    with no breakpoints has no true interval ends, so the first fold there
-    sweeps again."""
-    room, order = form.replay.k - 2, None
+    swept once and the intervals are then split in a heap keyed by
+    (-gap, start), keys the distinct starts make unique; a cover with no
+    breakpoints has no true interval ends, so the first fold there sweeps
+    again."""
+    room, heap = form.replay.k - 2, None
     for label in labels:
-        if order is None:
+        if heap is None:
             ends = bool(form.spans)
-            order = sorted([(-gap, a, n) for a, gap, n in _sweep(form.lifts()) if n <= room])
-        if not order:
+            heap = [(-gap, a, n) for a, gap, n in _sweep(form.lifts()) if n <= room]
+            heapify(heap)
+        if not heap:
             raise BudgetExceeded("no regular interval has room for two more real sheets")
-        gap, a, n = order.pop(0)
+        gap, a, n = heappop(heap)
         gap = -gap
         if gap % 4:
             _refine(form)
             a, gap = a * _STRIDE, gap * _STRIDE
-            order = [(g * _STRIDE, b * _STRIDE, c) for g, b, c in order]  # still sorted
+            heap = [(g * _STRIDE, b * _STRIDE, c) for g, b, c in heap]  # still a heap
         q = gap // 4
         form.spans[label] = (a + q, [2 * q, -2 * q])
         if not ends:
-            order = None
+            heap = None
             continue
         den = form.den
-        insort(order, (-q, a, n))
-        insort(order, (-q, (a + 3 * q) % den, n))
+        heappush(heap, (-q, a, n))
+        heappush(heap, (-q, (a + 3 * q) % den, n))
         if n + 2 <= room:
-            insort(order, (-2 * q, (a + q) % den, n + 2))
+            heappush(heap, (-2 * q, (a + q) % den, n + 2))
 
 
 def _step(form: _Spans, step: ConstructionStep, index: Optional[int] = None) -> None:
     """Apply one record to the span form in place.  _Replay.step checks the
     rules and updates the windings, k and labels once for the whole record;
-    this adds only the geometry: one splice for a run of wraps, one splice
-    per fold, each given its own windings, or a new fold or wrap per circle
-    the record creates.  A refusal raises before any span changes."""
+    this adds only the geometry: one splice for a run of wraps, a fold run
+    applied level by level, or a new fold or wrap per circle the record
+    creates.  A refusal raises before any span changes."""
     label = step.placement  # kind I only
     replay = form.replay
     if label is not None:
         before = replay.windings.get(label)
         replay.step(step, index)
-        if step.variant is not _RAM:
-            _splice(form, label, before, replay.windings[label], False)
-            return
-        for _ in range(step.repeat):
-            after = _folds(before, 1)
-            _splice(form, label, before, after, True)
-            before = after
+        if step.variant is _RAM:
+            _fold(form, label, before, step.repeat)
+        else:
+            _splice(form, label, step.repeat)
         return
     labels = replay.step(step, index)
     if labels is None:
@@ -398,7 +451,7 @@ def surgery(cover: PLCover, step: ConstructionStep) -> PLCover:
     realizations are deterministic.  A cover whose circles repeat a label
     raises ValueError.
     """
-    form = _Spans(cover)
+    form = _cover_spans(cover)
     _step(form, step)
     return _decode(form.lifts())
 
@@ -518,32 +571,27 @@ def seed_cover(seed: BaseSeed) -> PLCover:
     and contribute only their sheet budget.  A seed outside the catalog
     raises SeedNotInCatalog.
     """
-    state = seed_state(seed)
-    s = state.s
-    comps = tuple(
-        (lbl, PLMap(2, [0, d], d) if d else PLMap(4 * s, [4 * i + 1, 4 * i + 3], 0))
-        for i, (lbl, d) in enumerate(state.components)
-    )
-    return PLCover(comps, state.k, state.target)
+    return _decode(_seed_spans(seed).lifts())
 
 
 def realize(seed: BaseSeed, steps: Sequence[ConstructionStep]) -> PLCover:
     """Fold the PL surgeries of a plan over its seed realization.
 
-    The seed cover is encoded once into span form.  Each record runs the
-    symbolic step on the form's state once, so the windings and k of the
-    result are the symbolic ones, then splices a few spans, refining den by
-    a stride of 2**30 about once in ten folds.  A run of m wraps is one
-    splice, d[i] += m * den, the same spans as m single wraps; a run of m
-    folds is m splices, each of which still scans its circle's spans for
-    the widest climb, and a run of new folds sweeps the cover once.
-    Consecutive equal records are one run, so a plan
-    written one record per step keeps its runs of wraps one splice.  The
-    result is decoded and validated, at its least denominator, once at the
-    end.  A refused record raises PreconditionViolated carrying its index,
-    the first of its run.
+    The span form starts from the seed's seed_state, with no PLMap built.
+    Each record runs the symbolic step on the form's state once, so the
+    windings and k of the result are the symbolic ones, then rewrites the
+    spans at its sites, refining den by a stride of 2**30 where a fold
+    needs it.  A run of m wraps is one splice, d[i] += m * den; a run of m
+    folds rebuilds its circle's spans once per width it folds, about
+    log2(m) times (see _fold); a run of new folds sweeps the cover once and
+    splits its intervals in a heap.  A planner plan of B breakpoints thus
+    realizes in O(B log B) steps on the integers.  Consecutive equal
+    records are one run, so a plan written one record per step gets the
+    same splices.  The result is decoded and validated, at its least
+    denominator, once at the end.  A refused record raises
+    PreconditionViolated carrying its index, the first of its run.
     """
-    form = _Spans(seed_cover(seed))
+    form = _seed_spans(seed)
     i, n = 0, len(steps)
     while i < n:
         step, j = steps[i], i + 1

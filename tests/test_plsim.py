@@ -2,10 +2,11 @@ import json
 from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import ceil, floor, lcm
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from realcover import plsim
@@ -601,11 +602,14 @@ DEEPER_RUNGS = (
 )
 
 
-# The deepest rung of each ladder, realized without the oracle.
+# The deepest rungs of each ladder, realized without the oracle; Case3 and
+# Case5 up to the CLI's 40,000-breakpoint cap.
 DEEPEST_RUNGS = (
     ("Case3", (6, 1, 0), (1,), 4001),
     ("Case5", (6, 3, 0), (0, 0, 0), 4000),
     ("A1-sPos", (8, 3, 1), (5, 3, 0), 2000),
+    ("Case3", (6, 1, 0), (1,), 39999),
+    ("Case5", (6, 3, 0), (0, 0, 0), 39998),
 )
 
 
@@ -730,6 +734,36 @@ def step_sequences(draw):
     return seed, steps
 
 
+def span_cover(den, d, w, x0=0):
+    """One circle C1 from x0 / den with spans d / den, the last closing it
+    up to winding w."""
+    assert sum(d) == w * den
+    xs = list(accumulate(d[:-1], initial=x0))
+    return PLCover((("C1", PLMap(den, xs, w)),), 2, CoverTarget.PROJ_LINE)
+
+
+@st.composite
+def fold_runs(draw):
+    """A one-circle cover over den with spans drawn from a few widths, so
+    that climbs tie, on both sides of 2 den and often needing a refined
+    grid, closed up to a winding from -2 to 6; and a run length."""
+    den = draw(st.sampled_from([1, 2, 3, 4, 8, 12]))
+    widths = [1, 2, 3, den, 2 * den - 1, 2 * den, 2 * den + 1, 4 * den, 5 * den + 3, -1, -den]
+    d = draw(st.lists(st.sampled_from(widths), min_size=1, max_size=8))
+    w = draw(st.integers(-2, 6))
+    close = w * den - sum(d)
+    assume(close != 0)
+    cover = span_cover(den, d + [close], w, draw(st.integers(0, den - 1)))
+    return cover, draw(st.integers(1, 8))
+
+
+def single_folds(cover, m):
+    """m folds on C1, one fraction_surgery each."""
+    for _ in range(m):
+        cover = fraction_surgery(cover, _FOLD1)
+    return cover
+
+
 class TestIntegerLifts:
     """realize, surgery and fiber_profile run on integer lifts; the Fraction
     path in tests/oracles.py must give the same bytes."""
@@ -765,7 +799,7 @@ class TestIntegerLifts:
 
     @pytest.mark.parametrize("spec, p", HAND_BUILT, ids=["alternating-case3", "bouncing-case5"])
     def test_hand_built_plan_matches_fraction_oracle(self, spec, p):
-        # the reversal in _splice and long runs of strided refinements
+        # the reversal in _fold and long runs of strided refinements
         assert verify_plan(p, spec)
         cover = realize(p.seed, p.steps)
         assert json.dumps(cover_to_json(cover)) == json.dumps(
@@ -837,8 +871,8 @@ class TestIntegerLifts:
 
     def test_wrap_runs_are_one_splice(self, monkeypatch):
         # The planner's Case3 plans wrap C1 in one record before they fold
-        # it: realize splices the run of wraps once and each fold once, so
-        # a fold or a run costs one scan of the spans, not every wrap.
+        # it: realize splices the run of wraps once, and its folds do not
+        # splice, so the wraps cost one scan of the spans, not one each.
         p = plan(p1_spec(6, 1, 0, 1001, (1,)))
         folds = sum(step.repeat for step in p.steps if step.variant is RAM)
         runs = sum(step.variant is NORAM for step in p.steps)
@@ -853,11 +887,32 @@ class TestIntegerLifts:
 
         monkeypatch.setattr(plsim, "_splice", counting)
         cover = realize(p.seed, p.steps)
-        assert 0 < calls <= folds + runs
+        assert calls == runs
         assert cover_to_json(cover) == cover_to_json(surgery_chain(p.seed, expand(p.steps)))
         calls = 0
         assert cover_to_json(realize(p.seed, expand(p.steps))) == cover_to_json(cover)
-        assert 0 < calls <= folds + runs  # consecutive equal records are one run
+        assert calls == runs  # consecutive equal records are one run
+
+    def test_fold_runs_take_a_scan_per_level(self, monkeypatch):
+        # A run of folds from a winding it does not pass folds every climb
+        # of the widest width in one rebuild of the spans, and each fold
+        # about halves its climb, so Case3 at the breakpoint cap scans its
+        # spans for the widest climb about log2(folds) times, not once per
+        # fold.
+        p = plan(p1_spec(6, 1, 0, 39999, (1,)))
+        folds = sum(step.repeat for step in p.steps if step.variant is RAM)
+        assert folds == 19999
+        calls = 0
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            return max(*args)
+
+        monkeypatch.setattr(plsim, "max", counting, raising=False)
+        cover = realize(p.seed, p.steps)
+        assert 0 < calls <= 2 * folds.bit_length()
+        assert len(cover.components[0][1].xs) == 40000
 
     @pytest.mark.parametrize(
         "seed, steps", BROKEN_RUNS + [(p.seed, p.steps) for _, p in HAND_BUILT]
@@ -866,6 +921,20 @@ class TestIntegerLifts:
         # A run of m wraps gives the bytes of m single-step surgeries, also
         # where other steps break the runs and where a run is refused.
         assert outcome(realize, seed, steps) == outcome(surgery_chain, seed, steps)
+
+    @settings(max_examples=300, deadline=None)
+    @given(fold_runs())
+    @example((span_cover(1, [3, -1, 3, 3, -2], 6), 5))  # ties wider than 2 den, one refine
+    @example((span_cover(8, [16, 16, -8, 16], 5), 4))  # ties at 2 den, no refine
+    @example((span_cover(4, [2, 2, 2, 2, -1, 1], 2), 6))  # narrower ties, then past winding 0
+    @example((span_cover(2, [9, 4, 9, -3, 1], 10), 5))  # ties split by a narrower climb
+    @example((span_cover(3, [1, -5, 1], -1), 3))  # from a negative winding
+    def test_fold_runs_match_single_folds(self, drawn):
+        # A run of m folds, applied a widest width at a time, gives the
+        # bytes of m single folds, or their refusal.
+        cover, m = drawn
+        run = replace(_FOLD1, repeat=m)
+        assert outcome(surgery, cover, run) == outcome(single_folds, cover, m)
 
     @pytest.mark.parametrize(
         "seed, before, m",
@@ -1006,6 +1075,23 @@ class TestStepRules:
         assert final == refusal_or(pl)
         assert outcome(realize, seed, steps) == fraction_pl()
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(FUZZ_SEEDS), blind_steps)
+    def test_accepted_records_realize_within_the_budget(self, seed, steps):
+        # What the step rules accept, realize carries out: the records up to
+        # the first one the rules refuse realize with no BudgetExceeded, and
+        # every regular fiber has at most k real points, of k's parity.
+        state, accepted = seed_state(seed), []
+        for i, step in enumerate(steps):
+            try:
+                state = apply_step(state, step, i)
+            except PreconditionViolated:
+                break
+            accepted.append(step)
+        cover = realize(seed, accepted)
+        assert cover.k == state.k
+        assert fiber_budget_violations(cover) == []
+
     @pytest.mark.parametrize("d", [-3, -2, -1])
     def test_fold_at_negative_winding_agrees(self, d):
         # A fold at winding d < 0 reads its circle backwards to winding
@@ -1027,7 +1113,7 @@ class TestStepRules:
         # the state's.  A form that takes every record ends where the
         # records written out as single steps do: in their symbolic state,
         # and with the bytes of their Fraction realization.
-        form = plsim._Spans(seed_cover(seed))
+        form = plsim._seed_spans(seed)
         for i, step in enumerate(steps):
             try:
                 plsim._step(form, step, i)
