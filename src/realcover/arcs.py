@@ -26,13 +26,15 @@ class Arc:
     """Proper closed arc from lo / den to hi / den counterclockwise.
 
     Arc(den, lo, hi) reduces the ends mod 1 to 0 <= lo, hi < den over
-    their least common denominator and refuses equal ends; start and end
-    are Fractions built when read.
+    their least common denominator and refuses a den that is not a positive
+    int and equal ends; start and end are Fractions built when read.
     """
 
     __slots__ = ("den", "lo", "hi")
 
     def __init__(self, den: int, lo: int, hi: int):
+        if type(den) is not int or den <= 0:
+            raise ValueError("den must be a positive int")
         lo, hi = lo % den, hi % den
         if lo == hi:
             raise ValueError("proper arc needs distinct endpoints")

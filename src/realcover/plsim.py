@@ -9,9 +9,9 @@ have nonzero rational slope, so folds happen exactly at breakpoints.
 Only the cyclic sequence of breakpoint lifts matters for windings, fibers
 and image arcs; the t coordinates are equally spaced, t = i/n.  A PLMap
 keeps its lifts as integers over its least denominator and builds its
-Fraction breakpoints only when read.  The fiber sweep, node smoothings and
-image arcs run on integer lifts over one common denominator per cover; plan
-steps run on segment spans, refining that denominator in strides of 2**30.
+Fraction breakpoints only when read.  The fiber sweep and image arcs run
+on integer lifts over one common denominator per cover; plan steps run on
+segment spans, refining that denominator in strides of 2**30.
 The wire formats print "p/q" straight from the integers.
 
 A PLCover bundles the circle maps with the sheet budget k of the covering.
@@ -52,13 +52,18 @@ class PLMap:
 
     PLMap(den, xs, closure) re-anchors the lifts so the lowest lies in
     [0, 1), reduces them to their least common denominator and refuses a
-    map without breakpoints or with a zero-slope segment.  The Fraction
-    view breakpoints is built when read, not kept.
+    den that is not a positive int, a closure that is not an int, a map
+    without breakpoints or with a zero-slope segment.  The Fraction view
+    breakpoints is built when read, not kept.
     """
 
     __slots__ = ("den", "xs", "closure")
 
     def __init__(self, den: int, xs: Sequence[int], closure: int):
+        if type(den) is not int or den <= 0:
+            raise ValueError("den must be a positive int")
+        if type(closure) is not int:
+            raise ValueError("closure must be an int")
         if not xs:
             raise ValueError("a circle map needs at least one breakpoint")
         # Tuples are built from lists: tuple() of a generator starts at ten
@@ -131,12 +136,6 @@ class _Lifts:
         self, den: int, circles: List[Tuple[str, List[int], int]], k: int, target: CoverTarget
     ):
         self.den, self.circles, self.k, self.target = den, circles, k, target
-
-    def scale(self, f: int) -> None:
-        """Multiply den, and so every stored lift, by f."""
-        if f != 1:
-            self.den *= f
-            self.circles = [(lbl, [x * f for x in xs], w) for lbl, xs, w in self.circles]
 
 
 def _encode(cover: PLCover) -> _Lifts:
@@ -454,107 +453,6 @@ def surgery(cover: PLCover, step: ConstructionStep) -> PLCover:
     form = _cover_spans(cover)
     _step(form, step)
     return _decode(form.lifts())
-
-
-# ---------------------------------------------------------------------------
-# Node smoothings at the level of circle maps: merging two circles over a
-# common value, and splitting one circle at a doubly covered value.  Both
-# model the fold-type smoothing, which opens a small gap with two fewer
-# real preimages.  _merge and _split work on the integer form in place, on
-# circles given by index and values in units of 1 / den.
-
-
-def _crossings(xs: List[int], c: int, den: int):
-    """(segment index, lift, direction +1 up or -1 down) of the crossings of
-    the residue class of c strictly inside the segments of the winding-0
-    lifts xs, in traversal order."""
-    for i, (u, v) in enumerate(zip(xs, xs[1:] + xs[:1])):
-        lo, hi = (u, v) if u < v else (v, u)
-        top = hi - 1 - (hi - 1 - c) % den  # the highest lift of c below hi
-        if top <= lo:
-            continue
-        if u < v:
-            for x in range(top - (top - lo - 1) // den * den, hi, den):
-                yield i, x, 1
-        else:
-            for x in range(top, lo, -den):
-                yield i, x, -1
-
-
-def _half_gap(form: _Lifts, bound: int, h: Optional[int]) -> Tuple[int, int]:
-    """min(h, bound / 2), or bound / 2 for h None, and den's scale factor to fit it."""
-    if h is not None and 2 * h <= bound:
-        return h, 1
-    f = 2 if bound % 2 else 1
-    form.scale(f)
-    return bound * f // 2, f
-
-
-def _merge(form: _Lifts, ja: int, jb: int, t: int, h: Optional[int] = None) -> None:
-    """Smooth a node joining the winding-0 circles ja and jb over the common
-    value t, in place.
-
-    Both circles are cut at their first climb through t and cross-joined
-    with folds at t -/+ h (h None: as wide as the climbs allow); the fibers
-    over the gap lose the two glued sheets, nothing else changes.  The
-    merged circle replaces circle ja and circle jb is dropped.
-    """
-    (_, xa, wa), (_, xb, wb) = form.circles[ja], form.circles[jb]
-    if wa or wb:
-        raise ValueError("node smoothing is implemented for winding-0 circles")
-    den = form.den
-    up_a = next((cr for cr in _crossings(xa, t, den) if cr[2] > 0), None)
-    up_b = next((cr for cr in _crossings(xb, t, den) if cr[2] > 0), None)
-    if up_a is None or up_b is None:
-        raise ValueError(f"both circles must climb through {Fraction(t, den)}")
-    (ia, va, _), (ib, vb, _) = up_a, up_b
-    bound = min(
-        va - xa[ia], xa[(ia + 1) % len(xa)] - va, vb - xb[ib], xb[(ib + 1) % len(xb)] - vb
-    )
-    h, f = _half_gap(form, bound, h)
-    if f != 1:
-        xa, xb, va, vb = form.circles[ja][1], form.circles[jb][1], va * f, vb * f
-    shift = va - vb
-    rev_b = [x + shift for x in xb[ib::-1] + xb[:ib:-1]]
-    values = xa[ia + 1 :] + xa[: ia + 1] + [va - h] + rev_b + [va + h]
-    form.circles[ja] = (form.circles[ja][0], values, 0)
-    del form.circles[jb]
-
-
-def _split(form: _Lifts, j: int, c: int, h: Optional[int], new_label: str) -> None:
-    """Smooth a self-node of the winding-0 circle j at a doubly covered value
-    c, in place.
-
-    The circle is cut at two consecutive crossings of c bounding an
-    excursion above c; the excursion closes into a new circle folding at
-    c + h, labeled new_label and appended, and the rest, still at index j,
-    folds at c - h.
-    """
-    label, xs, w = form.circles[j]
-    if w:
-        raise ValueError("node smoothing is implemented for winding-0 circles")
-    crossings = list(_crossings(xs, c, form.den))
-    if len(crossings) < 2:
-        raise ValueError(f"circle does not cross {Fraction(c, form.den)} twice")
-    pairs = zip(crossings, crossings[1:] + crossings[:1])
-    excursion = next(((p, q) for p, q in pairs if p[2] > 0 and q[2] < 0), None)
-    if excursion is None:
-        raise ValueError("no upward excursion to cut")
-    (ip, cstar, _), (iq, cq, _) = excursion
-    if cq != cstar:
-        raise ValueError("inconsistent excursion: crossing lifts differ")
-    nb = len(xs)
-    bound = min(
-        xs[(ip + 1) % nb] - cstar, cstar - xs[ip], xs[iq] - cstar, cstar - xs[(iq + 1) % nb]
-    )
-    h, f = _half_gap(form, bound, h)
-    if f != 1:
-        xs, cstar = form.circles[j][1], cstar * f
-    # ip != iq, since a segment crosses in one direction only
-    after = xs[ip + 1 :] + xs[: ip + 1]
-    between = (iq - ip) % nb
-    form.circles[j] = (label, [cstar - h] + after[between:], 0)
-    form.circles.append((new_label, [cstar + h] + after[:between], 0))
 
 
 # ---------------------------------------------------------------------------

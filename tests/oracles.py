@@ -30,17 +30,7 @@ from realcover.constructions import (
     execute_states,
     seed_state,
 )
-from realcover.plsim import (
-    BudgetExceeded,
-    PLCover,
-    PLMap,
-    _decode,
-    _encode,
-    _merge,
-    _split,
-    critical_values,
-    seed_cover,
-)
+from realcover.plsim import BudgetExceeded, PLCover, PLMap, critical_values, seed_cover
 from realcover.topology import CoverTarget, DegreeVector, TopType
 
 
@@ -545,8 +535,8 @@ def fraction_realize(seed, steps):
 
 # ---------------------------------------------------------------------------
 # The node smoothings in Fraction arithmetic, rebuilding and revalidating
-# the touched circle maps after each smoothing.  The package runs them on
-# the integer form; these are the reference it must match bit for bit.
+# the touched circle maps after each smoothing.  The package writes what
+# they produce for the covnum builds in closed form (see below).
 
 
 def _class_crossings(m: PLMap, c: Fraction) -> List[Tuple[int, Fraction, int]]:
@@ -662,45 +652,75 @@ def fraction_fold_split(
 
 
 # ---------------------------------------------------------------------------
-# The node smoothings on Fraction inputs, by label: thin wrappers that lift
-# the values onto the package's integer form and run its smoothings there.
-# The package calls _merge and _split on circle indices directly; these are
-# what the oracles above are compared against.
+# The covnum builds as node smoothings of fold-arc chains.  The package
+# writes the resulting layouts in closed form; these loops are the
+# reference it must match bit for bit.
 
 
-def _index(cover: PLCover, label: str) -> int:
-    """Index of the first circle with the label; KeyError when there is none."""
-    for j, (lbl, _) in enumerate(cover.components):
-        if lbl == label:
-            return j
-    raise KeyError(label)
+def _fraction_chain(m):
+    """m fold arcs, arc j from j/m - o to (j + 1)/m + o with o = 1/(4m)."""
+    o = Fraction(1, 4 * m)
+    return [(f"C{j + 1}", pl_map([Fraction(j, m) - o, Fraction(j + 1, m) + o], 0)) for j in range(m)]
 
 
-def lift(form, *values) -> List[Optional[int]]:
-    """The values in units of 1 / den of the integer form (None passes),
-    after scaling its den to fit all."""
-    fracs = [None if v is None else Fraction(v) for v in values]
-    form.scale(lcm(form.den, *(v.denominator for v in fracs if v is not None)) // form.den)
-    return [None if v is None else v.numerator * (form.den // v.denominator) for v in fracs]
+def _fraction_m_max(g):
+    """Maximal real locus with covering number g + 1: for even g the chain
+    of g + 2 arcs with C1 and C2 merged over 1/m; for odd g the chain of
+    g + 1 arcs plus an arc nested over the middle half of arc 0's exclusive
+    region, merged into C1 over 1/(2m)."""
+    if g % 2 == 0:
+        m = g + 2
+        cover = PLCover(tuple(_fraction_chain(m)), 4, CoverTarget.PROJ_LINE)
+        return fraction_merge_components(cover, "C1", "C2", Fraction(1, m))
+    m = g + 1
+    nested = (f"C{m + 1}", pl_map([Fraction(3, 8 * m), Fraction(5, 8 * m)], 0))
+    cover = PLCover(tuple(_fraction_chain(m)) + (nested,), 4, CoverTarget.PROJ_LINE)
+    return fraction_merge_components(cover, "C1", nested[0], Fraction(1, 2 * m))
 
 
-def merge_components(
-    cover: PLCover, label_a: str, label_b: str, t: Fraction, h: Optional[Fraction] = None
-) -> PLCover:
-    """plsim._merge on the circles labeled label_a and label_b, over t."""
-    ja, jb = _index(cover, label_a), _index(cover, label_b)
-    form = _encode(cover)
-    _merge(form, ja, jb, *lift(form, t, h))
-    return _decode(form)
+def _fraction_m_split(g, kcov):
+    """The kcov - 1 build with its first circle split g + 1 - kcov times,
+    each time the circle split off last, at evenly spaced doubly covered
+    values with half-gap q."""
+    cover = _fraction_m_max(kcov - 1)
+    n = g - kcov + 1
+    m = kcov + kcov % 2
+    q = Fraction(1, 16 * m * (n + 1))
+    start = Fraction(1 + kcov % 2, m) - Fraction(1, 8 * m)
+    label = "C1"
+    for i in range(1, n + 1):
+        cover, label = fraction_fold_split(cover, label, start + 4 * i * q, q)
+    return cover
 
 
-def fold_split(
-    cover: PLCover, label: str, c: Fraction, h: Optional[Fraction] = None
-) -> Tuple[PLCover, str]:
-    """plsim._split on the circle labeled label, at c; returns the new cover
-    and the label of the split-off circle."""
-    j = _index(cover, label)
-    form = _encode(cover)
-    new_label = next_new_label(cover.components)
-    _split(form, j, *lift(form, c, h), new_label)
-    return _decode(form), new_label
+def _fraction_separating(g, s, kcov):
+    """A chain of kcov + b arcs with C2..C(b + 1) merged into C1 one by one,
+    2b = g + 1 - s, plus s - kcov arcs nested in arc 0's exclusive region."""
+    b = (g + 1 - s) // 2
+    m = kcov + b
+    extra = s - kcov
+    comps = _fraction_chain(m)
+    den = 8 * m * extra
+    comps += [
+        (f"C{m + 1 + i}", pl_map([Fraction(2 * extra + 4 * i + 1, den),
+                                  Fraction(2 * extra + 4 * i + 3, den)], 0))
+        for i in range(extra)
+    ]
+    cover = PLCover(tuple(comps), 4, CoverTarget.PROJ_LINE)
+    for j in range(b):
+        cover = fraction_merge_components(cover, "C1", f"C{j + 2}", Fraction(j + 1, m))
+    return cover
+
+
+def fraction_build_covnum(target):
+    """The cover covering4.build_covnum builds for the target, by merging
+    and splitting circles with fraction_merge_components and
+    fraction_fold_split."""
+    g, s, kcov = target.top.g, target.top.s, target.kcov
+    if target.top.a == 1:
+        g -= 1 if (g - s) % 2 == 0 else 2
+    if s < g + 1:
+        return _fraction_separating(g, s, kcov)
+    if kcov < s:
+        return _fraction_m_split(g, kcov)
+    return _fraction_m_max(g)

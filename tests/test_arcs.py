@@ -88,6 +88,11 @@ class TestArc:
         with pytest.raises(ValueError, match="distinct endpoints"):
             Arc(12, 5, 17)  # 5 and 17 agree mod 12
 
+    @pytest.mark.parametrize("den", [-8, 0, F(8), 8.0, True])
+    def test_refuses_a_den_that_is_not_a_positive_int(self, den):
+        with pytest.raises(ValueError, match="den must be a positive int"):
+            Arc(den, 1, 2)
+
     def test_immutable(self):
         a = Arc(8, 1, 3)
         with pytest.raises(FrozenInstanceError):

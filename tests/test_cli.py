@@ -306,8 +306,8 @@ class TestCovnum:
     @pytest.mark.parametrize(
         "target",
         [
-            '{"g":1000000000,"s":1000000001,"a":0,"kcov":1000000001}',  # s over the cap
-            '{"g":1000000000,"s":1,"a":0,"kcov":1}',  # g + 1 - s over the cap
+            '{"g":1000000000,"s":1000000001,"a":0,"kcov":1000000001}',
+            '{"g":1000000000,"s":1,"a":0,"kcov":1}',
         ],
     )
     def test_huge_target_is_refused_at_once(self, target):
@@ -327,12 +327,17 @@ class TestCovnum:
         assert "too large" in json.loads(done.stdout)["error"]
 
     def test_caps_are_inclusive(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "_COVNUM_MAX_S", 3)
-        monkeypatch.setattr(cli, "_COVNUM_MAX_DEFICIT", 2)
-        assert invoke_json(capsys, "covnum", '{"g":2,"s":3,"a":0,"kcov":3}')[0] == 0
-        assert invoke_json(capsys, "covnum", '{"g":4,"s":5,"a":0,"kcov":3}')[0] == 1
-        assert invoke_json(capsys, "covnum", '{"g":3,"s":2,"a":0,"kcov":1}')[0] == 0
-        assert invoke_json(capsys, "covnum", '{"g":5,"s":2,"a":0,"kcov":1}')[0] == 1
+        # One cap on g: 104,999 is the largest g that the earlier caps,
+        # s <= 100,000 and g + 1 - s <= 5,000, admitted together.
+        error = "target: too large to build; covnum takes g <= 104999"
+        target = '{"g":105000,"s":1,"a":0,"kcov":1}'
+        assert invoke_json(capsys, "covnum", target) == (1, {"error": error})
+        monkeypatch.setattr(cli, "_COVNUM_MAX_G", 4)
+        assert invoke_json(capsys, "covnum", '{"g":4,"s":5,"a":0,"kcov":3}')[0] == 0
+        assert invoke_json(capsys, "covnum", '{"g":4,"s":1,"a":0,"kcov":1}')[0] == 0
+        error = "target: too large to build; covnum takes g <= 4"
+        for target in ('{"g":5,"s":2,"a":0,"kcov":1}', '{"g":5,"s":6,"a":0,"kcov":6}'):
+            assert invoke_json(capsys, "covnum", target) == (1, {"error": error})
 
 
 def run_child(*argv):

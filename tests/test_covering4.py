@@ -9,14 +9,11 @@ from realcover.arcs import Arc, FullCircle
 from realcover.covering4 import (
     CoveringNumberTarget,
     InfeasibleTarget,
-    _chain,
     build_covnum,
     covering_number,
 )
 from realcover.planner import plan
 from realcover.plsim import (
-    PLCover,
-    _decode,
     cover_to_json,
     fiber_budget_violations,
     image_arcs,
@@ -26,7 +23,7 @@ from realcover.plsim import (
 from realcover.topology import CoverSpec, CoverTarget, DegreeVector, TopType, weichold_admissible
 from realcover.constructions import GenericPencil, Hyperelliptic
 
-from oracles import arcs_intersect, brute_min_circle_cover, windings
+from oracles import arcs_intersect, brute_min_circle_cover, fraction_build_covnum, windings
 
 F = Fraction
 
@@ -76,7 +73,8 @@ class TestChainLayout:
         # meet exactly in the three stated index patterns.
         g = 4
         half = g // 2
-        arcs = [arc for _, arc in image_arcs(_decode(_chain(g + 2, 1)))]
+        m = g + 2
+        arcs = [Arc(4 * m, 4 * j - 1, 4 * j + 5) for j in range(m)]  # the chain's arcs
         first = {j: arcs[2 * j] for j in range(half + 1)}
         second = {j: arcs[2 * j + 1] for j in range(half + 1)}
         for j1 in range(half + 1):
@@ -171,3 +169,15 @@ class TestIntegerBuilds:
             n += 1
         assert n == 1124
         assert digest.hexdigest() == FRACTION_BUILDS_G15_SHA256
+
+    def test_closed_forms_match_the_fraction_builds(self):
+        # Every target with g <= 20, then the separating builds with s = 1
+        # and s = 2 on a ladder up to g = 400: (g + 1 - s)/2 merges into C1.
+        # The Fraction loops take time quadratic in g, so the ladder is sparse.
+        targets = list(covnum_targets(20))
+        assert len(targets) == 2486
+        targets += [target(g, s, 0, kcov) for g, s in ((99, 2), (100, 1), (400, 1))
+                    for kcov in range(1, s + 1)]
+        for tgt in targets:
+            cover, _ = build_covnum(tgt)
+            assert cover_to_json(cover) == cover_to_json(fraction_build_covnum(tgt)), tgt

@@ -50,7 +50,6 @@ from oracles import (
     arc_contains,
     brute_fiber_count,
     expand,
-    fold_split,
     fraction_fiber_profile,
     fraction_realize,
     fraction_fold_split,
@@ -58,11 +57,9 @@ from oracles import (
     fraction_surgery,
     lifts,
     map_of,
-    merge_components,
     pl_map,
     record_index,
     reverse,
-    segments,
     windings,
 )
 
@@ -101,11 +98,11 @@ def merged_tents():
         4,
         CoverTarget.PROJ_LINE,
     )
-    return merge_components(cover, "C1", "C2", F(7, 16), F(1, 64))
+    return fraction_merge_components(cover, "C1", "C2", F(7, 16), F(1, 64))
 
 
 def split_tent():
-    return fold_split(single(tent(0, F(1, 2)), 4), "C1", F(1, 4), F(1, 64))
+    return fraction_fold_split(single(tent(0, F(1, 2)), 4), "C1", F(1, 4), F(1, 64))
 
 
 @lru_cache(maxsize=None)
@@ -183,6 +180,23 @@ class TestPLMap:
             PLMap(2, [0, 0], 0)  # zero-slope segment
         with pytest.raises(ValueError):
             PLMap(1, [], 1)
+
+    @pytest.mark.parametrize(
+        "den, closure, message",
+        [
+            (-4, 0, "den must be a positive int"),
+            (0, 0, "den must be a positive int"),
+            (F(4), 0, "den must be a positive int"),
+            (4.0, 0, "den must be a positive int"),
+            (True, 0, "den must be a positive int"),
+            (4, 0.0, "closure must be an int"),
+            (4, F(0), "closure must be an int"),
+            (4, None, "closure must be an int"),
+        ],
+    )
+    def test_refuses_den_and_closure_of_the_wrong_kind(self, den, closure, message):
+        with pytest.raises(ValueError, match=message):
+            PLMap(den, [1, 3], closure)
 
     @given(integer_lifts())
     def test_integer_constructor_matches_fraction_constructor(self, drawn):
@@ -355,101 +369,7 @@ class TestSurgery:
             surgery(full, ConstructionStep(StepKind.IV))
 
 
-@st.composite
-def winding0_covers(draw):
-    """One to four circles: winding-0 walks of one to five steps with lifts
-    over denominators 1 to 12 (tents among them), now and then a wrap of
-    winding 1, some of them first merged or split by the Fraction oracles."""
-    comps = []
-    for i in range(draw(st.integers(1, 4))):
-        den = draw(st.integers(1, 12))
-        if draw(st.integers(0, 9)) == 0:
-            comps.append((f"C{i + 1}", pl_map([F(0), F(1, 2)], 1)))
-            continue
-        nums = [draw(st.integers(-den, den))]
-        for step in draw(st.lists(st.integers(-2 * den, 2 * den), min_size=1, max_size=5)):
-            nums.append(nums[-1] + (step or den))
-        assume(nums[-1] != nums[0])  # no flat closing segment
-        comps.append((f"C{i + 1}", pl_map([F(n, den) for n in nums], 0)))
-    cover = PLCover(tuple(comps), 4, CoverTarget.PROJ_LINE)
-    for _ in range(draw(st.integers(0, 2))):
-        labels = [lbl for lbl, _ in cover.components]
-        try:
-            if draw(st.booleans()):
-                a, b = draw(st.sampled_from(labels)), draw(st.sampled_from(labels))
-                assume(a != b)
-                t = draw(smoothing_values(cover))
-                cover = fraction_merge_components(cover, a, b, t)
-            else:
-                c = draw(smoothing_values(cover))
-                cover, _ = fraction_fold_split(cover, draw(st.sampled_from(labels)), c)
-        except ValueError:
-            pass
-    return cover
-
-
-@st.composite
-def smoothing_values(draw, cover):
-    """A value inside some segment of the cover, or any value over a small
-    denominator (which may hit a breakpoint)."""
-    segs = [seg for _, m in cover.components for seg in segments(m)]
-    if draw(st.integers(0, 3)) == 0:
-        den = draw(st.integers(1, 12))
-        return F(draw(st.integers(-2 * den, 2 * den)), den)
-    u, v = draw(st.sampled_from(segs))
-    q = draw(st.integers(2, 12))
-    return u + (v - u) * F(draw(st.integers(1, q - 1)), q)
-
-
-# fold half-widths from far below to well above half the cut's bound
-half_widths = st.one_of(
-    st.none(),
-    st.builds(F, st.integers(1, 8), st.sampled_from([1, 3, 8, 24, 96, 360, 1000])),
-)
-
-
-def smoothing_outcome(fn, cover, *args):
-    """The JSON of fn's cover (and the new label), or the type and message
-    of its refusal."""
-    try:
-        result = fn(cover, *args)
-    except (KeyError, ValueError) as exc:
-        return type(exc), str(exc)
-    if isinstance(result, tuple):
-        return cover_to_json(result[0]), result[1]
-    return cover_to_json(result)
-
-
 class TestNodeSmoothings:
-    @settings(max_examples=400, deadline=None)
-    @given(st.data())
-    def test_merge_matches_fraction_oracle(self, data):
-        cover = data.draw(winding0_covers())
-        labels = [lbl for lbl, _ in cover.components] + ["C9"]
-        a, b = data.draw(st.sampled_from(labels)), data.draw(st.sampled_from(labels))
-        t, h = data.draw(smoothing_values(cover)), data.draw(half_widths)
-        got = smoothing_outcome(merge_components, cover, a, b, t, h)
-        assert got == smoothing_outcome(fraction_merge_components, cover, a, b, t, h)
-        if isinstance(got, dict):
-            after = dict(merge_components(cover, a, b, t, h).components)
-            for lbl, m in cover.components:
-                if lbl not in (a, b):
-                    assert after[lbl] == m
-
-    @settings(max_examples=400, deadline=None)
-    @given(st.data())
-    def test_split_matches_fraction_oracle(self, data):
-        cover = data.draw(winding0_covers())
-        label = data.draw(st.sampled_from([lbl for lbl, _ in cover.components] + ["C9"]))
-        c, h = data.draw(smoothing_values(cover)), data.draw(half_widths)
-        got = smoothing_outcome(fold_split, cover, label, c, h)
-        assert got == smoothing_outcome(fraction_fold_split, cover, label, c, h)
-        if isinstance(got, tuple) and isinstance(got[0], dict):
-            after = dict(fold_split(cover, label, c, h)[0].components)
-            for lbl, m in cover.components:
-                if lbl != label:
-                    assert after[lbl] == m
-
     @pytest.mark.parametrize(
         "values, message",
         [
@@ -464,8 +384,9 @@ class TestNodeSmoothings:
     )
     def test_split_refusals_at_breakpoints(self, values, message):
         cover = single(pl_map([F(v) for v in values], 0), 4)
-        for split in (fold_split, fraction_fold_split):
-            assert smoothing_outcome(split, cover, "C1", F(0)) == (ValueError, message)
+        with pytest.raises(ValueError) as info:
+            fraction_fold_split(cover, "C1", F(0))
+        assert str(info.value) == message
 
     def test_merge_two_tents(self):
         merged = merged_tents()

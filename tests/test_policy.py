@@ -119,3 +119,34 @@ def test_constructions_are_found():
         "def f():\n    def g():\n        return E(2)\n    return [E(3) for _ in ()]\n"
     )
     assert constructions_of(tree, "E") == [(None, 1), ("m", 4), ("g", 7), ("f", 8)]
+
+
+def private_uses(tree, module):
+    """Underscore names of the sibling module that the tree imports from it
+    or reads as module._name."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == module:
+            names |= {alias.name for alias in node.names if alias.name.startswith("_")}
+        elif (
+            isinstance(node, ast.Attribute)
+            and getattr(node.value, "id", None) == module
+            and node.attr.startswith("_")
+        ):
+            names.add(node.attr)
+    return names
+
+
+def test_covering4_builds_on_public_plsim_names():
+    # The covnum builds write their layouts and hand them to PLMap; they
+    # reach into no plsim internals.
+    path = next(p for p in SOURCES if p.name == "covering4.py")
+    assert private_uses(parse(path), "plsim") == set()
+
+
+def test_private_uses_are_found():
+    tree = ast.parse(
+        "from .plsim import PLMap, _Lifts\nfrom .arcs import _x\nfrom plsim import _y\n"
+        "from . import plsim\nplsim._merge(plsim.PLMap)\n"
+    )
+    assert private_uses(tree, "plsim") == {"_Lifts", "_merge"}
