@@ -5,7 +5,8 @@ whole circle or a closed interval given by its start and end, traversed
 counterclockwise from start to end.  All endpoints are exact rationals, so
 coverage questions have exact answers.  An arc keeps its ends as integer
 lifts over their least common denominator; min_circle_cover reads those
-integers and never builds a Fraction.
+integers and never builds a Fraction.  It walks greedily only from the
+arcs through a least-covered point, in memory linear in the arcs.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd, lcm
 from typing import Optional, Sequence, Union
 
@@ -78,48 +80,55 @@ def min_circle_cover(arcs: Sequence[ArcLike]) -> Optional[int]:
 
     Returns None when even the full multiset leaves a point uncovered.
 
-    Sort-and-double sweep after C. C. Lee and D. T. Lee, "On a circle-cover
-    minimization problem", Inform. Process. Lett. 18 (1984), in O(n log n)
-    exact comparisons for n arcs.  Each arc is unrolled onto the line as two
-    closed intervals, its own and its copy shifted by +1, sorted by start.
-    The greedy successor of an interval is the one reaching farthest among
-    those starting no later than its end: a prefix maximum of the ends and
-    one bisection find it.  Composing successors by doubling counts in
-    O(log n) steps the greedy jumps that take an anchor, an arc starting at
-    a in [0, 1), to a + 1; the answer is the fewest over all anchors.
+    A greedy walk after C. C. Lee and D. T. Lee, "On a circle-cover
+    minimization problem", Inform. Process. Lett. 18 (1984).  Each arc is
+    unrolled onto the line as two closed intervals, its own and its copy
+    shifted by +1, sorted by start.  The greedy successor of an end e is
+    the farthest end among the intervals starting no later than e: a
+    prefix maximum of the ends (reach) and one bisection find it.  One
+    sweep over the arc ends, entering at 2 lo and leaving at 2 hi + 1 in
+    doubled coordinates, finds a least-covered point p and its depth m; a
+    depth of 0 is an uncovered point.  The greedy walk then runs only from
+    the m arcs through p, each from its start a in [0, 1) until it reaches
+    a + 1, and the answer is the fewest arcs over those walks.  That is
+    O(n log n) for the sort and the sweep plus O(m c log n) for the walks,
+    with c the answer, in O(n) memory.
 
-    This is exact.  Anchor an optimal cover at any of its arcs A = [a, e].
-    No other arc B of it contains A, so the part of the circle B must cover
-    beyond A lies in B's lift starting in [a, a + 1), which is one of the
-    two intervals; the greedy covers [e, a + 1] with no more of them than
-    the cover does.  Conversely every greedy chain is a cover.  A chain
-    that stalls below a + 1 has met a gap, and the arcs cover the circle
-    iff some anchor gets through, so no separate coverage test is needed.
+    This is exact.  Every cover holds an arc through p, so anchor an
+    optimal cover at such an arc A = [a, e].  No other arc B of it
+    contains A, so the part of the circle B must cover beyond A lies in
+    B's lift starting in [a, a + 1), which is one of the two intervals;
+    the greedy covers [e, a + 1] with no more of them than the cover does.
+    Conversely every greedy chain is a cover.
     """
     if any(isinstance(a, FullCircle) for a in arcs):
         return 1
     den = lcm(*{a.den for a in arcs})
     lifted = [(a.lo * (den // a.den), a.hi * (den // a.den)) for a in arcs]
+    events = sorted([2 * lo for lo, _ in lifted] + [2 * hi + 1 for _, hi in lifted])
+    wrapping = sum([lo > hi for lo, hi in lifted])  # the depth just below 1
+    depths = list(accumulate([1 - 2 * (e & 1) for e in events], initial=wrapping))
+    least = min(depths)
+    if least == 0:
+        return None
+    i = depths.index(least)
+    p = events[i - 1] if i else 2 * den - 1
+    through = [
+        (lo, lo + (hi - lo) % den)
+        for lo, hi in lifted
+        if (2 * lo <= p <= 2 * hi if lo < hi else p <= 2 * hi or 2 * lo <= p)
+    ]
     intervals = sorted((lo + d, lo + (hi - lo) % den + d) for lo, hi in lifted for d in (0, den))
     starts = [lo for lo, _ in intervals]
-    ends = [hi for _, hi in intervals]
-    farthest: list[int] = []
-    for i, hi in enumerate(ends):
-        farthest.append(i if not farthest or hi > ends[farthest[-1]] else farthest[-1])
-    jumps = [[farthest[bisect_right(starts, hi) - 1] for hi in ends]]
-    while 1 << len(jumps) <= len(intervals):  # a chain makes fewer than len(intervals) jumps
-        prev = jumps[-1]
-        jumps.append([prev[j] for j in prev])
+    reach = list(accumulate([hi for _, hi in intervals], max))
     best: Optional[int] = None
-    for i, lo in enumerate(starts):
-        if lo >= den:
-            break
-        goal = lo + den
-        cur, count = i, 1
-        for level in range(len(jumps) - 1, -1, -1):
-            j = jumps[level][cur]
-            if ends[j] < goal:
-                cur, count = j, count + (1 << level)
-        if ends[jumps[0][cur]] >= goal and (best is None or count + 1 < best):
-            best = count + 1
+    for lo, end in through:
+        goal, count = lo + den, 1
+        while end < goal and (best is None or count < best):
+            nxt = reach[bisect_right(starts, end) - 1]
+            if nxt <= end:  # stalled: no chain from this arc gets through
+                break
+            end, count = nxt, count + 1
+        if end >= goal and (best is None or count < best):
+            best = count
     return best

@@ -87,7 +87,20 @@ def _load_json(text: str, what: str) -> object:
         raise ValueError(f"{what}: invalid JSON ({exc.msg})") from None
 
 
+def _read_file(path: str, what: str) -> str:
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValueError(f"{what}: {exc}") from None
+
+
 def _load_spec(text: str) -> CoverSpec:
+    """The spec given inline, or read from the file named after a leading
+    @: Linux refuses one command-line argument over 128 KiB, and a spec at
+    the circle cap is longer."""
+    if text.startswith("@"):
+        text = _read_file(text[1:], "spec file")
     return topology.spec_from_json(_load_json(text, "spec"))
 
 
@@ -113,12 +126,7 @@ def _read_plan_file(path: str, realizing: bool = False) -> planner.Plan:
     circles than _PLAN_MAX_CIRCLES or, when realizing, emits more
     breakpoints than _REALIZE_MAX_BREAKPOINTS: two per seed circle, per
     fold and per new circle, counted from the records."""
-    try:
-        with open(path) as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ValueError(f"plan file: {exc}") from None
-    plan_ = planner.plan_from_json(_load_json(text, "plan"))
+    plan_ = planner.plan_from_json(_load_json(_read_file(path, "plan file"), "plan"))
     circles = folds = 0
     for step in plan_.steps:
         if step.variant is _RAM:
@@ -233,21 +241,24 @@ def _cmd_facts(args) -> int:
     return 0
 
 
+_SPEC_HELP = "CoverSpec JSON, or @path of a file holding it"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="realcover", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("admissible", help="decide whether a covering spec is admissible")
-    p.add_argument("spec", help="CoverSpec JSON")
+    p.add_argument("spec", help=_SPEC_HELP)
     p.set_defaults(func=_cmd_admissible)
 
     p = sub.add_parser("plan", help="synthesize a construction plan for a spec")
-    p.add_argument("spec", help="CoverSpec JSON")
+    p.add_argument("spec", help=_SPEC_HELP)
     p.set_defaults(func=_cmd_plan)
 
     p = sub.add_parser("verify", help="verify a plan file against a spec")
     p.add_argument("plan_file", help="path to a plan JSON file")
-    p.add_argument("spec", help="CoverSpec JSON")
+    p.add_argument("spec", help=_SPEC_HELP)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("realize", help="realize a plan file as a PL covering")

@@ -122,17 +122,21 @@ def _pump_to_degrees(labels: List[str], degrees: tuple[int, ...]) -> List[Run]:
     return [(_noram(label), d - 1) for label, d in zip(labels, degrees)]
 
 
-def _case3_recipe(g: int, k: int, nonzero: tuple[int, ...]) -> tuple[BaseSeed, List[Run]]:
-    """Separating target with every winding nonzero and winding sum < k.
+def _case3_recipe(
+    g: int, k: int, nonzero: tuple[int, ...], zeros: int = 0
+) -> tuple[BaseSeed, List[Run]]:
+    """Separating target with every winding nonzero and winding sum < k,
+    plus zeros circles of winding 0.
 
     Start from the winding-(2) double covering, fold once to reach winding
-    1, spin up the remaining circles, pump each to its target winding, and
+    1, spin up the remaining circles, open each zero circle as a fold over
+    a non-real point, pump each nonzero circle to its target winding, and
     absorb the even remainder on the first circle: half of it as wraps,
     then half as folds back to its target winding.
     """
     s_prime = len(nonzero)
-    seed = Hyperelliptic(TopType(g - s_prime + 1, 1, 0), DegreeVector((2,)))
-    runs = [(_ram("C1"), 1), (_III, s_prime - 1)]
+    seed = Hyperelliptic(TopType(g - s_prime - zeros + 1, 1, 0), DegreeVector((2,)))
+    runs = [(_ram("C1"), 1), (_III, s_prime - 1), (_II_RAM, zeros)]
     labels = ["C1"] + [f"N{i + 1}" for i in range(s_prime - 1)]
     runs.extend(_pump_to_degrees(labels, nonzero))
     spare = (k - sum(nonzero) - 2) // 2
@@ -144,7 +148,10 @@ def plan(target: CoverSpec) -> Union[Plan, Infeasible]:
     """Synthesize a plan reproducing the target, or explain why none exists.
 
     The plan holds one record per maximal run of equal steps, so its
-    length is O(s) whatever k is."""
+    length is O(s) whatever k is.  Spare sheets go to wraps before folds,
+    and circles of winding 0 (II/ram) open early: in Case5 right after
+    C1's first fold, in Case4 right after the spin-ups (III).  So realize
+    places them on a cover of a few breakpoints, not after the fold run."""
     failure = admissibility_failure(target)
     if failure is not None:
         return Infeasible(failure)
@@ -201,20 +208,20 @@ def plan(target: CoverSpec) -> Union[Plan, Infeasible]:
     s_prime = sum(1 for d in degrees if d != 0)
     if s_prime == 0:
         # All windings vanish: take C1 from winding 2 up to (k - 4) / 2 + 2,
-        # fold it down to 0, then add each other circle by a fold over a
-        # non-real point.
+        # fold it once, add each other circle by a fold over a non-real
+        # point, then fold C1 the rest of the way down to 0.  The first
+        # fold makes the room (winding sum < k) that the new folds need.
         seed = Hyperelliptic(TopType(g - s + 1, 1, 0), DegreeVector((2,)))
-        runs = _wraps_then_folds("C1", (k - 4) // 2, (k - 4) // 2 + 2)
-        runs.append((_II_RAM, s - 1))
+        spare = (k - 4) // 2
+        runs = _wraps_then_folds("C1", spare, 1)
+        runs += [(_II_RAM, s - 1), (_ram("C1"), spare + 1)]
         return Plan(seed, _records(runs), "Case5")
     if s_prime == s:
         seed, runs = _case3_recipe(g, k, degrees)
         return Plan(seed, _records(runs), "Case3")
-    # Some windings vanish: build the all-nonzero covering at the genus
-    # reached before the extra circles, then add each zero circle by a
-    # fold over a non-real point.
-    seed, runs = _case3_recipe(g - (s - s_prime), k, degrees[:s_prime])
-    runs.append((_II_RAM, s - s_prime))
+    # Some windings vanish: the all-nonzero recipe, with each zero circle
+    # added by a fold over a non-real point right after the spin-ups.
+    seed, runs = _case3_recipe(g, k, degrees[:s_prime], s - s_prime)
     return Plan(seed, _records(runs), "Case4")
 
 

@@ -153,32 +153,47 @@ def _decode(form: _Lifts) -> PLCover:
     return PLCover(comps, form.k, form.target)
 
 
+def _tally(form: _Lifts) -> Tuple[int, dict]:
+    """The fiber counts of the integer form as (base, delta): base is the
+    count just below residue 0, and delta maps every breakpoint residue to
+    the change in count past it, so the interval starting at residue r
+    counts base plus the deltas at residues <= r.
+
+    A count changes only at a fold: by +2 past a local minimum, by -2 past
+    a local maximum, not at all past a monotone breakpoint.  A segment from
+    p to x passes below residue 0 once per multiple of den in between,
+    |x // den - p // den| times.  One pass over the breakpoints, with one
+    floor division each."""
+    den, base, delta = form.den, 0, {}
+    get = delta.get
+    for _, xs, w in form.circles:
+        turn = w * den
+        p = xs[-1] - turn
+        pq = p // den
+        for x, n in zip(xs, xs[1:] + [xs[0] + turn]):
+            q = x // den
+            base += q - pq if q > pq else pq - q
+            r = x - q * den
+            if x < p:
+                delta[r] = get(r, 0) + 2 if x < n else get(r, 0)  # a fold's bottom
+            else:
+                delta[r] = get(r, 0) - 2 if x > n else get(r, 0)  # a fold's top
+            p, pq = x, q
+    return base, delta
+
+
 def _sweep(form: _Lifts) -> List[Tuple[int, int, int]]:
     """fiber_profile on the integer form: (start, length, count) with start
-    and length in units of 1 / den."""
+    and length in units of 1 / den, laid from the _tally in residue order."""
     den = form.den
-    crit = sorted({x % den for _, xs, _ in form.circles for x in xs})
+    base, delta = _tally(form)
+    crit = sorted(delta)
     if not crit:
         return [(0, den, 0)]
-    index = {c: i for i, c in enumerate(crit)}
-    n = len(crit)
-    delta = [0] * n
-    count = 0
-    for _, xs, closure in form.circles:
-        for u, v in zip(xs, xs[1:] + [xs[0] + closure * den]):
-            lo, hi = (u, v) if u < v else (v, u)
-            sheets, extra = divmod(hi - lo, den)
-            count += sheets
-            if extra:
-                a, b = index[lo % den], index[hi % den]
-                delta[a] += 1
-                delta[b] -= 1
-                if a > b:  # the arc wraps through 0, so it covers interval 0 too
-                    count += 1
-    out = []
-    for i, a in enumerate(crit):
-        count += delta[i]
-        out.append((a, (crit[i + 1] if i + 1 < n else crit[0] + den) - a, count))
+    out, count = [], base
+    for a, b in zip(crit, crit[1:] + [crit[0] + den]):
+        count += delta[a]
+        out.append((a, b - a, count))
     return out
 
 
@@ -187,12 +202,13 @@ def fiber_profile(cover: PLCover) -> List[Tuple[Fraction, Fraction, int]]:
 
     Returns (start, length, count) per interval, in the order of
     critical_values: the intervals start at the critical values and tile
-    the circle.  A segment from lo to hi (lo < hi) passes over every value
-    floor(hi - lo) times, plus once more over the open residue arc from
-    lo % 1 to hi % 1 when hi - lo is not an integer.  Both ends of that arc
-    are critical values, so one difference array over the sorted residues
-    and one prefix sum give every count in O(B log B) for B breakpoints.
-    The sweep runs on integer lifts over one common denominator.
+    the circle.  Counts change only at folds: past a fold's bottom the
+    fiber gains two points, past its top it loses two, and a monotone
+    breakpoint changes nothing.  So one pass over the B breakpoints gives
+    the count just below 0 and the change at every critical value, and one
+    sort and prefix sum give every count in O(B log B); every count has the
+    parity of the total winding.  The sweep runs on integer lifts over one
+    common denominator.
     """
     form = _encode(cover)
     den = form.den
@@ -214,7 +230,12 @@ def fiber_budget_violations(cover: PLCover) -> List[str]:
     if cover.target is not CoverTarget.PROJ_LINE:
         return []
     form = _encode(cover)
-    den, k, bad = form.den, cover.k, []
+    k = cover.k
+    base, delta = _tally(form)
+    highest = base + max(accumulate(map(delta.get, sorted(delta)), initial=0))
+    if (k - base) % 2 == 0 and highest <= k:
+        return []
+    den, bad = form.den, []
     for a, gap, n in _sweep(form):
         if n > k or (k - n) % 2 != 0:
             where = f"fiber over ({Fraction(a, den)}, {Fraction(a + gap, den)})"
@@ -384,7 +405,10 @@ def _new_folds(form: _Spans, labels: List[str]) -> None:
     swept once and the intervals are then split in a heap keyed by
     (-gap, start), keys the distinct starts make unique; a cover with no
     breakpoints has no true interval ends, so the first fold there sweeps
-    again."""
+    again.  The sweep is O(B log B) in the cover's B breakpoints; planner
+    plans open their new folds before any fold run (planner.plan), so it
+    reads four breakpoints in Case5 and in Case4 with one nonzero circle,
+    whatever k is."""
     room, heap = form.replay.k - 2, None
     for label in labels:
         if heap is None:

@@ -399,6 +399,19 @@ def fraction_fiber_profile(cover):
     return out
 
 
+def fraction_budget_violations(cover):
+    """fiber_budget_violations worded from fraction_fiber_profile: on each
+    regular interval, a count over k and a count of the wrong parity."""
+    k, bad = cover.k, []
+    for a, length, n in fraction_fiber_profile(cover):
+        where = f"fiber over ({a}, {a + length})"
+        if n > k:
+            bad.append(f"{where} has {n} > {k} real points")
+        if (k - n) % 2 != 0:
+            bad.append(f"{where} has {n} real points, parity differs from {k}")
+    return bad
+
+
 def _rising_segment(m):
     """Index of the widest increasing segment (ties to the earliest)."""
     best, best_span = -1, None

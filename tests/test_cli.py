@@ -207,6 +207,33 @@ class TestErrorMessages:
     def test_malformed_spec(self, capsys, command, text, message):
         assert invoke_json(capsys, command, text) == (1, {"error": message})
 
+    @pytest.mark.parametrize("command", ["admissible", "plan", "verify"])
+    def test_spec_file_refusals(self, capsys, tmp_path, command):
+        extra = [write_plan(tmp_path, HYPER_2)] if command == "verify" else []
+        missing = tmp_path / "missing.json"
+        message = f"spec file: [Errno 2] No such file or directory: '{missing}'"
+        assert invoke_json(capsys, command, *extra, f"@{missing}") == (1, {"error": message})
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"g": 4,')
+        message = "spec: invalid JSON (Expecting property name enclosed in double quotes)"
+        assert invoke_json(capsys, command, *extra, f"@{bad}") == (1, {"error": message})
+        bad.write_bytes(b"\xff\xfe{}")
+        code, doc = invoke_json(capsys, command, *extra, f"@{bad}")
+        assert code == 1 and doc["error"].startswith("spec file: 'utf-8' codec can't decode")
+
+    @pytest.mark.parametrize("command", ["admissible", "plan", "verify"])
+    @pytest.mark.parametrize("text", [SPEC_431, SPEC_6333, "[1,2]"])
+    def test_spec_file_answers_as_the_inline_spec(self, capsys, tmp_path, command, text):
+        extra = []
+        if command == "verify":
+            extra = [str(tmp_path / "plan.json")]
+            run(["plan", SPEC_6333])
+            Path(extra[0]).write_text(capsys.readouterr().out)
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(text)
+        inline = invoke(capsys, command, *extra, text)
+        assert invoke(capsys, command, *extra, f"@{spec_file}") == inline
+
     @pytest.mark.parametrize("command", ["verify", "realize"])
     @pytest.mark.parametrize(
         "doc, message",

@@ -112,9 +112,10 @@ class TestBranchGuards:
 
 
 # sha256 of the plans over P1 in g <= 10, 3 <= k <= 8, one JSON line each
-# with every record written out as single steps, as the planner emitted them
-# before plans were run-length records.
-SINGLE_STEP_PLANS_SHA256 = "6a25a4bcc8ecef61fc06edb8ab17bf2362d1463b4e83df9981e4d67ab6086770"
+# with every record written out as single steps.  Outside Case4 and Case5
+# these are the steps the planner emitted before plans were run-length
+# records; Case4 and Case5 open their zero circles before their fold runs.
+SINGLE_STEP_PLANS_SHA256 = "605d9233da2c1830724226007c3cc589f7ecb49dbea20e728a7917f117e98b8e"
 
 
 def p1_box_plans():
@@ -162,26 +163,49 @@ class TestPlanShape:
     @pytest.mark.parametrize(
         "target, provenance, label, wraps, folds",
         [
-            (spec(6, 1, 0, "P1", 11, (3,)), "Case3", "C1", 3, 3),
-            (spec(6, 3, 0, "P1", 9, (1, 0, 0)), "Case4", "C1", 3, 3),
-            (spec(6, 3, 0, "P1", 12, (0, 0, 0)), "Case5", "C1", 4, 6),
-            (spec(8, 3, 1, "P1", 14, (5, 3, 0)), "A1-sPos", "C1", 2, 2),
-            (spec(8, 2, 1, "P1", 14, (5, 3)), "A1-sPos", "N1", 2, 2),
+            (spec(6, 1, 0, "P1", 11, (3,)), "Case3", "C1", 3, (3,)),
+            (spec(6, 3, 0, "P1", 9, (1, 0, 0)), "Case4", "C1", 3, (3,)),
+            (spec(6, 3, 0, "P1", 12, (0, 0, 0)), "Case5", "C1", 4, (1, 5)),
+            (spec(8, 3, 1, "P1", 14, (5, 3, 0)), "A1-sPos", "C1", 2, (2,)),
+            (spec(8, 2, 1, "P1", 14, (5, 3)), "A1-sPos", "N1", 2, (2,)),
         ],
     )
     def test_spare_sheets_wrap_then_fold(self, target, provenance, label, wraps, folds):
-        # the last two kind-I records, III/II aside: wraps, then folds; a
-        # circle pumped before its spare wraps (Case3 (3,): two) holds its
-        # pump in the same record
+        # the last kind-I records, III/II aside: wraps, then folds, which
+        # Case5 splits around its II/ram record after the first; a circle
+        # pumped before its spare wraps (Case3 (3,): two) holds its pump in
+        # the same record
         result = plan(target)
         assert result.provenance == provenance and verify_plan(result, target)
-        tail = [st for st in result.steps if st.kind is StepKind.I][-2:]
+        tail = [st for st in result.steps if st.kind is StepKind.I][-1 - len(folds) :]
         wrap = ConstructionStep(StepKind.I, Variant.WITHOUT_REAL_RAM, label)
-        fold = ConstructionStep(StepKind.I, Variant.WITH_REAL_RAM, label, folds)
+        fold = ConstructionStep(StepKind.I, Variant.WITH_REAL_RAM, label)
         pumped = 2 if provenance == "Case3" else 0  # C1 from winding 1 to 3
-        assert tail == [replace(wrap, repeat=wraps + pumped), fold]
-        single = [wrap] * wraps + [replace(fold, repeat=1)] * folds
-        assert expand(tail)[-(wraps + folds) :] == single
+        assert tail == [replace(wrap, repeat=wraps + pumped)] + [
+            replace(fold, repeat=m) for m in folds
+        ]
+        single = [wrap] * wraps + [fold] * sum(folds)
+        assert expand(tail)[-len(single) :] == single
+
+    def test_zero_circles_open_before_the_fold_run(self):
+        # Case4 and Case5 add their winding-0 circles (II/ram) when C1 has
+        # folded once, so placing them reads a cover of a few breakpoints
+        n = 0
+        for _, result in p1_box_plans():
+            if result.provenance in ("Case4", "Case5"):
+                steps = list(result.steps)
+                kinds = [(st.kind, st.variant) for st in steps]
+                if (StepKind.II, Variant.WITH_REAL_RAM) not in kinds:
+                    continue
+                opened = kinds.index((StepKind.II, Variant.WITH_REAL_RAM))
+                folds = [
+                    st.repeat
+                    for st in steps[:opened]
+                    if (st.kind, st.variant) == (StepKind.I, Variant.WITH_REAL_RAM)
+                ]
+                assert folds == [1], (result.provenance, steps)
+                n += 1
+        assert n == 1093
 
 
 class TestVerify:

@@ -1,4 +1,5 @@
 import json
+import random
 from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 from functools import lru_cache
@@ -50,6 +51,7 @@ from oracles import (
     arc_contains,
     brute_fiber_count,
     expand,
+    fraction_budget_violations,
     fraction_fiber_profile,
     fraction_realize,
     fraction_fold_split,
@@ -488,6 +490,72 @@ class TestFiberProfile:
         assert fiber_profile(cover) == [(F(1, 4), F(1, 2), 0), (F(3, 4), F(1, 2), 2)]
 
 
+def hand_built_cover(rng):
+    """Zero to four circles over one of a few dens: closures from -3 to 3,
+    one to six breakpoints (a lone one only with a nonzero closure), lifts
+    drawn partly from whole turns (residue 0) and from lifts of earlier
+    circles shifted by whole turns (shared residues)."""
+    den = rng.choice([1, 2, 3, 4, 8, 12])
+    comps, seen = [], [0]
+    for i in range(rng.randrange(5)):
+        n = rng.randint(1, 6)
+        closure = rng.choice([c for c in range(-3, 4) if c or n > 1])
+        while True:
+            xs = [
+                rng.choice(seen) + rng.randint(-2, 2) * den
+                if rng.random() < 0.4
+                else rng.randint(-3 * den, 3 * den)
+                for _ in range(n)
+            ]
+            if all(map(int.__ne__, xs, xs[1:] + [xs[0] + closure * den])):
+                break
+        seen += xs
+        comps.append((f"C{i + 1}", PLMap(den, xs, closure)))
+    return PLCover(tuple(comps), 0, CoverTarget.PROJ_LINE)
+
+
+class TestTally:
+    """The sweep from the fold tally against the Fraction oracles on
+    seeded random hand-built covers."""
+
+    COVERS = [hand_built_cover(random.Random(seed)) for seed in range(300)]
+
+    def test_the_covers_hold_every_case(self):
+        maps = [m for cover in self.COVERS for _, m in cover.components]
+        assert any(not cover.components for cover in self.COVERS)
+        assert any(m.closure < 0 for m in maps) and any(len(m.xs) == 1 for m in maps)
+        assert any(x % m.den == 0 for m in maps for x in m.xs)
+        assert any(
+            len({x % m.den for _, m in cover.components for x in m.xs})
+            < sum(len({x % m.den for x in m.xs}) for _, m in cover.components)
+            for cover in self.COVERS
+        )
+
+    def test_sweep_matches_the_fraction_profile(self):
+        for cover in self.COVERS:
+            form = plsim._encode(cover)
+            den = form.den
+            profile = [(F(a, den), F(gap, den), n) for a, gap, n in plsim._sweep(form)]
+            assert profile == fraction_fiber_profile(cover)
+            for a, length, n in profile:
+                assert brute_fiber_count(cover, a + length / 2) == n
+
+    def test_counts_have_the_parity_of_the_total_winding(self):
+        for cover in self.COVERS:
+            total = sum(m.closure for _, m in cover.components)
+            assert all((n - total) % 2 == 0 for _, _, n in fiber_profile(cover))
+
+    def test_budget_check_matches_the_fraction_messages(self):
+        checked = 0
+        for cover in self.COVERS:
+            top = max(n for _, _, n in fiber_profile(cover))
+            for k in range(2, top + 3):
+                at_k = replace(cover, k=k)
+                assert fiber_budget_violations(at_k) == fraction_budget_violations(at_k)
+                checked += fiber_budget_violations(at_k) == []
+        assert checked > 100
+
+
 # Catalog seeds for the step fuzz: every hyperelliptic winding pattern,
 # all-zero patterns with s = 3 and 5 (lift denominators 12 and 20, not
 # powers of two), pencils and coverings of R0.
@@ -834,6 +902,32 @@ class TestIntegerLifts:
         cover = realize(p.seed, p.steps)
         assert 0 < calls <= 2 * folds.bit_length()
         assert len(cover.components[0][1].xs) == 40000
+
+    @pytest.mark.parametrize(
+        "top, deg, k",
+        [
+            ((6, 3, 0), (0, 0, 0), 64),
+            ((6, 3, 0), (0, 0, 0), 39998),
+            ((8, 3, 0), (1, 0, 0), 63),
+            ((8, 3, 0), (1, 0, 0), 39993),
+        ],
+    )
+    def test_new_folds_sweep_a_small_cover(self, monkeypatch, top, deg, k):
+        # Case4 and Case5 open their zero circles before C1's fold run, so
+        # placing them sweeps C1's four breakpoints whatever k is.
+        p = plan(p1_spec(*top, k, deg))
+        assert p.provenance == ("Case5" if deg[0] == 0 else "Case4")
+        swept = []
+        tally = plsim._tally
+
+        def spying(form):
+            swept.append(sum(len(xs) for _, xs, _ in form.circles))
+            return tally(form)
+
+        monkeypatch.setattr(plsim, "_tally", spying)
+        cover = realize(p.seed, p.steps)
+        assert swept and max(swept) <= 4
+        assert sum(len(m.xs) for _, m in cover.components) >= k
 
     @pytest.mark.parametrize(
         "seed, steps", BROKEN_RUNS + [(p.seed, p.steps) for _, p in HAND_BUILT]
