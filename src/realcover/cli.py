@@ -84,7 +84,12 @@ def _load_json(text: str, what: str) -> object:
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ValueError(f"{what}: invalid JSON ({exc.msg})") from None
+        reason = exc.msg
+    except ValueError:  # the only other one: an integer past Python's digit limit
+        reason = f"integer over {sys.get_int_max_str_digits()} digits"
+    except RecursionError:
+        reason = "nested too deeply"
+    raise ValueError(f"{what}: invalid JSON ({reason})")
 
 
 def _read_file(path: str, what: str) -> str:

@@ -9,9 +9,10 @@ have nonzero rational slope, so folds happen exactly at breakpoints.
 Only the cyclic sequence of breakpoint lifts matters for windings, fibers
 and image arcs; the t coordinates are equally spaced, t = i/n.  A PLMap
 keeps its lifts as integers over its least denominator and builds its
-Fraction breakpoints only when read.  The fiber sweep and image arcs run
-on integer lifts over one common denominator per cover; plan steps run on
-segment spans, refining that denominator in strides of 2**30.
+Fraction breakpoints only when read.  The fiber sweep and plan steps
+share one integer form over a common denominator per cover: per circle its
+first lift and its segment spans.  The sweep walks the spans; steps
+rewrite them, refining the denominator in strides of 2**30.
 The wire formats print "p/q" straight from the integers.
 
 A PLCover bundles the circle maps with the sheet budget k of the covering.
@@ -113,80 +114,62 @@ class PLCover:
 
 def critical_values(cover: PLCover) -> List[Fraction]:
     """Sorted residues of all breakpoint lifts; fibers are constant in between."""
-    form = _encode(cover)
-    den = form.den
-    return [Fraction(c, den) for c in sorted({x % den for _, xs, _ in form.circles for x in xs})]
+    den, circles = _circles(cover)
+    return [Fraction(c, den) for c in sorted(_tally(den, circles)[1])]
 
 
 # ---------------------------------------------------------------------------
-# Integer working form, over one common den per cover.  Encoding rescales
-# each map's lifts to it, decoding re-anchors and validates them as PLMaps.
+# The integer form, over one common den per cover: per circle its first
+# lift x0 and its segment spans d[i] = x[i+1] - x[i], the closing one
+# included, so sum(d) == winding * den.  A PLCover enters it through
+# _circles; a realized form leaves it through _decode.
 
 
-class _Lifts:
-    """A cover in integer form: per circle its label, its breakpoint lifts
-    times den and its closure, plus the sheet budget and the target; one
-    common den, so steps can mix circles.  A plain class: a dataclass would
-    add about half a millisecond of class generation to every import.
-    """
-
-    __slots__ = ("den", "circles", "k", "target")
-
-    def __init__(
-        self, den: int, circles: List[Tuple[str, List[int], int]], k: int, target: CoverTarget
-    ):
-        self.den, self.circles, self.k, self.target = den, circles, k, target
+def _circles(cover: PLCover) -> Tuple[int, List[Tuple[int, List[int]]]]:
+    """The cover's circles in the integer form, over the least common
+    denominator of its maps.  A list in the cover's order, so circles that
+    repeat a label all count."""
+    den = lcm(*[m.den for _, m in cover.components])
+    circles = []
+    for _, m in cover.components:
+        xs = list(m.xs) if m.den == den else [x * (den // m.den) for x in m.xs]
+        circles.append((xs[0], list(map(sub, xs[1:] + [xs[0] + m.closure * den], xs))))
+    return den, circles
 
 
-def _encode(cover: PLCover) -> _Lifts:
-    """The integer form over the least common denominator of the maps."""
-    den = lcm(*{m.den for _, m in cover.components})
-    circles = [
-        (lbl, list(m.xs) if m.den == den else [x * (den // m.den) for x in m.xs], m.closure)
-        for lbl, m in cover.components
-    ]
-    return _Lifts(den, circles, cover.k, cover.target)
+def _tally(den: int, circles) -> Tuple[int, dict]:
+    """The fiber counts of circles (x0, d) over den as (base, delta): base
+    is the count just below residue 0, and delta maps every breakpoint
+    residue to the change in count past it, so the interval starting at
+    residue r counts base plus the deltas at residues <= r.
 
-
-def _decode(form: _Lifts) -> PLCover:
-    comps = tuple([(lbl, PLMap(form.den, xs, w)) for lbl, xs, w in form.circles])
-    return PLCover(comps, form.k, form.target)
-
-
-def _tally(form: _Lifts) -> Tuple[int, dict]:
-    """The fiber counts of the integer form as (base, delta): base is the
-    count just below residue 0, and delta maps every breakpoint residue to
-    the change in count past it, so the interval starting at residue r
-    counts base plus the deltas at residues <= r.
-
-    A count changes only at a fold: by +2 past a local minimum, by -2 past
-    a local maximum, not at all past a monotone breakpoint.  A segment from
-    p to x passes below residue 0 once per multiple of den in between,
-    |x // den - p // den| times.  One pass over the breakpoints, with one
-    floor division each."""
-    den, base, delta = form.den, 0, {}
+    A count changes only at a fold: by +2 past a fold's bottom, where a
+    falling span meets a climbing one, by -2 past its top, where a climbing
+    span meets a falling one, not at all past a monotone breakpoint.  A
+    span from x to x + t passes below residue 0 once per multiple of den in
+    between, |(x + t) // den - x // den| times.  One walk per circle, adding
+    its spans to a running lift, with one floor division per breakpoint."""
+    base, delta = 0, {}
     get = delta.get
-    for _, xs, w in form.circles:
-        turn = w * den
-        p = xs[-1] - turn
-        pq = p // den
-        for x, n in zip(xs, xs[1:] + [xs[0] + turn]):
-            q = x // den
-            base += q - pq if q > pq else pq - q
+    for x, d in circles:
+        s, q = d[-1], x // den
+        for t in d:
             r = x - q * den
-            if x < p:
-                delta[r] = get(r, 0) + 2 if x < n else get(r, 0)  # a fold's bottom
+            if s < 0:
+                delta[r] = get(r, 0) + 2 if t > 0 else get(r, 0)  # a fold's bottom
             else:
-                delta[r] = get(r, 0) - 2 if x > n else get(r, 0)  # a fold's top
-            p, pq = x, q
+                delta[r] = get(r, 0) - 2 if t < 0 else get(r, 0)  # a fold's top
+            x += t
+            p = x // den
+            base += p - q if p > q else q - p
+            q, s = p, t
     return base, delta
 
 
-def _sweep(form: _Lifts) -> List[Tuple[int, int, int]]:
+def _sweep(den: int, circles) -> List[Tuple[int, int, int]]:
     """fiber_profile on the integer form: (start, length, count) with start
     and length in units of 1 / den, laid from the _tally in residue order."""
-    den = form.den
-    base, delta = _tally(form)
+    base, delta = _tally(den, circles)
     crit = sorted(delta)
     if not crit:
         return [(0, den, 0)]
@@ -207,12 +190,11 @@ def fiber_profile(cover: PLCover) -> List[Tuple[Fraction, Fraction, int]]:
     breakpoint changes nothing.  So one pass over the B breakpoints gives
     the count just below 0 and the change at every critical value, and one
     sort and prefix sum give every count in O(B log B); every count has the
-    parity of the total winding.  The sweep runs on integer lifts over one
-    common denominator.
+    parity of the total winding.  The pass walks each circle's segment
+    spans over one common denominator.
     """
-    form = _encode(cover)
-    den = form.den
-    return [(Fraction(a, den), Fraction(gap, den), n) for a, gap, n in _sweep(form)]
+    den, circles = _circles(cover)
+    return [(Fraction(a, den), Fraction(gap, den), n) for a, gap, n in _sweep(den, circles)]
 
 
 def regular_samples(cover: PLCover) -> List[Fraction]:
@@ -229,14 +211,14 @@ def fiber_budget_violations(cover: PLCover) -> List[str]:
     """
     if cover.target is not CoverTarget.PROJ_LINE:
         return []
-    form = _encode(cover)
     k = cover.k
-    base, delta = _tally(form)
+    den, circles = _circles(cover)
+    base, delta = _tally(den, circles)
     highest = base + max(accumulate(map(delta.get, sorted(delta)), initial=0))
     if (k - base) % 2 == 0 and highest <= k:
         return []
-    den, bad = form.den, []
-    for a, gap, n in _sweep(form):
+    bad = []
+    for a, gap, n in _sweep(den, circles):
         if n > k or (k - n) % 2 != 0:
             where = f"fiber over ({Fraction(a, den)}, {Fraction(a + gap, den)})"
             if n > k:
@@ -271,25 +253,15 @@ _RAM = Variant.WITH_REAL_RAM
 class _Spans:
     """The form plan steps run on: replay, the symbolic working state
     (constructions._Replay) of the cover's windings, k and target, plus den
-    and per label its circle's first lift x0 and segment spans d[i] =
-    x[i+1] - x[i], the closing one included, so sum(d) == winding * den.
-    A splice rewrites a few spans, not every later lift.  Holding the state
-    rather than subclassing it keeps the rules' attribute reads on one type
-    in both interpreters."""
+    and per label its circle (x0, d) in the integer form.  A splice
+    rewrites a few spans, not every later lift.  Holding the state rather
+    than subclassing it keeps the rules' attribute reads on one type in
+    both interpreters."""
 
     __slots__ = ("replay", "den", "spans")
 
     def __init__(self, replay: _Replay, den: int, spans: dict):
         self.replay, self.den, self.spans = replay, den, spans
-
-    def lifts(self) -> _Lifts:
-        replay = self.replay
-        w = replay.windings
-        circles = [
-            (lbl, list(accumulate(d[:-1], initial=x0)), w[lbl])
-            for lbl, (x0, d) in self.spans.items()
-        ]
-        return _Lifts(self.den, circles, replay.k, replay.target)
 
 
 def _cover_spans(cover: PLCover) -> _Spans:
@@ -297,12 +269,20 @@ def _cover_spans(cover: PLCover) -> _Spans:
     # The rules read neither the genus nor a, which a PLCover does not have.
     windings = tuple([(lbl, m.closure) for lbl, m in cover.components])
     replay = _Replay(LabeledState(0, 0, cover.k, cover.target, windings))
-    form = _encode(cover)
-    den = form.den
-    spans = {
-        lbl: (xs[0], list(map(sub, xs[1:] + [xs[0] + w * den], xs))) for lbl, xs, w in form.circles
-    }
-    return _Spans(replay, den, spans)
+    den, circles = _circles(cover)
+    return _Spans(replay, den, dict(zip([lbl for lbl, _ in windings], circles)))
+
+
+def _decode(form: _Spans) -> PLCover:
+    """The cover of the span form: each circle's lifts summed up from x0,
+    with the replay's windings, re-anchored and validated as PLMaps."""
+    replay, den = form.replay, form.den
+    w = replay.windings
+    comps = [
+        (lbl, PLMap(den, list(accumulate(d[:-1], initial=x0)), w[lbl]))
+        for lbl, (x0, d) in form.spans.items()
+    ]
+    return PLCover(tuple(comps), replay.k, replay.target)
 
 
 def _seed_spans(seed: BaseSeed) -> _Spans:
@@ -413,7 +393,8 @@ def _new_folds(form: _Spans, labels: List[str]) -> None:
     for label in labels:
         if heap is None:
             ends = bool(form.spans)
-            heap = [(-gap, a, n) for a, gap, n in _sweep(form.lifts()) if n <= room]
+            profile = _sweep(form.den, form.spans.values())
+            heap = [(-gap, a, n) for a, gap, n in profile if n <= room]
             heapify(heap)
         if not heap:
             raise BudgetExceeded("no regular interval has room for two more real sheets")
@@ -476,7 +457,7 @@ def surgery(cover: PLCover, step: ConstructionStep) -> PLCover:
     """
     form = _cover_spans(cover)
     _step(form, step)
-    return _decode(form.lifts())
+    return _decode(form)
 
 
 # ---------------------------------------------------------------------------
@@ -493,7 +474,7 @@ def seed_cover(seed: BaseSeed) -> PLCover:
     and contribute only their sheet budget.  A seed outside the catalog
     raises SeedNotInCatalog.
     """
-    return _decode(_seed_spans(seed).lifts())
+    return _decode(_seed_spans(seed))
 
 
 def realize(seed: BaseSeed, steps: Sequence[ConstructionStep]) -> PLCover:
@@ -527,7 +508,7 @@ def realize(seed: BaseSeed, steps: Sequence[ConstructionStep]) -> PLCover:
             j += 1
         _step(form, step if m == step.repeat else replace(step, repeat=m), i)
         i = j
-    return _decode(form.lifts())
+    return _decode(form)
 
 
 # ---------------------------------------------------------------------------
@@ -564,8 +545,11 @@ def cover_to_json(cover: PLCover) -> dict:
 
 def fiber_csv(cover: PLCover) -> str:
     """The fiber_profile as CSV: per regular interval its midpoint and fiber
-    count, sorted by midpoint, under the header x,fiber_count."""
-    form = _encode(cover)
-    period = 2 * form.den  # midpoints in units of 1 / (2 den)
-    rows = sorted(((2 * a + gap) % period, n) for a, gap, n in _sweep(form))
+    count, sorted by midpoint, under the header x,fiber_count.  A cover of
+    R0 has no target circle, so it has no rows."""
+    if cover.target is not CoverTarget.PROJ_LINE:
+        return "x,fiber_count\n"
+    den, circles = _circles(cover)
+    period = 2 * den  # midpoints in units of 1 / (2 den)
+    rows = sorted(((2 * a + gap) % period, n) for a, gap, n in _sweep(den, circles))
     return "x,fiber_count\n" + "".join(f"{_rat(x, period)},{n}\n" for x, n in rows)

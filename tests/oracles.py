@@ -30,7 +30,7 @@ from realcover.constructions import (
     execute_states,
     seed_state,
 )
-from realcover.plsim import BudgetExceeded, PLCover, PLMap, critical_values, seed_cover
+from realcover.plsim import BudgetExceeded, PLCover, PLMap, seed_cover
 from realcover.topology import CoverTarget, DegreeVector, TopType
 
 
@@ -372,8 +372,8 @@ def orient(m):
 
 def fraction_fiber_profile(cover):
     """fiber_profile in Fraction arithmetic: one difference array over the
-    sorted critical residues."""
-    crit = critical_values(cover)
+    sorted residues of the Fraction breakpoints."""
+    crit = sorted({x % 1 for _, m in cover.components for _, x in m.breakpoints})
     if not crit:
         return [(Fraction(0), Fraction(1), 0)]
     index = {c: i for i, c in enumerate(crit)}

@@ -108,6 +108,12 @@ class TestPlanVerifyRealize:
             for t, x in comp["breakpoints"]:
                 assert "/" in t and "/" in x
 
+    def test_realize_csv_of_r0_has_no_rows(self, capsys, tmp_path):
+        # The anisotropic conic has no real points, so no target circle to
+        # count fibers over.
+        plan_file = write_plan(tmp_path, {"kind": "GenericR0Pencil", "g": 2, "k": 3})
+        assert invoke(capsys, "realize", plan_file, "--format", "csv") == (0, "x,fiber_count\n")
+
     def test_realize_csv(self, capsys, tmp_path):
         _, plan_doc = invoke_json(capsys, "plan", SPEC_6333)
         plan_file = tmp_path / "plan.json"
@@ -285,6 +291,23 @@ class TestErrorMessages:
         extra = [SPEC_6333] if command == "verify" else []
         message = "steps[2].repeat: expected a positive integer"
         assert invoke_json(capsys, command, plan_file, *extra) == (1, {"error": message})
+
+    def test_json_python_cannot_read(self, capsys, tmp_path):
+        # An integer past Python's digit limit, or arrays nested past its
+        # recursion limit: the answer names the argument that held them.
+        limit = sys.get_int_max_str_digits()
+        digits = "9" * (limit + 1)
+        plan_file = tmp_path / "plan.json"
+        plan_file.write_text('{"seed": ' + digits + "}")
+        for argv, what in (
+            (["admissible", '{"g":' + digits + "}"], "spec"),
+            (["verify", str(plan_file), SPEC_6333], "plan"),
+            (["covnum", '{"kcov":' + digits + "}"], "target"),
+        ):
+            message = f"{what}: invalid JSON (integer over {limit} digits)"
+            assert invoke_json(capsys, *argv) == (1, {"error": message})
+        message = "spec: invalid JSON (nested too deeply)"
+        assert invoke_json(capsys, "plan", "[" * 100000) == (1, {"error": message})
 
     def test_target_not_an_object(self, capsys):
         expected = (1, {"error": "target: expected a JSON object"})

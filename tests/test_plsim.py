@@ -494,7 +494,9 @@ def hand_built_cover(rng):
     """Zero to four circles over one of a few dens: closures from -3 to 3,
     one to six breakpoints (a lone one only with a nonzero closure), lifts
     drawn partly from whole turns (residue 0) and from lifts of earlier
-    circles shifted by whole turns (shared residues)."""
+    circles shifted by whole turns (shared residues).  A circle now and then
+    takes an earlier circle's label: the fiber functions count every
+    circle, and only surgery refuses repeated labels."""
     den = rng.choice([1, 2, 3, 4, 8, 12])
     comps, seen = [], [0]
     for i in range(rng.randrange(5)):
@@ -510,7 +512,8 @@ def hand_built_cover(rng):
             if all(map(int.__ne__, xs, xs[1:] + [xs[0] + closure * den])):
                 break
         seen += xs
-        comps.append((f"C{i + 1}", PLMap(den, xs, closure)))
+        label = comps[rng.randrange(i)][0] if i and rng.random() < 0.25 else f"C{i + 1}"
+        comps.append((label, PLMap(den, xs, closure)))
     return PLCover(tuple(comps), 0, CoverTarget.PROJ_LINE)
 
 
@@ -523,6 +526,10 @@ class TestTally:
     def test_the_covers_hold_every_case(self):
         maps = [m for cover in self.COVERS for _, m in cover.components]
         assert any(not cover.components for cover in self.COVERS)
+        assert any(
+            len({lbl for lbl, _ in cover.components}) < len(cover.components)
+            for cover in self.COVERS
+        )
         assert any(m.closure < 0 for m in maps) and any(len(m.xs) == 1 for m in maps)
         assert any(x % m.den == 0 for m in maps for x in m.xs)
         assert any(
@@ -533,9 +540,8 @@ class TestTally:
 
     def test_sweep_matches_the_fraction_profile(self):
         for cover in self.COVERS:
-            form = plsim._encode(cover)
-            den = form.den
-            profile = [(F(a, den), F(gap, den), n) for a, gap, n in plsim._sweep(form)]
+            den, circles = plsim._circles(cover)
+            profile = [(F(a, den), F(gap, den), n) for a, gap, n in plsim._sweep(den, circles)]
             assert profile == fraction_fiber_profile(cover)
             for a, length, n in profile:
                 assert brute_fiber_count(cover, a + length / 2) == n
@@ -920,9 +926,10 @@ class TestIntegerLifts:
         swept = []
         tally = plsim._tally
 
-        def spying(form):
-            swept.append(sum(len(xs) for _, xs, _ in form.circles))
-            return tally(form)
+        def spying(den, circles):
+            circles = list(circles)
+            swept.append(sum(len(d) for _, d in circles))
+            return tally(den, circles)
 
         monkeypatch.setattr(plsim, "_tally", spying)
         cover = realize(p.seed, p.steps)
@@ -1140,7 +1147,7 @@ class TestStepRules:
         single = expand(steps)
         *_, final = execute_states(seed, single)
         assert (form.replay.windings, form.replay.k) == (final.windings, final.k)
-        cover = plsim._decode(form.lifts())
+        cover = plsim._decode(form)
         assert cover_to_json(cover) == cover_to_json(fraction_realize(seed, single))
 
 

@@ -121,20 +121,22 @@ def test_constructions_are_found():
     assert constructions_of(tree, "E") == [(None, 1), ("m", 4), ("g", 7), ("f", 8)]
 
 
-def private_uses(tree, module):
-    """Underscore names of the sibling module that the tree imports from it
-    or reads as module._name."""
+def uses(tree, module):
+    """Names of the package module that the tree imports from it, as
+    .module or realcover.module, or reads as module.name."""
     names = set()
+    sources = {(1, module), (0, f"realcover.{module}")}
     for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == module:
-            names |= {alias.name for alias in node.names if alias.name.startswith("_")}
-        elif (
-            isinstance(node, ast.Attribute)
-            and getattr(node.value, "id", None) == module
-            and node.attr.startswith("_")
-        ):
+        if isinstance(node, ast.ImportFrom) and (node.level, node.module) in sources:
+            names |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == module:
             names.add(node.attr)
     return names
+
+
+def private_uses(tree, module):
+    """The underscore names among uses(tree, module)."""
+    return {name for name in uses(tree, module) if name.startswith("_")}
 
 
 def test_covering4_builds_on_public_plsim_names():
@@ -146,7 +148,24 @@ def test_covering4_builds_on_public_plsim_names():
 
 def test_private_uses_are_found():
     tree = ast.parse(
-        "from .plsim import PLMap, _Lifts\nfrom .arcs import _x\nfrom plsim import _y\n"
+        "from .plsim import PLMap, _Spans\nfrom .arcs import _x\nfrom plsim import _y\n"
+        "from realcover.plsim import _z, fiber_csv\n"
         "from . import plsim\nplsim._merge(plsim.PLMap)\n"
     )
-    assert private_uses(tree, "plsim") == {"_Lifts", "_merge"}
+    assert private_uses(tree, "plsim") == {"_Spans", "_z", "_merge"}
+    assert uses(tree, "plsim") == {"PLMap", "_Spans", "_z", "fiber_csv", "_merge"}
+
+
+def test_oracles_count_fibers_themselves():
+    # The Fraction oracles are what the fiber code is checked against; one
+    # that called that code, or its internals, would check it against itself.
+    tree = parse(Path(__file__).parent / "oracles.py")
+    fiber = {
+        "critical_values",
+        "fiber_profile",
+        "fiber_budget_violations",
+        "fiber_csv",
+        "regular_samples",
+    }
+    assert uses(tree, "plsim") & fiber == set()
+    assert private_uses(tree, "plsim") == set()
