@@ -34,7 +34,6 @@ from .topology import (
     CoverTarget,
     DegreeVector,
     TopType,
-    degree_admissible,
     enumerate_admissible,
     target_admissible,
     weichold_admissible,

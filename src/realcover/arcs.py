@@ -12,7 +12,7 @@ arcs through a least-covered point, in memory linear in the arcs.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd, lcm
@@ -24,6 +24,7 @@ class FullCircle:
     """The whole target circle, the image of any circle with nonzero winding."""
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class Arc:
     """Proper closed arc from lo / den to hi / den counterclockwise.
 
@@ -32,7 +33,9 @@ class Arc:
     int and equal ends; start and end are Fractions built when read.
     """
 
-    __slots__ = ("den", "lo", "hi")
+    den: int
+    lo: int
+    hi: int
 
     def __init__(self, den: int, lo: int, hi: int):
         if type(den) is not int or den <= 0:
@@ -44,19 +47,6 @@ class Arc:
         object.__setattr__(self, "den", den // g)
         object.__setattr__(self, "lo", lo // g)
         object.__setattr__(self, "hi", hi // g)
-
-    def __setattr__(self, name, *_):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.den, self.lo, self.hi) == (other.den, other.lo, other.hi)
-
-    def __hash__(self):
-        return hash((self.den, self.lo, self.hi))
 
     def __repr__(self):
         return f"{type(self).__qualname__}({self.den!r}, {self.lo!r}, {self.hi!r})"

@@ -27,7 +27,6 @@ from .constructions import (
     PreconditionViolated,
     StepKind,
     Variant,
-    _STEP_FIELDS,
     execute_states,
     seed_from_json,
     seed_to_json,
@@ -281,24 +280,7 @@ def plan_from_json(obj: object) -> Plan:
     raw_steps = obj["steps"]
     if not isinstance(raw_steps, list):
         raise ValueError("plan.steps: expected a list")
-    # A plan written one object per step repeats a few distinct steps about
-    # k times: parse each distinct wire step once and share its record.
-    # Only valid steps are stored; their kind, variant and placement are
-    # str or None, and the key holds the repeat's type, since True == 1 and
-    # 2.0 == 2 would otherwise find a valid record.  A step with an unknown
-    # field is never looked up.
-    shared: dict = {}
-    steps = []
-    for i, raw in enumerate(raw_steps):
-        key = None
-        if isinstance(raw, dict) and raw.keys() <= _STEP_FIELDS:
-            repeat = raw.get("repeat", 1)
-            key = (raw.get("kind"), raw.get("variant"), raw.get("placement"), repeat, type(repeat))
-        try:
-            step = shared[key]
-        except (KeyError, TypeError):  # a new step, or one with a list or object field
-            step = shared[key] = step_from_json(raw, i)
-        steps.append(step)
+    steps = [step_from_json(raw, i) for i, raw in enumerate(raw_steps)]
     provenance = obj["provenance"]
     if provenance not in PROVENANCE_TAGS:
         raise ValueError(f"plan.provenance: unknown tag {provenance!r}")

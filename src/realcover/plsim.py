@@ -23,7 +23,7 @@ most k and has the parity of k (coverings of the projective line).
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, dataclass, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import accumulate
@@ -47,6 +47,7 @@ class BudgetExceeded(Exception):
     """A surgery would force more real preimages than the sheet budget allows."""
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class PLMap:
     """Piecewise-linear circle map: breakpoint lifts xs / den, breakpoint i
     of n at t = i/n, closed up by the integer winding closure.
@@ -58,7 +59,9 @@ class PLMap:
     breakpoints is built when read, not kept.
     """
 
-    __slots__ = ("den", "xs", "closure")
+    den: int
+    xs: Tuple[int, ...]
+    closure: int
 
     def __init__(self, den: int, xs: Sequence[int], closure: int):
         if type(den) is not int or den <= 0:
@@ -80,19 +83,6 @@ class PLMap:
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "closure", closure)
-
-    def __setattr__(self, name, *_):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.den, self.xs, self.closure) == (other.den, other.xs, other.closure)
-
-    def __hash__(self):
-        return hash((self.den, self.xs, self.closure))
 
     def __repr__(self):
         return f"{type(self).__qualname__}({self.den!r}, {self.xs!r}, {self.closure!r})"
@@ -180,6 +170,15 @@ def _sweep(den: int, circles) -> List[Tuple[int, int, int]]:
     return out
 
 
+def _profile(cover: PLCover) -> Tuple[int, List[Tuple[int, int, int]]]:
+    """The cover's _sweep with its den; a cover of R0 has no target circle,
+    so no intervals."""
+    if cover.target is not CoverTarget.PROJ_LINE:
+        return 1, []
+    den, circles = _circles(cover)
+    return den, _sweep(den, circles)
+
+
 def fiber_profile(cover: PLCover) -> List[Tuple[Fraction, Fraction, int]]:
     """Exact fiber count on every maximal regular interval of the target circle.
 
@@ -191,10 +190,11 @@ def fiber_profile(cover: PLCover) -> List[Tuple[Fraction, Fraction, int]]:
     the count just below 0 and the change at every critical value, and one
     sort and prefix sum give every count in O(B log B); every count has the
     parity of the total winding.  The pass walks each circle's segment
-    spans over one common denominator.
+    spans over one common denominator.  A cover of R0 has no target circle,
+    so no intervals.
     """
-    den, circles = _circles(cover)
-    return [(Fraction(a, den), Fraction(gap, den), n) for a, gap, n in _sweep(den, circles)]
+    den, profile = _profile(cover)
+    return [(Fraction(a, den), Fraction(gap, den), n) for a, gap, n in profile]
 
 
 def regular_samples(cover: PLCover) -> List[Fraction]:
@@ -206,19 +206,18 @@ def fiber_budget_violations(cover: PLCover) -> List[str]:
     """Violations of the budget/parity invariant on any regular interval;
     empty when clean.
 
-    Only meaningful for coverings of the projective line; for R0 there is
-    no target circle to check.
+    The tally answers a clean cover without laying its intervals.  A cover
+    of R0 has no target circle, so no interval to check.
     """
-    if cover.target is not CoverTarget.PROJ_LINE:
-        return []
     k = cover.k
     den, circles = _circles(cover)
     base, delta = _tally(den, circles)
     highest = base + max(accumulate(map(delta.get, sorted(delta)), initial=0))
     if (k - base) % 2 == 0 and highest <= k:
         return []
+    den, profile = _profile(cover)
     bad = []
-    for a, gap, n in _sweep(den, circles):
+    for a, gap, n in profile:
         if n > k or (k - n) % 2 != 0:
             where = f"fiber over ({Fraction(a, den)}, {Fraction(a + gap, den)})"
             if n > k:
@@ -275,11 +274,11 @@ def _cover_spans(cover: PLCover) -> _Spans:
 
 def _decode(form: _Spans) -> PLCover:
     """The cover of the span form: each circle's lifts summed up from x0,
-    with the replay's windings, re-anchored and validated as PLMaps."""
+    closed up by its spans' own winding sum(d) / den, re-anchored and
+    validated as PLMaps."""
     replay, den = form.replay, form.den
-    w = replay.windings
     comps = [
-        (lbl, PLMap(den, list(accumulate(d[:-1], initial=x0)), w[lbl]))
+        (lbl, PLMap(den, list(accumulate(d[:-1], initial=x0)), sum(d) // den))
         for lbl, (x0, d) in form.spans.items()
     ]
     return PLCover(tuple(comps), replay.k, replay.target)
@@ -499,11 +498,7 @@ def realize(seed: BaseSeed, steps: Sequence[ConstructionStep]) -> PLCover:
     while i < n:
         step, j = steps[i], i + 1
         key, m = (step.kind, step.variant, step.placement), step.repeat
-        # Plans parsed from the wire share one record object per distinct
-        # step, which spares building the key.
-        while j < n and (
-            steps[j] is step or (steps[j].kind, steps[j].variant, steps[j].placement) == key
-        ):
+        while j < n and (steps[j].kind, steps[j].variant, steps[j].placement) == key:
             m += steps[j].repeat
             j += 1
         _step(form, step if m == step.repeat else replace(step, repeat=m), i)
@@ -547,9 +542,7 @@ def fiber_csv(cover: PLCover) -> str:
     """The fiber_profile as CSV: per regular interval its midpoint and fiber
     count, sorted by midpoint, under the header x,fiber_count.  A cover of
     R0 has no target circle, so it has no rows."""
-    if cover.target is not CoverTarget.PROJ_LINE:
-        return "x,fiber_count\n"
-    den, circles = _circles(cover)
+    den, profile = _profile(cover)
     period = 2 * den  # midpoints in units of 1 / (2 den)
-    rows = sorted(((2 * a + gap) % period, n) for a, gap, n in _sweep(den, circles))
+    rows = sorted(((2 * a + gap) % period, n) for a, gap, n in profile)
     return "x,fiber_count\n" + "".join(f"{_rat(x, period)},{n}\n" for x, n in rows)

@@ -38,7 +38,7 @@ class DegreeVector:
     """Winding numbers of the real circles, canonically sorted non-increasing.
 
     The constructor stores entries verbatim; use :meth:`canonical` to sort,
-    and :func:`degree_admissible` to validate.  Keeping raw construction
+    and :func:`admissibility_failure` to validate.  Keeping raw construction
     cheap lets rejected candidates flow through enumeration code.
     """
 
@@ -101,23 +101,6 @@ def weichold_admissible(g: int, s: int, a: int) -> bool:
     if a == 1:
         return 0 <= s <= g
     return s % 2 == (g + 1) % 2 and 1 <= s <= g + 1
-
-
-def degree_admissible(degrees: DegreeVector, k: int) -> bool:
-    """Whether a sorted winding vector is admissible for coverings of degree k.
-
-    Three clauses: the windings sum to at most k, the defect k - sum is
-    even, and if some winding is zero the sum is at most k - 2.  The empty
-    vector (no real circles) degenerates to the parity clause alone, which
-    forces k even.
-
-    Raises ValueError on unsorted or negative input, or k < 2.
-    """
-    if k < 2:
-        raise ValueError(f"covering degree must be >= 2, got {k}")
-    if not degrees.is_canonical():
-        raise ValueError(f"degree vector not in canonical sorted form: {degrees.entries}")
-    return _degree_failure(degrees, k) is None
 
 
 def _degree_failure(degrees: DegreeVector, k: int) -> Optional[str]:

@@ -372,7 +372,10 @@ def orient(m):
 
 def fraction_fiber_profile(cover):
     """fiber_profile in Fraction arithmetic: one difference array over the
-    sorted residues of the Fraction breakpoints."""
+    sorted residues of the Fraction breakpoints.  A cover of R0 has no
+    target circle, so no intervals."""
+    if cover.target is not CoverTarget.PROJ_LINE:
+        return []
     crit = sorted({x % 1 for _, m in cover.components for _, x in m.breakpoints})
     if not crit:
         return [(Fraction(0), Fraction(1), 0)]

@@ -457,6 +457,23 @@ class TestSampling:
         assert fiber_profile(cover) == [(F(0), F(1), 0)]
         assert regular_samples(cover) == [F(1, 2)]
 
+    def test_r0_covers_have_no_fiber_views(self):
+        # R0 has no real points, so there is no target circle to sample
+        seeds = [HyperellipticToR0(g) for g in (1, 3, 5, 7)] + [
+            GenericR0Pencil(g, k) for g in range(6) for k in range(g + 1, g + 7, 2) if k >= 2
+        ]
+        checked = 0
+        for seed in seeds:
+            for m in (0, 1, 2, 5):
+                cover = realize(seed, [ConstructionStep(StepKind.V, repeat=m)] if m else [])
+                assert cover.target is CoverTarget.ANISOTROPIC_CONIC
+                assert cover.k == seed_state(seed).k + m
+                assert fiber_profile(cover) == regular_samples(cover) == []
+                assert critical_values(cover) == fiber_budget_violations(cover) == []
+                assert fiber_csv(cover) == "x,fiber_count\n"
+                checked += 1
+        assert checked == 4 * (4 + 17)
+
 
 class TestFiberProfile:
     """The sweep against the per-point oracle: the intervals tile the circle

@@ -169,3 +169,52 @@ def test_oracles_count_fibers_themselves():
     }
     assert uses(tree, "plsim") & fiber == set()
     assert private_uses(tree, "plsim") == set()
+
+
+VALUE_METHODS = {"__eq__", "__hash__", "__setattr__", "__delattr__"}
+
+
+def value_methods(tree):
+    """(class, name) of every __eq__, __hash__, __setattr__ or __delattr__
+    that a class body defines or assigns itself."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for stmt in node.body:
+                if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    names = [stmt.name]
+                elif isinstance(stmt, ast.Assign):
+                    names = [getattr(t, "id", None) for t in stmt.targets]
+                else:
+                    names = []
+                found += [(node.name, name) for name in names if name in VALUE_METHODS]
+    return found
+
+
+def test_value_methods_come_from_dataclass():
+    # A frozen dataclass writes equality, hashing and immutability from its
+    # fields; a class that writes them by hand can drift from its fields.
+    found = [(path.name, *hit) for path in SOURCES for hit in value_methods(parse(path))]
+    assert found == []
+
+
+def test_value_methods_are_found():
+    tree = ast.parse(
+        "class A:\n    def __eq__(self, o): pass\n    __hash__ = None\n"
+        "class B:\n    def __setattr__(self, n, v): pass\n    __delattr__ = __setattr__\n"
+        "    def __repr__(self): pass\n    x = __eq__ = 1\n"
+    )
+    assert value_methods(tree) == [
+        ("A", "__eq__"),
+        ("A", "__hash__"),
+        ("B", "__setattr__"),
+        ("B", "__delattr__"),
+        ("B", "__eq__"),
+    ]
+
+
+def test_planner_reads_no_constructions_internals():
+    # The plan reader parses each step with step_from_json, the one place
+    # that knows the step fields.
+    path = next(p for p in SOURCES if p.name == "planner.py")
+    assert private_uses(parse(path), "constructions") == set()

@@ -8,7 +8,6 @@ from realcover.topology import (
     DegreeVector,
     TopType,
     admissibility_failure,
-    degree_admissible,
     enumerate_admissible,
     spec_from_json,
     spec_to_json,
@@ -39,23 +38,34 @@ class TestWeichold:
 
 
 class TestDegreeAdmissible:
+    """The winding clauses of admissibility_failure, on a topology that
+    admits any number of circles, so only the windings can fail."""
+
+    @staticmethod
+    def failure(deg, k):
+        vec = DegreeVector(tuple(deg))
+        s = len(vec)
+        top = TopType(s - 1, s, 0) if s else TopType(0, 0, 1)
+        return admissibility_failure(CoverSpec(top, CoverTarget.PROJ_LINE, k, vec))
+
     def test_examples(self):
-        assert degree_admissible(DegreeVector((3,)), 3)
-        assert degree_admissible(DegreeVector((2, 0)), 4)
-        assert not degree_admissible(DegreeVector((4, 0)), 4)  # zero entry, sum > k-2
-        assert not degree_admissible(DegreeVector((1, 1)), 3)  # odd defect
+        assert self.failure((3,), 3) is None
+        assert self.failure((2, 0), 4) is None
+        assert self.failure((3, 2), 4) == "sum"
+        assert self.failure((4, 0), 4) == "zero_tail"  # zero entry, sum > k-2
+        assert self.failure((1, 1), 3) == "parity"  # odd defect
 
     def test_empty_vector_forces_even_degree(self):
-        assert degree_admissible(DegreeVector(), 4)
-        assert not degree_admissible(DegreeVector(), 5)
+        assert self.failure((), 4) is None
+        assert self.failure((), 5) == "parity"
 
     def test_rejects_bad_input(self):
-        with pytest.raises(ValueError):
-            degree_admissible(DegreeVector((1, 2)), 4)
-        with pytest.raises(ValueError):
-            degree_admissible(DegreeVector((2, -1)), 4)
-        with pytest.raises(ValueError):
-            degree_admissible(DegreeVector((1,)), 1)
+        with pytest.raises(ValueError, match="canonical sorted form"):
+            self.failure((1, 2), 4)
+        with pytest.raises(ValueError, match="canonical sorted form"):
+            self.failure((2, -1), 4)
+        with pytest.raises(ValueError, match="covering degree must be >= 2"):
+            self.failure((1,), 1)
 
     @given(
         deg=st.lists(st.integers(0, 6), max_size=5),
@@ -63,9 +73,8 @@ class TestDegreeAdmissible:
     )
     def test_appending_zero_is_monotone(self, deg, k):
         vec = DegreeVector.canonical(deg)
-        if degree_admissible(vec, k) and vec.total <= k - 2:
-            extended = DegreeVector.canonical(list(vec.entries) + [0])
-            assert degree_admissible(extended, k)
+        if self.failure(vec.entries, k) is None and vec.total <= k - 2:
+            assert self.failure(vec.entries + (0,), k) is None
 
 
 class TestTargetAdmissible:
