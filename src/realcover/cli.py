@@ -6,17 +6,21 @@ Every invocation writes a single JSON document to standard output (the
 CSV form of realize aside); -h/--help answers {"help": <usage text>}.  Exit
 codes: 0 for success and help, 2 for a definitive negative answer (not
 admissible, no plan, verification failed, plan seed outside the catalog, a
-plan step that cannot be applied), 1 for malformed input.  Output is
-deterministic: identical invocations produce identical bytes.
+plan step that cannot be applied), 1 for malformed input and for a reader
+that closes standard output before the document is written (with nothing
+on standard error).  Output is deterministic: identical invocations
+produce identical bytes.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
+import os
 import sys
-from typing import Iterable, List, Optional
+from typing import List, Optional
 
 from . import brill_noether, covering4, planner, plsim, topology
 from .constructions import (
@@ -203,29 +207,20 @@ def _cmd_covnum(args) -> int:
     return 0
 
 
-def _enum_block(g: int, k_max: int) -> str:
-    """The genus block's specs as a JSON array without its brackets."""
-    specs = [topology.spec_to_json(s) for s in topology.enumerate_admissible_genus(g, k_max)]
-    return json.dumps(specs, separators=(",", ":"))[1:-1]
-
-
-def _write_blocks(blocks: Iterable[str]) -> None:
-    """Stream the blocks as one JSON array, the same bytes as dumping the
-    whole list at once, holding one block at a time."""
-    sys.stdout.write("[")
-    sep = ""
-    for block in blocks:
-        if block:
-            sys.stdout.write(sep)
-            sys.stdout.write(block)
-            sep = ","
-    sys.stdout.write("]\n")
-
-
 def _cmd_enumerate(args) -> int:
     if args.g_max < 0 or args.k_max < 2:
         raise ValueError("enumerate: need g_max >= 0 and k_max >= 2")
-    _write_blocks(_enum_block(g, args.k_max) for g in range(args.g_max + 1))
+    # One array, the same bytes as dumping the whole list at once, written
+    # one genus block per dump so that only one block is held at a time; a
+    # dump per spec would take about twice the encoding time.
+    specs = topology.enumerate_admissible(args.g_max, args.k_max)
+    sys.stdout.write("[")
+    sep = ""
+    for _, block in itertools.groupby(specs, key=lambda spec: spec.top.g):
+        block_json = json.dumps([topology.spec_to_json(s) for s in block], separators=(",", ":"))
+        sys.stdout.write(sep + block_json[1:-1])
+        sep = ","
+    sys.stdout.write("]\n")
     return 0
 
 
@@ -320,7 +315,16 @@ def run(argv: Optional[List[str]] = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early (as `| head` does).  Point stdout
+        # at devnull, so that the flush at exit does not fail again, and
+        # exit 1 with nothing on stderr.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

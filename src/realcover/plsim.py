@@ -103,7 +103,10 @@ class PLCover:
 
 
 def critical_values(cover: PLCover) -> List[Fraction]:
-    """Sorted residues of all breakpoint lifts; fibers are constant in between."""
+    """Sorted residues of all breakpoint lifts; fibers are constant in
+    between.  A cover of R0 has no target circle, so none."""
+    if cover.target is not CoverTarget.PROJ_LINE:
+        return []
     den, circles = _circles(cover)
     return [Fraction(c, den) for c in sorted(_tally(den, circles)[1])]
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import combinations_with_replacement
 from typing import Iterable, Iterator, Optional
 
 
@@ -78,16 +79,6 @@ class CoverSpec:
     k: int
     degrees: DegreeVector
 
-    def sort_key(self):
-        return (
-            self.top.g,
-            self.k,
-            self.target.value,
-            self.top.s,
-            self.top.a,
-            self.degrees.entries,
-        )
-
 
 def weichold_admissible(g: int, s: int, a: int) -> bool:
     """Whether a smooth real curve of topological type (g, s, a) exists.
@@ -101,18 +92,6 @@ def weichold_admissible(g: int, s: int, a: int) -> bool:
     if a == 1:
         return 0 <= s <= g
     return s % 2 == (g + 1) % 2 and 1 <= s <= g + 1
-
-
-def _degree_failure(degrees: DegreeVector, k: int) -> Optional[str]:
-    """Name of the first violated winding clause (sum, parity, zero_tail), or None."""
-    total = degrees.total
-    if total > k:
-        return "sum"
-    if (k - total) % 2 != 0:
-        return "parity"
-    if degrees.entries and degrees.entries[-1] == 0 and total > k - 2:
-        return "zero_tail"
-    return None
 
 
 def admissibility_failure(spec: CoverSpec) -> Optional[str]:
@@ -133,10 +112,16 @@ def admissibility_failure(spec: CoverSpec) -> Optional[str]:
     if len(spec.degrees) != top.s:
         return "degree_length"
     if spec.target is CoverTarget.PROJ_LINE:
-        failure = _degree_failure(spec.degrees, spec.k)
-        if failure is None and top.a == 1 and spec.degrees.total > spec.k - 2:
+        entries, k, total = spec.degrees.entries, spec.k, spec.degrees.total
+        if total > k:
+            return "sum"
+        if (k - total) % 2 != 0:
+            return "parity"
+        if entries and entries[-1] == 0 and total > k - 2:
+            return "zero_tail"
+        if top.a == 1 and total > k - 2:
             return "separating"
-        return failure
+        return None
     # Anisotropic conic: only sources with empty real locus, and the degree
     # has the parity of g + 1.
     if top.s != 0:
@@ -149,22 +134,6 @@ def admissibility_failure(spec: CoverSpec) -> Optional[str]:
 def target_admissible(spec: CoverSpec) -> bool:
     """Whether the covering specification satisfies every known restriction."""
     return admissibility_failure(spec) is None
-
-
-def _degree_vectors(s: int, k: int) -> Iterator[DegreeVector]:
-    """All canonical degree vectors of length s with entries in 0..k."""
-    if s == 0:
-        yield DegreeVector()
-        return
-
-    def rec(prefix: tuple[int, ...], bound: int, remaining: int):
-        if remaining == 0:
-            yield DegreeVector(prefix)
-            return
-        for d in range(bound, -1, -1):
-            yield from rec(prefix + (d,), d, remaining - 1)
-
-    yield from rec((), k, s)
 
 
 def enumerate_admissible(g_max: int, k_max: int) -> Iterator[CoverSpec]:
@@ -181,25 +150,25 @@ def enumerate_admissible(g_max: int, k_max: int) -> Iterator[CoverSpec]:
 
 
 def enumerate_admissible_genus(g: int, k_max: int) -> Iterator[CoverSpec]:
-    """The genus-g block of :func:`enumerate_admissible`, in sorted order."""
-    block: list[CoverSpec] = []
+    """The genus-g block of :func:`enumerate_admissible`, yielded in stream
+    order as it is found: per k, the P1 types (s, a) in order, then R0."""
     # One TopType per (s, a), shared by every spec of that type.
     tops = [TopType(g, s, a) for s in range(g + 2) for a in (0, 1)
             if weichold_admissible(g, s, a)]
     for k in range(2, k_max + 1):
-        for target in (CoverTarget.PROJ_LINE, CoverTarget.ANISOTROPIC_CONIC):
-            if target is CoverTarget.ANISOTROPIC_CONIC:
-                spec = CoverSpec(TopType(g, 0, 1), target, k, DegreeVector())
+        for top in tops:
+            # Every canonical vector of length s with entries in 0..k once,
+            # in descending order; the stream ascends, so the type's
+            # admissible specs are kept and yielded in reverse.
+            found = []
+            for deg in combinations_with_replacement(range(k, -1, -1), top.s):
+                spec = CoverSpec(top, CoverTarget.PROJ_LINE, k, DegreeVector(deg))
                 if target_admissible(spec):
-                    block.append(spec)
-                continue
-            for top in tops:
-                for deg in _degree_vectors(top.s, k):
-                    spec = CoverSpec(top, target, k, deg)
-                    if target_admissible(spec):
-                        block.append(spec)
-    block.sort(key=CoverSpec.sort_key)
-    yield from block
+                    found.append(spec)
+            yield from reversed(found)
+        spec = CoverSpec(TopType(g, 0, 1), CoverTarget.ANISOTROPIC_CONIC, k, DegreeVector())
+        if target_admissible(spec):
+            yield spec
 
 
 # ---------------------------------------------------------------------------

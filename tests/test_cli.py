@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -471,6 +472,28 @@ class TestEnumerate:
         code, out = invoke(capsys, "enumerate", *map(str, box))
         assert code == 0
         assert out == json.dumps(whole, separators=(",", ":")) + "\n"
+
+    def test_census_box_bytes_are_pinned(self, capsys):
+        # The one-dump comparison above moves with the library's order; this
+        # pins the bytes themselves, so a reordering of the stream fails here.
+        code, out = invoke(capsys, "enumerate", "9", "8")
+        assert code == 0 and len(out) == 174_464
+        digest = "87a8697c2c0a5a2de623fb2b4bc30ffbd35f5e37908f4394ec9a356da2a76dbd"
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_reader_closing_early_gets_exit_one_and_no_traceback(self):
+        # 174,464 bytes do not fit in a 64 KiB pipe buffer, so the writer is
+        # still writing when the reader closes its end.
+        src = Path(cli.__file__).resolve().parents[1]
+        child = subprocess.Popen(
+            [sys.executable, "-m", "realcover", "enumerate", "9", "8"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert child.stdout.read(40) == b'[{"g":0,"s":0,"a":1,"target":"P1","k":2,'
+        child.stdout.close()
+        _, stderr = child.communicate(timeout=60)
+        assert (child.returncode, stderr) == (1, b"")
 
 
 class TestCalculators:

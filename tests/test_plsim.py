@@ -474,6 +474,15 @@ class TestSampling:
                 checked += 1
         assert checked == 4 * (4 + 17)
 
+    def test_hand_built_r0_cover_with_circles_has_no_fiber_views(self):
+        # No seed or step builds circles over R0, but a hand-built cover can:
+        # its breakpoints lie over no target circle, so every view is empty.
+        cover = PLCover((("C1", PLMap(4, [1, 3], 0)),), 3, CoverTarget.ANISOTROPIC_CONIC)
+        assert critical_values(cover) == fiber_profile(cover) == regular_samples(cover) == []
+        assert fiber_budget_violations(cover) == []
+        over_p1 = replace(cover, target=CoverTarget.PROJ_LINE)
+        assert critical_values(over_p1) == [F(1, 4), F(3, 4)]
+
 
 class TestFiberProfile:
     """The sweep against the per-point oracle: the intervals tile the circle

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from realcover import topology
 from realcover.topology import (
     CoverSpec,
     CoverTarget,
@@ -9,6 +10,7 @@ from realcover.topology import (
     TopType,
     admissibility_failure,
     enumerate_admissible,
+    enumerate_admissible_genus,
     spec_from_json,
     spec_to_json,
     target_admissible,
@@ -124,11 +126,32 @@ class TestEnumerate:
         assert len(p1) == 24
 
     def test_order_is_deterministic_and_sorted(self):
-        once = list(enumerate_admissible(3, 4))
-        twice = list(enumerate_admissible(3, 4))
-        assert once == twice
-        keys = [s.sort_key() for s in once]
-        assert keys == sorted(keys)
+        # The stream order is (g, k, target, s, a, degrees), checked against
+        # the nested-loop oracle rather than a key the library defines.
+        mine = [
+            (s.top.g, s.top.s, s.top.a, s.target.value, s.k, s.degrees.entries)
+            for s in enumerate_admissible(7, 7)
+        ]
+        oracle = sorted(
+            oracle_admissible_tuples(7, 2, 7), key=lambda t: (t[0], t[4], t[3], t[1], t[2], t[5])
+        )
+        assert mine == oracle
+        assert len(mine) == 1244
+
+    def test_genus_block_streams(self, monkeypatch):
+        # The first spec comes out once the candidates of k = 2 are checked,
+        # before any of k >= 3: the block is not built whole first.
+        checked = []
+        check = topology.admissibility_failure
+
+        def counted(spec):
+            checked.append(spec.k)
+            return check(spec)
+
+        monkeypatch.setattr(topology, "admissibility_failure", counted)
+        block = enumerate_admissible_genus(4, 8)
+        first = next(block)
+        assert first.k == 2 and set(checked) == {2}
 
     def test_parity_invariant_on_output(self):
         for s in enumerate_admissible(4, 5):
