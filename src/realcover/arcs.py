@@ -4,9 +4,11 @@ The circle is R/Z with counterclockwise orientation; an arc is either the
 whole circle or a closed interval given by its start and end, traversed
 counterclockwise from start to end.  All endpoints are exact rationals, so
 coverage questions have exact answers.  An arc keeps its ends as integer
-lifts over their least common denominator; min_circle_cover reads those
-integers and never builds a Fraction.  It walks greedily only from the
-arcs through a least-covered point, in memory linear in the arcs.
+lifts over their least common denominator.  The cover search,
+min_lifted_cover, takes arcs as integer ends over one denominator and never
+builds a Fraction; min_circle_cover lifts Arcs onto it, and callers that
+hold integer ends already call it directly.  It walks greedily only from
+the arcs through a least-covered point, in memory linear in the arcs.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd, lcm
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence, Tuple, Union
 
 
 @dataclass(frozen=True)
@@ -68,49 +70,67 @@ FULL_CIRCLE = FullCircle()
 def min_circle_cover(arcs: Sequence[ArcLike]) -> Optional[int]:
     """Size of the smallest sub-multiset of arcs covering the circle.
 
-    Returns None when even the full multiset leaves a point uncovered.
+    Returns None when even the full multiset leaves a point uncovered.  A
+    full circle answers 1; otherwise each arc is lifted to the least common
+    denominator of the arcs, its end unrolled past its start, and
+    min_lifted_cover searches them.
+    """
+    if any(isinstance(a, FullCircle) for a in arcs):
+        return 1
+    den = lcm(*{a.den for a in arcs})
+    lifted = []
+    for a in arcs:
+        f = den // a.den
+        lifted.append((a.lo * f, (a.hi if a.hi > a.lo else a.hi + a.den) * f))
+    return min_lifted_cover(den, lifted)
+
+
+def min_lifted_cover(den: int, ends: Sequence[Tuple[int, int]]) -> Optional[int]:
+    """min_circle_cover of the proper arcs from lo / den to hi / den, given
+    as integer lifts (lo, hi) with 0 <= lo < den and lo < hi < lo + den.
 
     A greedy walk after C. C. Lee and D. T. Lee, "On a circle-cover
     minimization problem", Inform. Process. Lett. 18 (1984).  Each arc is
-    unrolled onto the line as two closed intervals, its own and its copy
-    shifted by +1, sorted by start.  The greedy successor of an end e is
-    the farthest end among the intervals starting no later than e: a
-    prefix maximum of the ends (reach) and one bisection find it.  One
-    sweep over the arc ends, entering at 2 lo and leaving at 2 hi + 1 in
-    doubled coordinates, finds a least-covered point p and its depth m; a
-    depth of 0 is an uncovered point.  The greedy walk then runs only from
-    the m arcs through p, each from its start a in [0, 1) until it reaches
-    a + 1, and the answer is the fewest arcs over those walks.  That is
+    unrolled onto the line as two closed intervals, [lo, hi] and its copy
+    shifted by den, in order of start.  Every own interval starts below den
+    and every copy at den or above, so only the n own intervals are sorted
+    and the copies follow them in the same order.  The greedy successor of
+    an end e is the farthest end among the intervals starting no later
+    than e: a prefix maximum of the ends (reach) and one bisection find it.
+    One sweep over the arc ends, entering at 2 lo and leaving at 2 hi + 1
+    mod 2 den in doubled coordinates, finds a least-covered point p and its
+    depth m; a depth of 0 is an uncovered point.  The greedy walk then runs
+    only from the m arcs through p, each from its start lo until it reaches
+    lo + den, and the answer is the fewest arcs over those walks.  That is
     O(n log n) for the sort and the sweep plus O(m c log n) for the walks,
     with c the answer, in O(n) memory.
 
     This is exact.  Every cover holds an arc through p, so anchor an
     optimal cover at such an arc A = [a, e].  No other arc B of it
     contains A, so the part of the circle B must cover beyond A lies in
-    B's lift starting in [a, a + 1), which is one of the two intervals;
-    the greedy covers [e, a + 1] with no more of them than the cover does.
-    Conversely every greedy chain is a cover.
+    B's lift starting in [a, a + den), which is one of the two intervals;
+    the greedy covers [e, a + den] with no more of them than the cover
+    does.  Conversely every greedy chain is a cover.
     """
-    if any(isinstance(a, FullCircle) for a in arcs):
-        return 1
-    den = lcm(*{a.den for a in arcs})
-    lifted = [(a.lo * (den // a.den), a.hi * (den // a.den)) for a in arcs]
-    events = sorted([2 * lo for lo, _ in lifted] + [2 * hi + 1 for _, hi in lifted])
-    wrapping = sum([lo > hi for lo, hi in lifted])  # the depth just below 1
+    own = sorted(ends)
+    # The entries come sorted already, so the sort merges in the exits.
+    events = sorted([2 * lo for lo, _ in own] + [2 * (hi % den) + 1 for _, hi in own])
+    wrapping = sum([hi >= den for _, hi in own])  # the depth just below den
     depths = list(accumulate([1 - 2 * (e & 1) for e in events], initial=wrapping))
     least = min(depths)
     if least == 0:
         return None
     i = depths.index(least)
     p = events[i - 1] if i else 2 * den - 1
-    through = [
-        (lo, lo + (hi - lo) % den)
-        for lo, hi in lifted
-        if (2 * lo <= p <= 2 * hi if lo < hi else p <= 2 * hi or 2 * lo <= p)
-    ]
-    intervals = sorted((lo + d, lo + (hi - lo) % den + d) for lo, hi in lifted for d in (0, den))
-    starts = [lo for lo, _ in intervals]
-    reach = list(accumulate([hi for _, hi in intervals], max))
+    through = [(lo, hi) for lo, hi in own if 2 * lo <= p <= 2 * hi or p + 2 * den <= 2 * hi]
+    starts = [lo for lo, _ in own]
+    starts += [lo + den for lo in starts]
+    tops = [hi for _, hi in own]
+    # A loop, not accumulate(..., max): a call to max per end costs more.
+    reach, top = [], 0
+    for hi in tops + [hi + den for hi in tops]:
+        top = hi if hi > top else top
+        reach.append(top)
     best: Optional[int] = None
     for lo, end in through:
         goal, count = lo + den, 1

@@ -53,6 +53,8 @@ def dims(g: int, k: int) -> MorphismSpaceDims:
     """
     if g < 2:
         raise ValueError(f"need g >= 2, got {g}")
+    if k < 1:
+        raise ValueError(f"need k >= 1, got {k}")
     return MorphismSpaceDims(
         hurwitz=2 * k + 2 * g - 2,
         moduli=3 * g - 3,

@@ -40,7 +40,7 @@ _I, _III, _RAM = StepKind.I, StepKind.III, Variant.WITH_REAL_RAM
 _HELP_WIDTH = 80
 
 # covnum's time, memory and output are linear in g (see the README): a target
-# at the cap builds and prints in about 3 s and 230 MiB.  The cap is the
+# at the cap builds and prints in about 2 s and 170 MiB.  The cap is the
 # largest g that the earlier caps on s and on g + 1 - s admitted together, so
 # it refuses no target they accepted.
 _COVNUM_MAX_G = 104_999
@@ -208,11 +208,10 @@ def _cmd_covnum(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    if args.g_max < 0 or args.k_max < 2:
-        raise ValueError("enumerate: need g_max >= 0 and k_max >= 2")
     # One array, the same bytes as dumping the whole list at once, written
     # one genus block per dump so that only one block is held at a time; a
-    # dump per spec would take about twice the encoding time.
+    # dump per spec would take about twice the encoding time.  Bad bounds
+    # raise at the call, before the "[" is written.
     specs = topology.enumerate_admissible(args.g_max, args.k_max)
     sys.stdout.write("[")
     sep = ""

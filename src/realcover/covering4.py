@@ -32,10 +32,11 @@ when a caller reads the breakpoints.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 from typing import List, Tuple
 
-from .arcs import min_circle_cover
-from .plsim import PLCover, PLMap, image_arcs
+from .arcs import min_lifted_cover
+from .plsim import PLCover, PLMap, image_ends
 from .topology import CoverSpec, CoverTarget, DegreeVector, TopType, weichold_admissible
 
 
@@ -60,8 +61,21 @@ class CoveringNumberTarget:
 
 
 def covering_number(cover: PLCover) -> int:
-    """Minimal number of circles whose images cover the target circle; 0 if none do."""
-    result = min_circle_cover([arc for _, arc in image_arcs(cover)])
+    """Minimal number of circles whose images cover the target circle; 0 if none do.
+
+    Reads each map's image_ends: a full circle answers 1; otherwise the
+    ends are lifted to the least common denominator of the maps and
+    min_lifted_cover searches them.  No Arc is built: PLMap already puts
+    the lowest lift in [0, den), and a winding-0 map climbs somewhere, so
+    its highest lift lies above it.
+    """
+    maps = [m for _, m in cover.components]
+    ends = [image_ends(m) for m in maps]
+    if None in ends:
+        return 1
+    den = lcm(*[m.den for m in maps])
+    scale = [den // m.den for m in maps]
+    result = min_lifted_cover(den, [(lo * f, hi * f) for f, (lo, hi) in zip(scale, ends)])
     return 0 if result is None else result
 
 

@@ -230,16 +230,20 @@ def fiber_budget_violations(cover: PLCover) -> List[str]:
     return bad
 
 
+def image_ends(m: PLMap) -> Optional[Tuple[int, int]]:
+    """The image of m's circle as its lowest and highest lift (lo, hi)
+    over m.den, with 0 <= lo < hi < lo + m.den; None when the image is the
+    whole target circle: a nonzero winding, or lifts spanning den or more."""
+    lo, hi = min(m.xs), max(m.xs)
+    return None if m.closure != 0 or hi - lo >= m.den else (lo, hi)
+
+
 def image_arcs(cover: PLCover) -> List[Tuple[str, ArcLike]]:
     """The image of each circle: the whole target circle, or a proper arc."""
     out: List[Tuple[str, ArcLike]] = []
     for lbl, m in cover.components:
-        xs, den = m.xs, m.den
-        lo, hi = min(xs), max(xs)
-        if m.closure != 0 or hi - lo >= den:
-            out.append((lbl, FULL_CIRCLE))
-        else:
-            out.append((lbl, Arc(den, lo, hi)))
+        ends = image_ends(m)
+        out.append((lbl, FULL_CIRCLE if ends is None else Arc(m.den, *ends)))
     return out
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations_with_replacement
+from itertools import chain, combinations_with_replacement
 from typing import Iterable, Iterator, Optional
 
 
@@ -137,16 +137,16 @@ def target_admissible(spec: CoverSpec) -> bool:
 
 
 def enumerate_admissible(g_max: int, k_max: int) -> Iterator[CoverSpec]:
-    """Yield every admissible CoverSpec with g <= g_max and 2 <= k <= k_max.
+    """Every admissible CoverSpec with g <= g_max and 2 <= k <= k_max, as
+    an iterator; bad bounds raise ValueError at the call, before any spec.
 
     Both targets are scanned.  The stream is deterministic, sorted by
     (g, k, target, s, a, degrees); blocks are independent per genus, so a
     scan can be partitioned by g.
     """
     if g_max < 0 or k_max < 2:
-        raise ValueError("need g_max >= 0 and k_max >= 2")
-    for g in range(g_max + 1):
-        yield from enumerate_admissible_genus(g, k_max)
+        raise ValueError("enumerate: need g_max >= 0 and k_max >= 2")
+    return chain.from_iterable(enumerate_admissible_genus(g, k_max) for g in range(g_max + 1))
 
 
 def enumerate_admissible_genus(g: int, k_max: int) -> Iterator[CoverSpec]:

@@ -163,6 +163,9 @@ def test_criterion_4_covering_numbers_degree_four():
                     cover, spec = build_covnum(
                         CoveringNumberTarget(TopType(g, s, a), kcov)
                     )
+                    # covering_number reads the maps' integer ends itself,
+                    # not image_arcs, so the subset brute force over the
+                    # image arcs is an independent check of it.
                     arcs = [arc for _, arc in image_arcs(cover)]
                     checks = [
                         cover.k == 4,

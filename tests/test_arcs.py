@@ -2,10 +2,10 @@ from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from realcover.arcs import FULL_CIRCLE, Arc, min_circle_cover
+from realcover.arcs import FULL_CIRCLE, Arc, min_circle_cover, min_lifted_cover
 
 from oracles import (
     arc,
@@ -34,6 +34,19 @@ def large_arc_sets(draw):
     if draw(st.integers(0, 9)) == 0:
         arcs.insert(draw(st.integers(0, len(arcs))), FULL_CIRCLE)
     return arcs
+
+
+@st.composite
+def edge_lifts(draw):
+    """(den, ends) for min_lifted_cover on the cases the search's order of
+    intervals turns on: arcs that share a start, start at 0, end at
+    den - 1, or wrap past den, and so end at 0 or beyond."""
+    den = draw(st.sampled_from([2, 3, 8, 24]))
+    ends = []
+    for lo in draw(st.lists(st.sampled_from(sorted({0, 1, den // 2, den - 1})), max_size=8)):
+        his = {lo + 1, lo + den - 1, den - 1, den, den + 1}
+        ends.append((lo, draw(st.sampled_from(sorted(h for h in his if lo < h < lo + den)))))
+    return den, ends
 
 
 # Large and pairwise coprime: the sweep's common denominator is their product.
@@ -139,6 +152,17 @@ class TestMinCover:
         arcs = [Arc(24, s, s + ln) for s, ln in data]
         arcs.extend([FULL_CIRCLE] * fulls)
         assert min_circle_cover(arcs) == brute_min_circle_cover(arcs)
+
+    @given(edge_lifts())
+    @example((4, [(0, 2), (0, 3), (3, 5)]))  # a shared start, a wrap to 1
+    @example((4, [(0, 3), (3, 4)]))  # ends at den - 1, then exactly at 0
+    @example((4, [(0, 3), (1, 3)]))  # both end at den - 1, leaving a gap
+    @example((3, [(2, 4), (1, 3), (0, 2)]))  # every arc wraps or meets 0
+    @example((8, [(7, 14)]))  # the longest arc from den - 1
+    def test_lifted_cover_matches_subset_bruteforce_on_edges(self, lifts):
+        den, ends = lifts
+        arcs = [Arc(den, lo, hi) for lo, hi in ends]
+        assert min_lifted_cover(den, ends) == brute_min_circle_cover(arcs)
 
     @settings(deadline=None)
     @given(arcs=large_arc_sets())

@@ -62,6 +62,12 @@ class TestDims:
         with pytest.raises(ValueError):
             dims(1, 2)
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_degree_below_one_rejected_without_r(self, k):
+        # dims takes no r, so its refusal names none.
+        with pytest.raises(ValueError, match=f"^need k >= 1, got {k}$"):
+            dims(2, k)
+
 
 class TestFacts:
     def test_no_real_pencil_on_pointless_genus_four(self):

@@ -481,6 +481,11 @@ class TestEnumerate:
         digest = "87a8697c2c0a5a2de623fb2b4bc30ffbd35f5e37908f4394ec9a356da2a76dbd"
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize("box", [("-1", "2"), ("0", "1")])
+    def test_bad_bounds_are_one_error_document(self, capsys, box):
+        code, out = invoke(capsys, "enumerate", *box)
+        assert (code, out) == (1, '{"error":"enumerate: need g_max >= 0 and k_max >= 2"}\n')
+
     def test_reader_closing_early_gets_exit_one_and_no_traceback(self):
         # 174,464 bytes do not fit in a 64 KiB pipe buffer, so the writer is
         # still writing when the reader closes its end.
@@ -505,6 +510,15 @@ class TestCalculators:
     def test_dims(self, capsys):
         code, doc = invoke_json(capsys, "dims", "4", "3")
         assert doc == {"hurwitz": 12, "moduli": 9, "image_bound": 9}
+
+    @pytest.mark.parametrize("argv, error", [
+        (("2", "0"), "need k >= 1, got 0"),
+        (("2", "-3"), "need k >= 1, got -3"),
+        (("1", "0"), "need g >= 2, got 1"),
+    ])
+    def test_dims_refusals_name_their_own_arguments(self, capsys, argv, error):
+        code, doc = invoke_json(capsys, "dims", *argv)
+        assert (code, doc) == (1, {"error": error})
 
     def test_facts(self, capsys):
         code, doc = invoke_json(capsys, "facts")

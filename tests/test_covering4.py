@@ -4,6 +4,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from realcover.arcs import Arc, FullCircle
 from realcover.covering4 import (
@@ -14,6 +16,8 @@ from realcover.covering4 import (
 )
 from realcover.planner import plan
 from realcover.plsim import (
+    PLCover,
+    PLMap,
     cover_to_json,
     fiber_budget_violations,
     image_arcs,
@@ -52,6 +56,43 @@ class TestCoveringNumber:
             Hyperelliptic(TopType(3, 2, 1), DegreeVector((0, 0)))
         )
         assert covering_number(cover) == 0
+
+
+@st.composite
+def hand_built_covers(draw):
+    """Up to six circles over several denominators, many of them reduced by
+    PLMap, with nonzero closures and lifts spanning den or more among them,
+    over either target.  Most arcs are long, so that some covers need
+    several of them."""
+    comps = []
+    for i in range(draw(st.integers(0, 6))):
+        den = draw(st.sampled_from([2, 3, 4, 6, 12, 360]))
+        base = draw(st.integers(-den, 2 * den))
+        top = draw(st.integers(den // 3, den))
+        more = draw(st.lists(st.integers(-1, den), max_size=2))
+        xs = [base, base + top] + [base + d for d in more]
+        closure = draw(st.sampled_from([0] * 8 + [1, -2]))
+        try:
+            comps.append((f"C{i + 1}", PLMap(den, xs, closure)))
+        except ValueError:  # a zero-slope segment
+            pass
+    return PLCover(tuple(comps), 4, draw(st.sampled_from(list(CoverTarget))))
+
+
+class TestCoveringNumberAgainstImageArcs:
+    """covering_number reads the maps' integer ends itself; the arcs that
+    image_arcs builds and the subset brute force check it."""
+
+    @given(hand_built_covers())
+    @example(PLCover((), 4, CoverTarget.PROJ_LINE))
+    @example(PLCover((("C1", PLMap(4, [1, 3], 0)),), 3, CoverTarget.ANISOTROPIC_CONIC))
+    @example(PLCover((("C1", PLMap(12, [0, 6], 0)), ("C2", PLMap(8, [3, 9], 0))), 4,
+                     CoverTarget.PROJ_LINE))
+    @example(PLCover((("C1", PLMap(6, [1, 7], 0)), ("C2", PLMap(4, [1, 2], 0))), 4,
+                     CoverTarget.PROJ_LINE))
+    def test_matches_subset_bruteforce_over_image_arcs(self, cover):
+        arcs = [a for _, a in image_arcs(cover)]
+        assert covering_number(cover) == (brute_min_circle_cover(arcs) or 0)
 
 
 class TestTargetValidation:

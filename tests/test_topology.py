@@ -153,6 +153,13 @@ class TestEnumerate:
         first = next(block)
         assert first.k == 2 and set(checked) == {2}
 
+    @pytest.mark.parametrize("bounds", [(-1, 2), (0, 1), (-3, -3)])
+    def test_bad_bounds_raise_at_the_call(self, bounds):
+        # Not at the first next(): a caller that stores the stream learns of
+        # bad bounds where it asks for them.
+        with pytest.raises(ValueError, match="need g_max >= 0 and k_max >= 2"):
+            enumerate_admissible(*bounds)
+
     def test_parity_invariant_on_output(self):
         for s in enumerate_admissible(4, 5):
             if s.target is CoverTarget.PROJ_LINE:
