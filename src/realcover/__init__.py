@@ -1,7 +1,7 @@
 """Coverings of the real projective line by real curves: admissibility,
 certified construction plans, and piecewise-linear verification."""
 
-from .arcs import FULL_CIRCLE, Arc, FullCircle, min_circle_cover
+from .arcs import FULL_CIRCLE, Arc, FullCircle
 from .brill_noether import dims, expected_pencil_dim, facts, lookup_fact, rho
 from .constructions import (
     BaseSeed,

@@ -5,19 +5,17 @@ whole circle or a closed interval given by its start and end, traversed
 counterclockwise from start to end.  All endpoints are exact rationals, so
 coverage questions have exact answers.  An arc keeps its ends as integer
 lifts over their least common denominator.  The cover search,
-min_lifted_cover, takes arcs as integer ends over one denominator and never
-builds a Fraction; min_circle_cover lifts Arcs onto it, and callers that
-hold integer ends already call it directly.  It walks greedily only from
-the arcs through a least-covered point, in memory linear in the arcs.
+min_lifted_cover, takes arcs as integer ends over one denominator; it walks
+greedily only from the arcs through a least-covered point, in memory linear
+in the arcs.  Nothing here builds a Fraction.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import accumulate
-from math import gcd, lcm
+from math import gcd
 from typing import Optional, Sequence, Tuple, Union
 
 
@@ -32,7 +30,7 @@ class Arc:
 
     Arc(den, lo, hi) reduces the ends mod 1 to 0 <= lo, hi < den over
     their least common denominator and refuses a den that is not a positive
-    int and equal ends; start and end are Fractions built when read.
+    int and equal ends.
     """
 
     den: int
@@ -53,41 +51,17 @@ class Arc:
     def __repr__(self):
         return f"{type(self).__qualname__}({self.den!r}, {self.lo!r}, {self.hi!r})"
 
-    @property
-    def start(self) -> Fraction:
-        return Fraction(self.lo, self.den)
-
-    @property
-    def end(self) -> Fraction:
-        return Fraction(self.hi, self.den)
-
 
 ArcLike = Union[Arc, FullCircle]
 
 FULL_CIRCLE = FullCircle()
 
 
-def min_circle_cover(arcs: Sequence[ArcLike]) -> Optional[int]:
-    """Size of the smallest sub-multiset of arcs covering the circle.
-
-    Returns None when even the full multiset leaves a point uncovered.  A
-    full circle answers 1; otherwise each arc is lifted to the least common
-    denominator of the arcs, its end unrolled past its start, and
-    min_lifted_cover searches them.
-    """
-    if any(isinstance(a, FullCircle) for a in arcs):
-        return 1
-    den = lcm(*{a.den for a in arcs})
-    lifted = []
-    for a in arcs:
-        f = den // a.den
-        lifted.append((a.lo * f, (a.hi if a.hi > a.lo else a.hi + a.den) * f))
-    return min_lifted_cover(den, lifted)
-
-
 def min_lifted_cover(den: int, ends: Sequence[Tuple[int, int]]) -> Optional[int]:
-    """min_circle_cover of the proper arcs from lo / den to hi / den, given
-    as integer lifts (lo, hi) with 0 <= lo < den and lo < hi < lo + den.
+    """Size of the smallest sub-multiset of the proper arcs from lo / den to
+    hi / den that covers the circle, or None when even all of them leave a
+    point uncovered.  The arcs come as integer lifts (lo, hi) with
+    0 <= lo < den and lo < hi < lo + den.
 
     A greedy walk after C. C. Lee and D. T. Lee, "On a circle-cover
     minimization problem", Inform. Process. Lett. 18 (1984).  Each arc is

@@ -51,8 +51,9 @@ _COVNUM_MAX_G = 104_999
 # plan at the circle cap verifies in about 1 s, one at the breakpoint cap
 # realizes and prints in under 1 s.  The breakpoint cap stays at 40,000 for
 # hand-written plans: one that alternates folds and wraps grows its
-# denominator by up to 3 bits per fold and takes minutes at the cap (see
-# the README).
+# denominator by up to 3 bits per fold and takes minutes at the cap; past
+# about 4,760 fold/wrap pairs its lifts pass Python's digit limit for
+# str(), and realize refuses to print it (see the README).
 _PLAN_MAX_CIRCLES, _REALIZE_MAX_BREAKPOINTS = 100_000, 40_000
 
 
@@ -175,10 +176,16 @@ def _cmd_realize(args) -> int:
     except (PreconditionViolated, plsim.BudgetExceeded) as exc:
         _emit({"rejected": str(exc)})
         return 2
-    if args.format == "csv":
-        sys.stdout.write(plsim.fiber_csv(cover))
-        return 0
-    _emit(plsim.cover_to_json(cover))
+    # Nothing is written before fiber_csv or _emit's json.dumps returns, and
+    # their one ValueError is an integer past Python's digit limit for str().
+    try:
+        if args.format == "csv":
+            sys.stdout.write(plsim.fiber_csv(cover))
+        else:
+            _emit(plsim.cover_to_json(cover))
+    except ValueError:
+        digits = f"integer over {sys.get_int_max_str_digits()} digits"
+        raise ValueError(f"plan: too large to print; the realization has an {digits}") from None
     return 0
 
 

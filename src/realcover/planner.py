@@ -14,6 +14,7 @@ out of scope here.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Tuple, Union
 
@@ -254,7 +255,11 @@ def verify_plan(plan_: Plan, target: CoverSpec, trail: Optional[List[str]] = Non
         return note(f"seed rejected: {exc}")
     outcome = state.state().canonical_spec()
     if outcome != target:
-        return note(f"plan executes to {outcome}, not the target")
+        try:
+            shown = str(outcome)
+        except ValueError:  # an integer past Python's digit limit for str()
+            shown = f"a spec with an integer over {sys.get_int_max_str_digits()} digits"
+        return note(f"plan executes to {shown}, not the target")
     return True
 
 

@@ -292,9 +292,13 @@ def _decode(form: _Spans) -> PLCover:
 
 
 def _seed_spans(seed: BaseSeed) -> _Spans:
-    """The span form of seed_cover(seed), built from its seed_state with no
-    PLMap: a circle of winding d > 0 climbs d/2 twice, the i-th of s circles
-    of winding 0 folds over [(4i + 1)/4s, (4i + 3)/4s]."""
+    """The span form of the seed's canonical realization, built circle by
+    circle of its seed_state with no PLMap: a circle of winding d > 0 is a
+    monotone wrap climbing d/2 twice (the (2) and (1, 1) double coverings),
+    the i-th of s circles of winding 0 folds over [(4i + 1)/4s, (4i + 3)/4s].
+    Pencil seeds and coverings of R0 have no real circles and contribute
+    only their sheet budget.  A seed outside the catalog raises
+    SeedNotInCatalog."""
     state = seed_state(seed)
     comps, s = state.components, state.s
     den = lcm(*[2 // gcd(2, d) if d else 4 * s for _, d in comps])
@@ -470,34 +474,22 @@ def surgery(cover: PLCover, step: ConstructionStep) -> PLCover:
 # Realization of plans.
 
 
-def seed_cover(seed: BaseSeed) -> PLCover:
-    """Canonical PL realization of a base covering, circle by circle of its
-    seed_state.
-
-    A circle of winding d > 0 is a monotone wrap (the (2) and (1, 1)
-    double coverings); the all-zero pattern is one fold per circle over
-    disjoint arcs.  Pencil seeds and coverings of R0 have no real circles
-    and contribute only their sheet budget.  A seed outside the catalog
-    raises SeedNotInCatalog.
-    """
-    return _decode(_seed_spans(seed))
-
-
 def realize(seed: BaseSeed, steps: Sequence[ConstructionStep]) -> PLCover:
-    """Fold the PL surgeries of a plan over its seed realization.
+    """Fold the PL surgeries of a plan over its seed realization; with no
+    steps, the seed's canonical realization.
 
-    The span form starts from the seed's seed_state, with no PLMap built.
-    Each record runs the symbolic step on the form's state once, so the
-    windings and k of the result are the symbolic ones, then rewrites the
-    spans at its sites, refining den by a stride of 2**30 where a fold
-    needs it.  A run of m wraps is one splice, d[i] += m * den; a run of m
-    folds rebuilds its circle's spans once per width it folds, about
-    log2(m) times (see _fold); a run of new folds sweeps the cover once and
-    splits its intervals in a heap.  A planner plan of B breakpoints thus
-    realizes in O(B log B) steps on the integers.  Consecutive equal
-    records are one run, so a plan written one record per step gets the
-    same splices.  The result is decoded and validated, at its least
-    denominator, once at the end.  A refused record raises
+    The span form starts from the seed's seed_state, with no PLMap built
+    (see _seed_spans).  Each record runs the symbolic step on the form's
+    state once, so the windings and k of the result are the symbolic ones,
+    then rewrites the spans at its sites, refining den by a stride of 2**30
+    where a fold needs it.  A run of m wraps is one splice, d[i] += m * den;
+    a run of m folds rebuilds its circle's spans once per width it folds,
+    about log2(m) times (see _fold); a run of new folds sweeps the cover
+    once and splits its intervals in a heap.  A planner plan of B
+    breakpoints thus realizes in O(B log B) steps on the integers.
+    Consecutive equal records are one run, so a plan written one record per
+    step gets the same splices.  The result is decoded and validated, at its
+    least denominator, once at the end.  A refused record raises
     PreconditionViolated carrying its index, the first of its run.
     """
     form = _seed_spans(seed)

@@ -30,7 +30,7 @@ from realcover.constructions import (
     execute_states,
     seed_state,
 )
-from realcover.plsim import BudgetExceeded, PLCover, PLMap, seed_cover
+from realcover.plsim import BudgetExceeded, PLCover, PLMap
 from realcover.topology import CoverTarget, DegreeVector, TopType
 
 
@@ -86,14 +86,24 @@ def arc(start, end):
     return Arc(den, lo, hi)
 
 
+def arc_start(a):
+    """Where the arc starts, in [0, 1)."""
+    return Fraction(a.lo, a.den)
+
+
+def arc_end(a):
+    """Where the arc ends, in [0, 1)."""
+    return Fraction(a.hi, a.den)
+
+
 def arc_length(a):
     """Length of the arc, counterclockwise from start to end."""
-    return (a.end - a.start) % 1
+    return (arc_end(a) - arc_start(a)) % 1
 
 
 def arc_contains(a, point):
     """Whether the closed arc contains the point of R/Z."""
-    return (Fraction(point) - a.start) % 1 <= arc_length(a)
+    return (Fraction(point) - arc_start(a)) % 1 <= arc_length(a)
 
 
 def arcs_intersect(a, b):
@@ -101,11 +111,25 @@ def arcs_intersect(a, b):
     if isinstance(a, FullCircle) or isinstance(b, FullCircle):
         return True
     return (
-        arc_contains(a, b.start)
-        or arc_contains(a, b.end)
-        or arc_contains(b, a.start)
-        or arc_contains(b, a.end)
+        arc_contains(a, arc_start(b))
+        or arc_contains(a, arc_end(b))
+        or arc_contains(b, arc_start(a))
+        or arc_contains(b, arc_end(a))
     )
+
+
+def cover_of_arcs(arcs):
+    """A cover of the projective line whose circle images are the arcs: a
+    winding-0 map climbing from each arc's start to its end, a map of
+    winding 1 for each full circle."""
+    comps = []
+    for i, a in enumerate(arcs):
+        if isinstance(a, FullCircle):
+            m = PLMap(1, [0], 1)
+        else:
+            m = PLMap(a.den, [a.lo, a.hi + (a.den if a.hi < a.lo else 0)], 0)
+        comps.append((f"C{i + 1}", m))
+    return PLCover(tuple(comps), 4, CoverTarget.PROJ_LINE)
 
 
 def execute(seed, steps):
@@ -153,7 +177,7 @@ def brute_min_circle_cover(arcset):
     proper = [a for a in arcset if isinstance(a, Arc)]
     if not proper:
         return None
-    points = sorted({a.start for a in proper} | {a.end for a in proper})
+    points = sorted({arc_start(a) for a in proper} | {arc_end(a) for a in proper})
     probes = []
     for i, p in enumerate(points):
         q = points[(i + 1) % len(points)]
@@ -166,7 +190,7 @@ def brute_min_circle_cover(arcset):
     def covered_mask(arc):
         mask = 0
         for bit, x in enumerate(probes):
-            if (x - arc.start) % 1 <= (arc.end - arc.start) % 1:
+            if (x - arc_start(arc)) % 1 <= arc_length(arc):
                 mask |= 1 << bit
         return mask
 
@@ -201,7 +225,7 @@ def greedy_min_circle_cover(arcset):
         for a in proper:
             if a is anchor:
                 continue
-            left = (a.start - anchor.start) % 1
+            left = (arc_start(a) - arc_start(anchor)) % 1
             right = left + arc_length(a)
             intervals.append((left, right))
             intervals.append((left - 1, right - 1))
@@ -252,7 +276,7 @@ def oracle_admissible_tuples(g_max, k_min, k_max):
     return out
 
 
-def _catalog_seeds(g_max, k_max):
+def catalog_seeds(g_max, k_max):
     """Every catalog seed of genus <= g_max and degree <= k_max: each
     candidate is kept when the catalog admits it."""
     candidates = []
@@ -304,7 +328,7 @@ def reachable_specs(g_max, k_max):
     """
     paths = {}
     queue = deque()
-    for seed, state in _catalog_seeds(g_max, k_max):
+    for seed, state in catalog_seeds(g_max, k_max):
         state = _canonical_state(state)
         if state not in paths:
             paths[state] = (seed, ())
@@ -537,10 +561,24 @@ def record_index(steps, j):
     raise IndexError("step index past the end of the plan")
 
 
+def fraction_seed_cover(seed):
+    """The canonical realization of a seed, circle by circle of its
+    seed_state: a circle of winding d > 0 has lifts [0, d/2] and closure d,
+    the i-th of s circles of winding 0 has lifts [(4i + 1)/4s, (4i + 3)/4s]."""
+    state = seed_state(seed)
+    s = len(state.components)
+    comps = tuple(
+        (lbl, pl_map([0, Fraction(d, 2)], d) if d else
+         pl_map([Fraction(4 * i + 1, 4 * s), Fraction(4 * i + 3, 4 * s)], 0))
+        for i, (lbl, d) in enumerate(state.components)
+    )
+    return PLCover(comps, state.k, state.target)
+
+
 def fraction_realize(seed, steps):
-    """Fold the PL surgeries of a plan of single steps over its seed
-    realization; expand a plan of records first."""
-    cover = seed_cover(seed)
+    """Fold the PL surgeries of a plan of single steps over
+    fraction_seed_cover(seed); expand a plan of records first."""
+    cover = fraction_seed_cover(seed)
     for i, step in enumerate(steps):
         try:
             cover = fraction_surgery(cover, step)

@@ -454,6 +454,45 @@ class TestPlanCaps:
         assert request("realize", [{**iii, "repeat": 19_999}, iii])[0] == 1
 
 
+@pytest.fixture
+def digit_limit():
+    """Python's digit limit for int-to-str conversion, lowered to 640 for
+    the test and restored after it."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    yield
+    sys.set_int_max_str_digits(old)
+
+
+class TestUnprintable:
+    """An answer holding an integer past Python's digit limit is refused in
+    words, not with Python's own message."""
+
+    REFUSAL = "plan: too large to print; the realization has an integer over 640 digits"
+
+    @pytest.mark.parametrize("fmt", [[], ["--format", "csv"]])
+    def test_realize_refuses_to_print(self, capsys, tmp_path, digit_limit, fmt):
+        # Each fold after a wrap adds 3 bits to the denominator: 720 pairs
+        # make it 2,161 bits, 651 digits.
+        fold = {"kind": "I", "variant": "ram", "placement": "C1"}
+        wrap = {**fold, "variant": "noram"}
+        seed = {"kind": "Hyperelliptic", "g": 0, "s": 1, "a": 0, "deg": [2]}
+        plan_file = write_plan(tmp_path, seed, [fold] + [fold, wrap] * 720)
+        code, out = invoke(capsys, "realize", plan_file, *fmt)
+        assert out.count("\n") == 1
+        assert (code, json.loads(out)) == (1, {"error": self.REFUSAL})
+
+    def test_k_past_the_limit(self, capsys, tmp_path, digit_limit):
+        # Two IV records of 640-digit repeats give k a 641st digit.  No spec
+        # the CLI can read names that k, so verify does not verify the plan.
+        iv = {"kind": "IV", "repeat": int("9" * 640)}
+        plan_file = write_plan(tmp_path, {"kind": "GenericPencil", "g": 0, "k": 2}, [iv] * 2)
+        assert invoke_json(capsys, "realize", plan_file) == (1, {"error": self.REFUSAL})
+        diagnostic = "plan executes to a spec with an integer over 640 digits, not the target"
+        verdict = {"verified": False, "diagnostics": [diagnostic]}
+        assert invoke_json(capsys, "verify", plan_file, SPEC_6333) == (2, verdict)
+
+
 class TestEnumerate:
     def test_deterministic_bytes(self, capsys):
         code, first = invoke(capsys, "enumerate", "3", "4")

@@ -22,7 +22,6 @@ from realcover.plsim import (
     fiber_budget_violations,
     image_arcs,
     realize,
-    seed_cover,
 )
 from realcover.topology import CoverSpec, CoverTarget, DegreeVector, TopType, weichold_admissible
 from realcover.constructions import GenericPencil, Hyperelliptic
@@ -38,12 +37,10 @@ def target(g, s, a, kcov):
 
 class TestCoveringNumber:
     def test_empty_real_locus(self):
-        assert covering_number(seed_cover(GenericPencil(3, 4))) == 0
+        assert covering_number(realize(GenericPencil(3, 4), ())) == 0
 
     def test_nonzero_winding_means_one(self):
-        cover = seed_cover(
-            Hyperelliptic(TopType(4, 1, 0), DegreeVector((2,)))
-        )
+        cover = realize(Hyperelliptic(TopType(4, 1, 0), DegreeVector((2,))), ())
         assert covering_number(cover) == 1
 
     def test_odd_degree_means_one(self):
@@ -52,9 +49,7 @@ class TestCoveringNumber:
         assert covering_number(realize(p.seed, p.steps)) == 1
 
     def test_disjoint_folds_do_not_cover(self):
-        cover = seed_cover(
-            Hyperelliptic(TopType(3, 2, 1), DegreeVector((0, 0)))
-        )
+        cover = realize(Hyperelliptic(TopType(3, 2, 1), DegreeVector((0, 0))), ())
         assert covering_number(cover) == 0
 
 

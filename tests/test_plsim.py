@@ -40,7 +40,6 @@ from realcover.plsim import (
     image_arcs,
     realize,
     regular_samples,
-    seed_cover,
     surgery,
 )
 from realcover.topology import CoverSpec, CoverTarget, DegreeVector, TopType, weichold_admissible
@@ -49,11 +48,14 @@ from oracles import (
     all_box_tuples,
     arc,
     arc_contains,
+    arc_start,
     brute_fiber_count,
+    catalog_seeds,
     expand,
     fraction_budget_violations,
     fraction_fiber_profile,
     fraction_realize,
+    fraction_seed_cover,
     fraction_fold_split,
     fraction_merge_components,
     fraction_surgery,
@@ -254,7 +256,7 @@ class TestFiber:
         assert fiber_profile(cover) == [(F(0), F(1), 2)]
 
     def test_full_winding_cover_has_full_fibers(self):
-        cover = seed_cover(hyper(3, 2, 0, (1, 1)))
+        cover = realize(hyper(3, 2, 0, (1, 1)), ())
         assert counts(cover) == {2}
 
     def test_fold_gap_drops_count_by_two(self):
@@ -302,12 +304,12 @@ class TestImageArcs:
         assert image_arcs(cover) == [("C1", FullCircle())]
 
     def test_zero_seed_arcs_disjoint(self):
-        cover = seed_cover(hyper(4, 4, 1, (0, 0, 0, 0)))
+        cover = realize(hyper(4, 4, 1, (0, 0, 0, 0)), ())
         arcs = [a for _, a in image_arcs(cover)]
         assert all(isinstance(a, Arc) for a in arcs)
         for i, a in enumerate(arcs):
             for b in arcs[i + 1 :]:
-                assert not arc_contains(a, b.start) and not arc_contains(b, a.start)
+                assert not arc_contains(a, arc_start(b)) and not arc_contains(b, arc_start(a))
 
 
 class TestSurgery:
@@ -351,18 +353,18 @@ class TestSurgery:
         assert map_of(after, "N1").closure == 1
 
     def test_budget_only_kinds(self):
-        empty = seed_cover(GenericPencil(3, 4))
+        empty = realize(GenericPencil(3, 4), ())
         after = surgery(empty, ConstructionStep(StepKind.IV))
         assert after.k == 6 and after.components == ()
-        conic = seed_cover(HyperellipticToR0(3))
+        conic = realize(HyperellipticToR0(3), ())
         after = surgery(conic, ConstructionStep(StepKind.V))
         assert after.k == 3
 
     def test_preconditions_mirror_symbolic_layer(self):
-        conic = seed_cover(HyperellipticToR0(3))
+        conic = realize(HyperellipticToR0(3), ())
         with pytest.raises(PreconditionViolated):
             surgery(conic, ConstructionStep(StepKind.III))
-        full = seed_cover(hyper(4, 1, 0, (2,)))
+        full = realize(hyper(4, 1, 0, (2,)), ())
         with pytest.raises(PreconditionViolated):
             surgery(full, ConstructionStep(StepKind.II, RAM))
         with pytest.raises(PreconditionViolated):
@@ -445,15 +447,23 @@ class TestRealize:
         cover = realize(p.seed, p.steps)
         assert cover.components == () and cover.k == 3
 
+    def test_seed_realizations_match_fraction_seeds(self):
+        # The span form of a seed is written on integers; the oracle writes
+        # each circle's lifts as rationals from its seed_state.
+        seeds = [seed for seed, _ in catalog_seeds(6, 8)]
+        assert len(seeds) == 91
+        for seed in seeds:
+            assert realize(seed, ()) == fraction_seed_cover(seed), seed
+
 
 class TestSampling:
     def test_samples_are_interval_midpoints(self):
-        cover = seed_cover(hyper(3, 2, 0, (1, 1)))
+        cover = realize(hyper(3, 2, 0, (1, 1)), ())
         assert critical_values(cover) == [F(0), F(1, 2)]
         assert regular_samples(cover) == [F(1, 4), F(3, 4)]
 
     def test_empty_cover_sampling(self):
-        cover = seed_cover(GenericPencil(3, 4))
+        cover = realize(GenericPencil(3, 4), ())
         assert fiber_profile(cover) == [(F(0), F(1), 0)]
         assert regular_samples(cover) == [F(1, 2)]
 
@@ -663,7 +673,7 @@ HAND_BUILT = (alternating_case3(201), bouncing_case5(128))
 
 def surgery_chain(seed, steps):
     """realize by one surgery per step, each encoding and decoding its cover."""
-    cover = seed_cover(seed)
+    cover = realize(seed, ())
     for i, step in enumerate(steps):
         try:
             cover = surgery(cover, step)
@@ -735,7 +745,7 @@ def step_sequences(draw):
     end in a refusal ends at the first one."""
     seed = draw(st.sampled_from(FUZZ_SEEDS))
     refuse = draw(st.booleans())
-    cover = seed_cover(seed)
+    cover = fraction_seed_cover(seed)
     steps = []
     for _ in range(draw(st.integers(0, 12))):
         kind, variant = draw(fuzz_kinds)
@@ -832,7 +842,7 @@ class TestIntegerLifts:
     def test_step_sequences_match_fraction_oracle(self, drawn):
         seed, steps = drawn
         assert outcome(realize, seed, steps) == outcome(fraction_realize, seed, steps)
-        cover = seed_cover(seed)
+        cover = realize(seed, ())
         for step in steps:
             assert outcome(surgery, cover, step) == outcome(fraction_surgery, cover, step)
             try:
@@ -848,13 +858,13 @@ class TestIntegerLifts:
         assert outcome(surgery, cover, step) == outcome(fraction_surgery, cover, step)
 
     def test_surgery_refuses_repeated_labels(self):
-        m = map_of(seed_cover(hyper(4, 3, 1, (0, 0, 0))), "C1")
+        m = map_of(realize(hyper(4, 3, 1, (0, 0, 0)), ()), "C1")
         cover = PLCover((("C1", m), ("C1", m)), 4, CoverTarget.PROJ_LINE)
         with pytest.raises(ValueError, match="labels must be distinct"):
             surgery(cover, ConstructionStep(StepKind.I, NORAM, "C1"))
 
     def test_surgery_keeps_untouched_maps(self):
-        cover = seed_cover(hyper(4, 3, 1, (0, 0, 0)))
+        cover = realize(hyper(4, 3, 1, (0, 0, 0)), ())
         before = dict(cover.components)
         for step in (
             ConstructionStep(StepKind.I, RAM, "C2"),
@@ -1212,8 +1222,9 @@ def fraction_count(monkeypatch, fn):
 
 
 class TestFractionViews:
-    """Maps and arcs keep integer lifts; their Fractions are views built when
-    read, and the pipeline never converts through them."""
+    """Maps and arcs keep integer lifts; a map's Fractions are a view built
+    when read, an arc's are test helpers, and the pipeline never converts
+    through them."""
 
     def test_pipeline_matches_rebuilt_fraction_maps(self):
         covers = [realize(p.seed, p.steps) for p in criterion_box_plans()]

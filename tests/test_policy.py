@@ -221,3 +221,85 @@ def test_planner_reads_no_constructions_internals():
     # that knows the step fields.
     path = next(p for p in SOURCES if p.name == "planner.py")
     assert private_uses(parse(path), "constructions") == set()
+
+
+# Public names no CLI command, covnum or benchmark reaches, kept as API: the
+# single-step PL interpreter and the symbolic one, the expected pencil
+# dimension and the facts lookup.
+KEPT_API = {"surgery", "apply_step", "expected_pencil_dim", "lookup_fact"}
+BENCHMARK = sorted(
+    p for p in (Path(__file__).parent.parent / "perfbench").glob("*.py")
+    if p.name != "test_perfbench.py"
+)
+
+
+def public_defs(tree):
+    """Names of the module-level public functions and classes."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return {n.name for n in tree.body if isinstance(n, defs) and not n.name.startswith("_")}
+
+
+def referenced_names(tree):
+    """Every name the tree reads as a name or an attribute, or imports."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= {alias.name.rpartition(".")[2] for alias in node.names}
+    return names
+
+
+def uncalled_public_names(modules, callers):
+    """The public defs of modules (trees) that no module and no caller
+    tree references.  A def is not a reference to itself, so a name that
+    only its own module uses is reached through the entry that uses it."""
+    seen = set().union(*map(referenced_names, modules + callers))
+    return set().union(*map(public_defs, modules)) - seen
+
+
+def test_benchmark_sources_found():
+    assert {p.name for p in BENCHMARK} >= {"run.py", "workloads.py", "spans.py"}
+
+
+def test_public_names_have_a_caller():
+    # Code that only tests, or nothing, reach belongs under tests/.  The
+    # exemptions are named in KEPT_API, and the equality keeps that list
+    # from going stale.
+    modules = [parse(p) for p in SOURCES if p.name != "__init__.py"]
+    assert uncalled_public_names(modules, [parse(p) for p in BENCHMARK]) == KEPT_API
+
+
+def test_uncalled_public_names_are_found():
+    modules = [
+        ast.parse("def f(): pass\ndef g(): pass\nclass C: pass\ndef _h(): pass\n"
+                  "def m(): return E\nclass E: pass\n"),
+        ast.parse("from .a import g\ndef unused(): pass\ndef used(): pass\n"),
+        ast.parse("import b\nb.used()\n"),
+    ]
+    callers = [ast.parse("import pkg.C\nm()\n")]
+    assert uncalled_public_names(modules, callers) == {"f", "unused"}
+
+
+def imports_from(tree, module):
+    """Whether the tree imports module or names from it."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) and any(a.name == module for a in node.names):
+            return True
+        if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module == module:
+            return True
+    return False
+
+
+def test_arcs_builds_no_fraction():
+    # Arcs keep integer ends; their Fraction views are test helpers.
+    assert not imports_from(parse(next(p for p in SOURCES if p.name == "arcs.py")), "fractions")
+
+
+def test_fraction_imports_are_found():
+    assert imports_from(ast.parse("from fractions import Fraction\n"), "fractions")
+    assert imports_from(ast.parse("import os, fractions\n"), "fractions")
+    tree = ast.parse("from .fractions import x\nimport fractional\n")
+    assert not imports_from(tree, "fractions")
