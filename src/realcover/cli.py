@@ -80,9 +80,18 @@ class _Parser(argparse.ArgumentParser):
         return self.formatter_class(prog=self.prog, width=_HELP_WIDTH)
 
 
+# Every document is written compactly through this one encoder.
+_JSON = json.JSONEncoder(separators=(",", ":"))
+
+
 def _emit(doc: dict) -> None:
-    sys.stdout.write(json.dumps(doc, separators=(",", ":")))
+    sys.stdout.write(_JSON.encode(doc))
     sys.stdout.write("\n")
+
+
+def _too_large_to_print(what: str, holder: str) -> ValueError:
+    digits = f"integer over {sys.get_int_max_str_digits()} digits"
+    return ValueError(f"{what}: too large to print; {holder} has an {digits}")
 
 
 def _load_json(text: str, what: str) -> object:
@@ -176,7 +185,7 @@ def _cmd_realize(args) -> int:
     except (PreconditionViolated, plsim.BudgetExceeded) as exc:
         _emit({"rejected": str(exc)})
         return 2
-    # Nothing is written before fiber_csv or _emit's json.dumps returns, and
+    # Nothing is written before fiber_csv or _emit's encoding returns, and
     # their one ValueError is an integer past Python's digit limit for str().
     try:
         if args.format == "csv":
@@ -184,8 +193,7 @@ def _cmd_realize(args) -> int:
         else:
             _emit(plsim.cover_to_json(cover))
     except ValueError:
-        digits = f"integer over {sys.get_int_max_str_digits()} digits"
-        raise ValueError(f"plan: too large to print; the realization has an {digits}") from None
+        raise _too_large_to_print("plan", "the realization") from None
     return 0
 
 
@@ -223,22 +231,32 @@ def _cmd_enumerate(args) -> int:
     sys.stdout.write("[")
     sep = ""
     for _, block in itertools.groupby(specs, key=lambda spec: spec.top.g):
-        block_json = json.dumps([topology.spec_to_json(s) for s in block], separators=(",", ":"))
+        block_json = _JSON.encode([topology.spec_to_json(s) for s in block])
         sys.stdout.write(sep + block_json[1:-1])
         sep = ","
     sys.stdout.write("]\n")
     return 0
 
 
+def _emit_answer(command: str, doc: dict) -> None:
+    """_emit for the calculators: their arguments are integers of up to
+    Python's digit limit for str(), and their answers can pass it, which is
+    the one ValueError that encoding raises."""
+    try:
+        _emit(doc)
+    except ValueError:
+        raise _too_large_to_print(command, "the answer") from None
+
+
 def _cmd_rho(args) -> int:
     value = brill_noether.rho(args.g, args.k, args.r)
-    _emit({"g": args.g, "k": args.k, "r": args.r, "rho": value})
+    _emit_answer("rho", {"g": args.g, "k": args.k, "r": args.r, "rho": value})
     return 0
 
 
 def _cmd_dims(args) -> int:
     d = brill_noether.dims(args.g, args.k)
-    _emit({"hurwitz": d.hurwitz, "moduli": d.moduli, "image_bound": d.image_bound})
+    _emit_answer("dims", {"hurwitz": d.hurwitz, "moduli": d.moduli, "image_bound": d.image_bound})
     return 0
 
 
@@ -253,6 +271,7 @@ _SPEC_HELP = "CoverSpec JSON, or @path of a file holding it"
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="realcover", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices  # each subcommand's own parser, by name
 
     p = sub.add_parser("admissible", help="decide whether a covering spec is admissible")
     p.add_argument("spec", help=_SPEC_HELP)
@@ -305,9 +324,24 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _command_parser(name: str) -> Optional[argparse.ArgumentParser]:
+    """The parser of the subcommand called name; None for any other word."""
+    return _parser().commands.get(name)
+
+
 def run(argv: Optional[List[str]] = None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = _parser().parse_args(argv)
+        # The top-level parser would match argv[0] against the same choices
+        # and hand the rest to that subcommand's parser, so parse it there
+        # directly.  Only argv that name no command reach the top-level
+        # parser: help and usage errors.
+        command = _command_parser(argv[0]) if argv else None
+        if command is None:
+            args = _parser().parse_args(argv)
+        else:
+            args = command.parse_args(argv[1:])
         return args.func(args)
     except _HelpRequested as exc:
         _emit({"help": str(exc)})

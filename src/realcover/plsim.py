@@ -13,7 +13,8 @@ Fraction breakpoints only when read.  The fiber sweep and plan steps
 share one integer form over a common denominator per cover: per circle its
 first lift and its segment spans.  The sweep walks the spans; steps
 rewrite them, refining the denominator in strides of 2**30.
-The wire formats print "p/q" straight from the integers.
+The wire formats print "p/q" straight from the integers, each t = i/n
+from one table per breakpoint count.
 
 A PLCover bundles the circle maps with the sheet budget k of the covering.
 Sheets not accounted for by real preimages come in conjugate pairs, whence
@@ -29,7 +30,7 @@ from heapq import heapify, heappop, heappush
 from itertools import accumulate
 from math import gcd, lcm
 from operator import eq, neg, sub
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .arcs import FULL_CIRCLE, Arc, ArcLike
 from .constructions import (
@@ -510,31 +511,33 @@ def realize(seed: BaseSeed, steps: Sequence[ConstructionStep]) -> PLCover:
 # the integer lifts.
 
 
-def _rat(p: int, q: int) -> str:
-    # gcd(p, q) = 2^min(v2(p), v2(q)) * gcd(p, odd part of q).  The lift
-    # denominators grow only by powers of two, so the odd part stays small
-    # and this skips a quadratic big-integer gcd per breakpoint.
-    v2q = (q & -q).bit_length() - 1
-    v2 = min((p & -p).bit_length() - 1, v2q) if p else v2q
-    g = gcd(p >> v2, q >> v2q) << v2
-    return f"{p // g}/{q // g}"
+def _ratios(ps: Iterable[int], q: int) -> Iterator[str]:
+    """"p/q" in lowest terms for each p of ps over the one denominator q."""
+    # gcd(p, q) = 2^min(v2(p), v2(q)) * gcd(p, odd part of q), with q's
+    # power of two found once.  Lift denominators grow only by powers of
+    # two, so their odd part stays small, and this skips a quadratic
+    # big-integer gcd per p.
+    v = (q & -q).bit_length() - 1
+    odd = q >> v
+    for p in ps:
+        g = gcd(p, odd) << (min((p & -p).bit_length() - 1, v) if p else v)
+        yield f"{p // g}/{q // g}"
 
 
 def cover_to_json(cover: PLCover) -> dict:
-    return {
-        "target": cover.target.value,
-        "k": cover.k,
-        "components": [
-            {
-                "label": lbl,
-                "winding": m.closure,
-                "breakpoints": [
-                    [_rat(i, len(m.xs)), _rat(x, m.den)] for i, x in enumerate(m.xs)
-                ],
-            }
-            for lbl, m in cover.components
-        ],
-    }
+    ts = {}  # the t strings i/n of every n in the cover, one table each
+    components = []
+    for lbl, m in cover.components:
+        n = len(m.xs)
+        t = ts.get(n)
+        if t is None:
+            t = ts[n] = list(_ratios(range(n), n))
+        components.append({
+            "label": lbl,
+            "winding": m.closure,
+            "breakpoints": list(map(list, zip(t, _ratios(m.xs, m.den)))),
+        })
+    return {"target": cover.target.value, "k": cover.k, "components": components}
 
 
 def fiber_csv(cover: PLCover) -> str:
@@ -544,4 +547,5 @@ def fiber_csv(cover: PLCover) -> str:
     den, profile = _profile(cover)
     period = 2 * den  # midpoints in units of 1 / (2 den)
     rows = sorted(((2 * a + gap) % period, n) for a, gap, n in profile)
-    return "x,fiber_count\n" + "".join(f"{_rat(x, period)},{n}\n" for x, n in rows)
+    xs = _ratios((x for x, _ in rows), period)
+    return "x,fiber_count\n" + "".join(f"{x},{n}\n" for x, (_, n) in zip(xs, rows))

@@ -482,6 +482,16 @@ class TestUnprintable:
         assert out.count("\n") == 1
         assert (code, json.loads(out)) == (1, {"error": self.REFUSAL})
 
+    @pytest.mark.parametrize("argv", [
+        ["dims", "9" * 640, "3"],
+        ["rho", "9" * 639, "3", "--r", "9" * 639],
+    ], ids=["dims", "rho"])
+    def test_calculators_refuse_to_print(self, capsys, digit_limit, argv):
+        code, out = invoke(capsys, *argv)
+        refusal = f"{argv[0]}: too large to print; the answer has an integer over 640 digits"
+        assert out.count("\n") == 1
+        assert (code, json.loads(out)) == (1, {"error": refusal})
+
     def test_k_past_the_limit(self, capsys, tmp_path, digit_limit):
         # Two IV records of 640-digit repeats give k a 641st digit.  No spec
         # the CLI can read names that k, so verify does not verify the plan.
@@ -697,7 +707,29 @@ def _call(argv):
     return code, buf.getvalue()
 
 
+def _top_level_calls(batch):
+    """_call of each argv with the command lookup finding nothing, so that
+    the top-level parser parses every argv whole."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_command_parser", lambda name: None)
+        return [_call(argv) for argv in batch]
+
+
+# Argvs at the edge between the top-level parser and a subcommand's: no
+# command, options and "--" before or after it, abbreviated and misplaced
+# help, and words that are not commands.
+_EDGE_ARGVS = [
+    [], ["-h"], ["--help"], ["--", "plan", SPEC_6333], ["plan", "--", SPEC_6333], ["bogus"],
+    ["facts", "x"], ["facts", "--he"], ["rho", "-1", "3"], ["rho", "3", "4", "--r"],
+    ["rho", "3", "--", "4"], ["plan", "-h"], ["dims", "-h", "3"], ["-", "plan"], ["help"],
+]
+
+
 class TestFuzz:
+    @pytest.mark.parametrize("argv", _EDGE_ARGVS, ids=repr)
+    def test_edge_argv_answers_as_the_top_level_parse(self, argv):
+        assert [_call(argv)] == _top_level_calls([argv])
+
     @settings(deadline=None)
     @given(batch=st.lists(_argv(), min_size=1, max_size=6))
     def test_any_argv_one_document_and_shared_parser_agrees(self, plan_dir, batch):
@@ -716,3 +748,5 @@ class TestFuzz:
             mp.setattr(cli, "_parser", cli.build_parser)
             fresh = [_call(argv) for argv in batch]
         assert shared == fresh
+        # Handing argv to its command's parser answers as the top-level parse.
+        assert shared == _top_level_calls(batch)

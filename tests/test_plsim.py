@@ -141,8 +141,9 @@ def pl_covers(draw):
 @st.composite
 def integer_lifts(draw):
     """(den, xs, closure): one to eight integer lifts over den, not anchored,
-    with no zero-slope segment, the closing one included."""
-    den = draw(st.integers(1, 24))
+    with no zero-slope segment, the closing one included.  den is 1 to 24
+    times 1, 2**5 or 2**70: lift denominators grow by powers of two."""
+    den = draw(st.integers(1, 24)) << draw(st.sampled_from([0, 0, 5, 70]))
     closure = draw(st.integers(-2, 2))
     xs = draw(st.lists(st.integers(-3 * den, 3 * den), min_size=1, max_size=8))
     assume(all(u != v for u, v in zip(xs, xs[1:] + [xs[0] + closure * den])))
@@ -202,23 +203,34 @@ class TestPLMap:
         with pytest.raises(ValueError, match=message):
             PLMap(den, [1, 3], closure)
 
-    @given(integer_lifts())
+    @given(st.lists(integer_lifts(), min_size=1, max_size=4))
     def test_integer_constructor_matches_fraction_constructor(self, drawn):
-        den, xs, closure = drawn
-        m = PLMap(den, xs, closure)
-        r = pl_map([F(x, den) for x in xs], closure)
-        assert m == r and hash(m) == hash(r) and repr(m) == repr(r)
-        assert m.closure == closure
-        # the lifts xs / den, equally spaced in t, re-anchored, in least terms
-        shift = floor(min(F(x, den) for x in xs))
-        assert m.breakpoints == tuple((t, x - shift) for t, x in fraction_breakpoints(den, xs))
-        assert m.den == lcm(*(x.denominator for _, x in m.breakpoints))
-        # the JSON prints each breakpoint in lowest terms
-        (comp,) = cover_to_json(single(m))["components"]
-        assert comp["breakpoints"] == [
-            [f"{t.numerator}/{t.denominator}", f"{x.numerator}/{x.denominator}"]
-            for t, x in m.breakpoints
+        maps = []
+        for den, xs, closure in drawn:
+            m = PLMap(den, xs, closure)
+            r = pl_map([F(x, den) for x in xs], closure)
+            assert m == r and hash(m) == hash(r) and repr(m) == repr(r)
+            assert m.closure == closure
+            # the lifts xs / den, equally spaced in t, re-anchored, in least terms
+            shift = floor(min(F(x, den) for x in xs))
+            assert m.breakpoints == tuple((t, x - shift) for t, x in fraction_breakpoints(den, xs))
+            assert m.den == lcm(*(x.denominator for _, x in m.breakpoints))
+            maps.append(m)
+        cover = PLCover(tuple((f"C{i}", m) for i, m in enumerate(maps)), 0, CoverTarget.PROJ_LINE)
+
+        def printed(q):
+            return f"{q.numerator}/{q.denominator}"
+
+        # the JSON prints each breakpoint in lowest terms, whatever the
+        # breakpoint counts and denominators of the other circles
+        assert [comp["breakpoints"] for comp in cover_to_json(cover)["components"]] == [
+            [[printed(t), printed(x)] for t, x in m.breakpoints] for m in maps
         ]
+        # and the CSV each regular interval's midpoint
+        rows = sorted(((a + gap / 2) % 1, n) for a, gap, n in fraction_fiber_profile(cover))
+        assert fiber_csv(cover) == "x,fiber_count\n" + "".join(
+            f"{printed(x)},{n}\n" for x, n in rows
+        )
 
     @pytest.mark.parametrize(
         "den, xs, closure, message",

@@ -303,3 +303,41 @@ def test_fraction_imports_are_found():
     assert imports_from(ast.parse("import os, fractions\n"), "fractions")
     tree = ast.parse("from .fractions import x\nimport fractional\n")
     assert not imports_from(tree, "fractions")
+
+
+ARGPARSE_INTERNALS = {"_subparsers", "_actions", "_group_actions", "_option_string_actions"}
+
+
+def argparse_internals(tree):
+    """(line, name) of every read of an argparse-private attribute, as
+    x.name or getattr(x, "name")."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            name = node.attr
+        elif (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "getattr"
+              and len(node.args) > 1 and isinstance(node.args[1], ast.Constant)):
+            name = node.args[1].value
+        else:
+            continue
+        if name in ARGPARSE_INTERNALS:
+            found.append((node.lineno, name))
+    return found
+
+
+def test_cli_reads_no_argparse_internals():
+    # The CLI finds each subcommand's parser through the add_subparsers
+    # action it keeps itself; argparse's private state can change between
+    # Python versions.
+    found = [(path.name, *hit) for path in SOURCES for hit in argparse_internals(parse(path))]
+    assert found == []
+
+
+def test_argparse_internals_are_found():
+    tree = ast.parse(
+        "p._subparsers._group_actions[0].choices\nfor a in p._actions: pass\n"
+        "getattr(p, '_option_string_actions')\np.actions; getattr(p, 'choices')\n"
+    )
+    assert sorted(argparse_internals(tree)) == [
+        (1, "_group_actions"), (1, "_subparsers"), (2, "_actions"), (3, "_option_string_actions")
+    ]
