@@ -57,19 +57,16 @@ _COVNUM_MAX_G = 104_999
 _PLAN_MAX_CIRCLES, _REALIZE_MAX_BREAKPOINTS = 100_000, 40_000
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _HelpRequested(Exception):
     pass
 
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits with code 2 on usage errors; that code means "definitive
-    # negative" here, so route usage problems to exit 1 instead.
+    # negative" here, so route usage problems to exit 1 instead, as every
+    # other malformed input is.  argparse catches no ValueError around it.
     def error(self, message):
-        raise _UsageError(message)
+        raise ValueError(message)
 
     # -h/--help prints and exits inside parse_args; hand the text to run()
     # instead, which emits it as JSON.  Subparsers are _Parser too.
@@ -346,9 +343,6 @@ def run(argv: Optional[List[str]] = None) -> int:
     except _HelpRequested as exc:
         _emit({"help": str(exc)})
         return 0
-    except _UsageError as exc:
-        _emit({"error": str(exc)})
-        return 1
     except ValueError as exc:
         _emit({"error": str(exc)})
         return 1

@@ -23,9 +23,9 @@ A record of m equal steps applies m times each delta, in closed form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from enum import Enum
-from typing import List, Optional, Sequence, Union
+from typing import Iterator, List, Optional, Sequence, Tuple, Union, get_args
 
 from .topology import (
     CoverSpec,
@@ -173,8 +173,10 @@ class GenericR0Pencil:
 BaseSeed = Union[Hyperelliptic, HyperellipticToR0, GenericPencil, GenericR0Pencil]
 
 
-def check_seed(seed: BaseSeed) -> None:
-    """Raise SeedNotInCatalog unless the seed is a base covering known to exist."""
+def seed_state(seed: BaseSeed) -> LabeledState:
+    """Initial labeled state of a seed; circles are labeled C1, C2, ... in
+    order.  Raises SeedNotInCatalog unless the seed is a base covering known
+    to exist."""
     if isinstance(seed, Hyperelliptic):
         top, deg = seed.top, seed.degrees
         if not weichold_admissible(top.g, top.s, top.a):
@@ -190,33 +192,21 @@ def check_seed(seed: BaseSeed) -> None:
                 raise SeedNotInCatalog("winding (1,1) needs a separating curve with two circles")
         elif any(d != 0 for d in e):
             raise SeedNotInCatalog(f"winding pattern {e} not in the hyperelliptic catalog")
-        return
+        comps = tuple((f"C{i + 1}", d) for i, d in enumerate(e))
+        return LabeledState(top.g, top.a, 2, CoverTarget.PROJ_LINE, comps)
     if isinstance(seed, HyperellipticToR0):
         if seed.g < 1 or seed.g % 2 == 0:
             raise SeedNotInCatalog("double coverings of R0 need odd genus")
-        return
+        return LabeledState(seed.g, 1, 2, CoverTarget.ANISOTROPIC_CONIC, ())
     if isinstance(seed, GenericPencil):
         if seed.k < 2 or seed.k % 2 != 0 or not 0 <= seed.g < seed.k:
             raise SeedNotInCatalog("generic pencils need k even and g < k")
-        return
+        return LabeledState(seed.g, 1, seed.k, CoverTarget.PROJ_LINE, ())
     if isinstance(seed, GenericR0Pencil):
         if seed.k < 2 or seed.k < seed.g + 1 or (seed.k - seed.g - 1) % 2 != 0:
             raise SeedNotInCatalog("generic R0 pencils need k >= g+1 with k = g+1 (mod 2)")
-        return
+        return LabeledState(seed.g, 1, seed.k, CoverTarget.ANISOTROPIC_CONIC, ())
     raise SeedNotInCatalog(f"unknown seed {seed!r}")
-
-
-def seed_state(seed: BaseSeed) -> LabeledState:
-    """Initial labeled state of a seed; circles are labeled C1, C2, ... in order."""
-    check_seed(seed)
-    if isinstance(seed, Hyperelliptic):
-        comps = tuple((f"C{i + 1}", d) for i, d in enumerate(seed.degrees))
-        return LabeledState(seed.top.g, seed.top.a, 2, CoverTarget.PROJ_LINE, comps)
-    if isinstance(seed, HyperellipticToR0):
-        return LabeledState(seed.g, 1, 2, CoverTarget.ANISOTROPIC_CONIC, ())
-    if isinstance(seed, GenericPencil):
-        return LabeledState(seed.g, 1, seed.k, CoverTarget.PROJ_LINE, ())
-    return LabeledState(seed.g, 1, seed.k, CoverTarget.ANISOTROPIC_CONIC, ())
 
 
 # The step rules run on every step of every replay and realization, and an
@@ -385,8 +375,29 @@ def execute_states(seed: BaseSeed, steps: Sequence[ConstructionStep]):
         yield replay
 
 
+def runs(steps: Sequence[ConstructionStep]) -> Iterator[Tuple[int, ConstructionStep]]:
+    """Yield each maximal run of consecutive records of one step (kind,
+    variant, placement) as the index of its first record and one record of
+    their summed repeats; a record alone in its run comes back as itself."""
+    i, n = 0, len(steps)
+    while i < n:
+        step, j = steps[i], i + 1
+        key, m = (step.kind, step.variant, step.placement), step.repeat
+        while j < n and (steps[j].kind, steps[j].variant, steps[j].placement) == key:
+            m += steps[j].repeat
+            j += 1
+        yield i, step if j == i + 1 else replace(step, repeat=m)
+        i = j
+
+
 # ---------------------------------------------------------------------------
 # JSON wire format for seeds and steps.
+
+
+# Each seed kind by its wire name: its class and dataclass field names.  A
+# seed of the integer-field kinds is its fields in this order; Hyperelliptic
+# is written g, s, a and deg.
+_SEEDS = {cls.__name__: (cls, tuple(f.name for f in fields(cls))) for cls in get_args(BaseSeed)}
 
 
 def seed_to_json(seed: BaseSeed) -> dict:
@@ -398,43 +409,29 @@ def seed_to_json(seed: BaseSeed) -> dict:
             "a": seed.top.a,
             "deg": list(seed.degrees.entries),
         }
-    if isinstance(seed, HyperellipticToR0):
-        return {"kind": "HyperellipticToR0", "g": seed.g}
-    if isinstance(seed, GenericPencil):
-        return {"kind": "GenericPencil", "g": seed.g, "k": seed.k}
-    return {"kind": "GenericR0Pencil", "g": seed.g, "k": seed.k}
-
-
-# Integer fields of each seed kind; Hyperelliptic also carries "deg".
-_SEED_FIELDS = {
-    "Hyperelliptic": ("g", "s", "a"),
-    "HyperellipticToR0": ("g",),
-    "GenericPencil": ("g", "k"),
-    "GenericR0Pencil": ("g", "k"),
-}
+    kind = type(seed).__name__
+    return {"kind": kind, **{f: getattr(seed, f) for f in _SEEDS[kind][1]}}
 
 
 def seed_from_json(obj: object) -> BaseSeed:
     """Parse the seed wire object, reporting the offending field on error.
 
-    Only field types are checked here; check_seed decides catalog membership.
+    Only field types are checked here; seed_state decides catalog membership.
     """
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ValueError("seed: expected an object with a 'kind' field")
     kind = obj["kind"]
-    if not isinstance(kind, str) or kind not in _SEED_FIELDS:
+    if not isinstance(kind, str) or kind not in _SEEDS:
         raise ValueError(f"seed.kind: unknown seed kind {kind!r}")
-    check_int_fields(obj, "seed", _SEED_FIELDS[kind])
     if kind == "Hyperelliptic":
+        check_int_fields(obj, "seed", ("g", "s", "a"))
         check_deg_field(obj, "seed")
         return Hyperelliptic(
             TopType(obj["g"], obj["s"], obj["a"]), DegreeVector(tuple(obj["deg"]))
         )
-    if kind == "HyperellipticToR0":
-        return HyperellipticToR0(obj["g"])
-    if kind == "GenericPencil":
-        return GenericPencil(obj["g"], obj["k"])
-    return GenericR0Pencil(obj["g"], obj["k"])
+    cls, names = _SEEDS[kind]
+    check_int_fields(obj, "seed", names)
+    return cls(*[obj[f] for f in names])
 
 
 def step_to_json(step: ConstructionStep) -> dict:

@@ -14,6 +14,7 @@ out of scope here.
 
 from __future__ import annotations
 
+import json
 import sys
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Tuple, Union
@@ -29,6 +30,7 @@ from .constructions import (
     StepKind,
     Variant,
     execute_states,
+    runs,
     seed_from_json,
     seed_to_json,
     step_from_json,
@@ -40,6 +42,7 @@ from .topology import (
     DegreeVector,
     TopType,
     admissibility_failure,
+    spec_to_json,
 )
 
 PROVENANCE_TAGS = (
@@ -87,22 +90,11 @@ def _noram(label: str) -> Step:
     return StepKind.I, Variant.WITHOUT_REAL_RAM, label
 
 
-def _records(runs: Iterable[Run]) -> tuple[ConstructionStep, ...]:
+def _records(recipe: Iterable[Run]) -> tuple[ConstructionStep, ...]:
     """One record per maximal run of equal steps: empty runs vanish, and a
     run of the same step as the one before it joins that record."""
-    out: List[ConstructionStep] = []
-    last, count = None, 0
-    for step, n in runs:
-        if n > 0:
-            if step == last:
-                count += n
-                continue
-            if last is not None:
-                out.append(ConstructionStep(*last, count))
-            last, count = step, n
-    if last is not None:
-        out.append(ConstructionStep(*last, count))
-    return tuple(out)
+    records = [ConstructionStep(*step, n) for step, n in recipe if n > 0]
+    return tuple(record for _, record in runs(records))
 
 
 def _wraps_then_folds(label: str, wraps: int, folds: int) -> List[Run]:
@@ -256,8 +248,8 @@ def verify_plan(plan_: Plan, target: CoverSpec, trail: Optional[List[str]] = Non
     outcome = state.state().canonical_spec()
     if outcome != target:
         try:
-            shown = str(outcome)
-        except ValueError:  # an integer past Python's digit limit for str()
+            shown = json.dumps(spec_to_json(outcome), separators=(",", ":"))
+        except ValueError:  # an integer past Python's digit limit for str() and json
             shown = f"a spec with an integer over {sys.get_int_max_str_digits()} digits"
         return note(f"plan executes to {shown}, not the target")
     return True

@@ -24,7 +24,7 @@ most k and has the parity of k (coverings of the projective line).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import accumulate
@@ -39,6 +39,7 @@ from .constructions import (
     LabeledState,
     Variant,
     _Replay,
+    runs,
     seed_state,
 )
 from .topology import CoverTarget
@@ -488,21 +489,14 @@ def realize(seed: BaseSeed, steps: Sequence[ConstructionStep]) -> PLCover:
     about log2(m) times (see _fold); a run of new folds sweeps the cover
     once and splits its intervals in a heap.  A planner plan of B
     breakpoints thus realizes in O(B log B) steps on the integers.
-    Consecutive equal records are one run, so a plan written one record per
-    step gets the same splices.  The result is decoded and validated, at its
+    Consecutive equal records are one run (constructions.runs), so a plan
+    written one record per step gets the same splices.  The result is decoded and validated, at its
     least denominator, once at the end.  A refused record raises
     PreconditionViolated carrying its index, the first of its run.
     """
     form = _seed_spans(seed)
-    i, n = 0, len(steps)
-    while i < n:
-        step, j = steps[i], i + 1
-        key, m = (step.kind, step.variant, step.placement), step.repeat
-        while j < n and (steps[j].kind, steps[j].variant, steps[j].placement) == key:
-            m += steps[j].repeat
-            j += 1
-        _step(form, step if m == step.repeat else replace(step, repeat=m), i)
-        i = j
+    for i, step in runs(steps):
+        _step(form, step, i)
     return _decode(form)
 
 

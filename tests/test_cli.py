@@ -92,6 +92,14 @@ class TestPlanVerifyRealize:
         assert verdict["verified"] is False
         assert verdict["diagnostics"]
 
+    def test_mismatch_names_the_outcome_by_its_wire_object(self, capsys, tmp_path):
+        seed = {"kind": "GenericPencil", "g": 1, "k": 4}
+        plan_file = write_plan(tmp_path, seed, [{"kind": "II", "variant": "ram", "repeat": 3}])
+        spec = '{"g":4,"s":3,"a":0,"target":"P1","k":4,"deg":[0,0,0]}'
+        outcome = '{"g":4,"s":3,"a":1,"target":"P1","k":4,"deg":[0,0,0]}'
+        verdict = {"verified": False, "diagnostics": [f"plan executes to {outcome}, not the target"]}
+        assert invoke_json(capsys, "verify", plan_file, spec) == (2, verdict)
+
     def test_infeasible_plan_exits_two(self, capsys):
         code, doc = invoke_json(capsys, "plan", SPEC_431)
         assert code == 2

@@ -1,3 +1,7 @@
+import itertools
+import json
+import random
+import typing
 from dataclasses import replace
 
 import pytest
@@ -5,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from realcover.constructions import (
+    BaseSeed,
     ConstructionStep,
     GenericPencil,
     GenericR0Pencil,
@@ -15,9 +20,12 @@ from realcover.constructions import (
     SeedNotInCatalog,
     StepKind,
     Variant,
+    _SEEDS,
     _folds,
     _Replay,
     apply_step,
+    runs,
+    seed_from_json,
     seed_state,
     seed_to_json,
     step_from_json,
@@ -25,7 +33,7 @@ from realcover.constructions import (
 )
 from realcover.topology import CoverSpec, CoverTarget, DegreeVector, TopType, weichold_admissible
 
-from oracles import execute, oracle_admissible_tuples, reachable_specs
+from oracles import catalog_seeds, execute, expand, oracle_admissible_tuples, reachable_specs
 
 RAM = Variant.WITH_REAL_RAM
 NORAM = Variant.WITHOUT_REAL_RAM
@@ -401,3 +409,100 @@ class TestReachability:
             print(f"admissible, not reachable: {spec}")
         assert reached == admissible
         assert len(reached) == 3658
+
+
+# One seed off the catalog of each kind: a winding pattern the hyperelliptic
+# catalog lacks, an even genus over R0, odd k, and k of the wrong parity.
+OFF_CATALOG = [hyper(2, 1, 0, (3,)), HyperellipticToR0(2), GenericPencil(5, 3), GenericR0Pencil(1, 3)]
+WIRE_SEEDS = [seed for seed, _ in catalog_seeds(6, 8)] + OFF_CATALOG
+# The integer fields of each kind but Hyperelliptic, in wire order.
+INT_FIELDS = [(HyperellipticToR0, ("g",)), (GenericPencil, ("g", "k")), (GenericR0Pencil, ("g", "k"))]
+
+
+class TestSeedWire:
+    def test_off_catalog_seeds_are_refused(self):
+        for seed in OFF_CATALOG:
+            with pytest.raises(SeedNotInCatalog):
+                seed_state(seed)
+
+    @pytest.mark.parametrize("seed", WIRE_SEEDS, ids=repr)
+    def test_round_trip_and_exact_object(self, seed):
+        if isinstance(seed, Hyperelliptic):
+            top = seed.top
+            expected = {"kind": "Hyperelliptic", "g": top.g, "s": top.s, "a": top.a,
+                        "deg": list(seed.degrees.entries)}
+        else:
+            fields = dict(INT_FIELDS)[type(seed)]
+            expected = {"kind": type(seed).__name__, **{f: getattr(seed, f) for f in fields}}
+        obj = seed_to_json(seed)
+        assert list(obj.items()) == list(expected.items())  # key order is wire order
+        assert seed_from_json(obj) == seed
+        assert seed_from_json(json.loads(json.dumps(obj))) == seed
+
+    @pytest.mark.parametrize("cls, fields", INT_FIELDS, ids=lambda v: getattr(v, "__name__", ""))
+    def test_bad_integer_fields_are_named_in_field_order(self, cls, fields):
+        good = {"kind": cls.__name__, **dict.fromkeys(fields, 1)}
+        for i, name in enumerate(fields):
+            later = fields[i + 1:]
+            for bad, reason in ((None, "missing"), (True, "expected an integer"),
+                                (False, "expected an integer"), ("1", "expected an integer")):
+                obj = {**good, **dict.fromkeys(later, "x")}
+                if bad is None:
+                    del obj[name]
+                else:
+                    obj[name] = bad
+                with pytest.raises(ValueError) as exc:
+                    seed_from_json(obj)
+                assert str(exc.value) == f"seed.{name}: {reason}"
+
+    def test_wire_kinds_are_the_seed_classes(self):
+        classes = typing.get_args(BaseSeed)
+        assert {type(seed) for seed in WIRE_SEEDS} == set(classes)
+        for cls in classes:
+            with pytest.raises(ValueError) as exc:
+                seed_from_json({"kind": cls.__name__})
+            assert "unknown seed kind" not in str(exc.value)
+        with pytest.raises(ValueError, match="seed.kind: unknown seed kind 'Torus'"):
+            seed_from_json({"kind": "Torus"})
+
+    def test_seed_table_is_the_seed_classes(self):
+        assert {cls for cls, _ in _SEEDS.values()} == set(typing.get_args(BaseSeed))
+        assert all(kind == cls.__name__ for kind, (cls, _) in _SEEDS.items())
+
+
+RUN_STEPS = [("I", RAM, "C1"), ("I", NORAM, "C1"), ("I", NORAM, "C2"), ("II", RAM, None),
+             ("III", None, None)]
+
+
+def _record_lists():
+    """Every list of up to three of RUN_STEPS with repeats cycling 1..3,
+    then longer seeded draws with random repeats."""
+    lists = [
+        [ConstructionStep(StepKind(k), v, p, i % 3 + 1) for i, (k, v, p) in enumerate(keys)]
+        for n in range(4) for keys in itertools.product(RUN_STEPS, repeat=n)
+    ]
+    rng = random.Random(0)
+    for _ in range(30):
+        keys = rng.choices(RUN_STEPS, k=rng.randint(4, 9))
+        lists.append([ConstructionStep(StepKind(k), v, p, rng.randint(1, 3)) for k, v, p in keys])
+    return lists
+
+
+class TestRuns:
+    @pytest.mark.parametrize("steps", _record_lists(), ids=lambda steps: "/".join(
+        f"{s.kind.value}{s.variant.value if s.variant else ''}{s.placement or ''}x{s.repeat}"
+        for s in steps) or "empty")
+    def test_runs_merge_equal_neighbours(self, steps):
+        def step_of(record):
+            return record.kind, record.variant, record.placement
+
+        merged = list(runs(steps))
+        records = [record for _, record in merged]
+        assert expand(records) == expand(steps)
+        assert all(step_of(a) != step_of(b) for a, b in zip(records, records[1:]))
+        starts = [i for i, _ in merged]
+        assert starts == [i for i, record in enumerate(steps)
+                          if i == 0 or step_of(record) != step_of(steps[i - 1])]
+        for (i, record), end in zip(merged, starts[1:] + [len(steps)]):
+            if end == i + 1:  # no equal neighbour
+                assert record is steps[i]
