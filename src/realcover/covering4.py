@@ -53,7 +53,8 @@ class CoveringNumberTarget:
 
     def __post_init__(self):
         if not weichold_admissible(self.top.g, self.top.s, self.top.a):
-            raise InfeasibleTarget(f"type {self.top} fails the existence bounds")
+            raise InfeasibleTarget(
+                f"type {(self.top.g, self.top.s, self.top.a)} fails the existence bounds")
         if self.top.s < 1:
             raise InfeasibleTarget("covering numbers need at least one real circle")
         if not 1 <= self.kcov <= self.top.s:

@@ -17,12 +17,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, combinations_with_replacement
+from operator import ge
 from typing import Iterable, Iterator, Optional
 
 
 class CoverTarget(str, Enum):
     PROJ_LINE = "P1"
     ANISOTROPIC_CONIC = "R0"
+
+
+# Read through the Enum class, a member costs a descriptor call; the
+# predicate and the enumeration read this one once per candidate.
+_P1 = CoverTarget.PROJ_LINE
 
 
 @dataclass(frozen=True, order=True, slots=True)
@@ -49,13 +55,10 @@ class DegreeVector:
     def canonical(cls, values: Iterable[int]) -> "DegreeVector":
         return cls(tuple(sorted(values, reverse=True)))
 
-    @property
-    def total(self) -> int:
-        return sum(self.entries)
-
     def is_canonical(self) -> bool:
+        # Non-increasing with a nonnegative last entry, in one C-level pass.
         e = self.entries
-        return all(d >= 0 for d in e) and all(e[i] >= e[i + 1] for i in range(len(e) - 1))
+        return not e or (e[-1] >= 0 and all(map(ge, e, e[1:])))
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -102,17 +105,18 @@ def admissibility_failure(spec: CoverSpec) -> Optional[str]:
     r0_nonempty_real_locus, r0_parity.  Raises ValueError for structurally
     malformed input (non-canonical degree vector, k < 2).
     """
-    if spec.k < 2:
-        raise ValueError(f"covering degree must be >= 2, got {spec.k}")
-    if not spec.degrees.is_canonical():
-        raise ValueError(f"degree vector not in canonical sorted form: {spec.degrees.entries}")
-    top = spec.top
+    k, top, degrees = spec.k, spec.top, spec.degrees
+    entries = degrees.entries
+    if k < 2:
+        raise ValueError(f"covering degree must be >= 2, got {k}")
+    if not degrees.is_canonical():
+        raise ValueError(f"degree vector not in canonical sorted form: {entries}")
     if not weichold_admissible(top.g, top.s, top.a):
         return "weichold"
-    if len(spec.degrees) != top.s:
+    if len(entries) != top.s:
         return "degree_length"
-    if spec.target is CoverTarget.PROJ_LINE:
-        entries, k, total = spec.degrees.entries, spec.k, spec.degrees.total
+    if spec.target is _P1:
+        total = sum(entries)
         if total > k:
             return "sum"
         if (k - total) % 2 != 0:
@@ -126,7 +130,7 @@ def admissibility_failure(spec: CoverSpec) -> Optional[str]:
     # has the parity of g + 1.
     if top.s != 0:
         return "r0_nonempty_real_locus"
-    if (spec.k - (top.g + 1)) % 2 != 0:
+    if (k - (top.g + 1)) % 2 != 0:
         return "r0_parity"
     return None
 
@@ -162,7 +166,7 @@ def enumerate_admissible_genus(g: int, k_max: int) -> Iterator[CoverSpec]:
             # admissible specs are kept and yielded in reverse.
             found = []
             for deg in combinations_with_replacement(range(k, -1, -1), top.s):
-                spec = CoverSpec(top, CoverTarget.PROJ_LINE, k, DegreeVector(deg))
+                spec = CoverSpec(top, _P1, k, DegreeVector(deg))
                 if target_admissible(spec):
                     found.append(spec)
             yield from reversed(found)

@@ -243,36 +243,66 @@ def greedy_min_circle_cover(arcset):
     return best
 
 
-def oracle_admissible_tuples(g_max, k_min, k_max):
-    """Admissible raw tuples (g, s, a, target, k, degrees) by nested loops.
+def oracle_type_exists(g, s, a):
+    """The existence bounds of a real curve of type (g, s, a): a = 1 takes
+    any 0 <= s <= g, a = 0 takes 1 <= s <= g + 1 with s of the parity of g + 1."""
+    if a == 1:
+        return 0 <= s <= g
+    return a == 0 and s % 2 == (g + 1) % 2 and 1 <= s <= g + 1
 
-    The predicates are restated here from scratch: the type existence
-    bounds, the three degree clauses, the separating bound for a = 1, and
-    the genus parity for coverings of the conic without real points.
+
+def oracle_admissibility_failure(g, s, a, target, k, deg):
+    """The first failing clause for one raw tuple, or None if admissible.
+
+    The clauses are restated here from scratch, in the order the package
+    documents: k >= 2 and a canonical vector (else ValueError), the type
+    bounds, the vector's length, then for "P1" the winding sum, parity, the
+    zero tail and the separating bound for a = 1, and for "R0" an empty real
+    locus and the genus parity.
     """
+    deg = tuple(deg)
+    if k < 2:
+        raise ValueError(f"covering degree must be >= 2, got {k}")
+    if list(deg) != sorted(deg, reverse=True) or (deg and deg[-1] < 0):
+        raise ValueError(f"degree vector not in canonical sorted form: {deg}")
+    if not oracle_type_exists(g, s, a):
+        return "weichold"
+    if len(deg) != s:
+        return "degree_length"
+    if target == "P1":
+        total = sum(deg)
+        if total > k:
+            return "sum"
+        if (k - total) % 2 != 0:
+            return "parity"
+        if 0 in deg and total > k - 2:
+            return "zero_tail"
+        if a == 1 and total > k - 2:
+            return "separating"
+        return None
+    if s != 0:
+        return "r0_nonempty_real_locus"
+    if (k - g - 1) % 2 != 0:
+        return "r0_parity"
+    return None
+
+
+def oracle_admissible_tuples(g_max, k_min, k_max):
+    """Admissible raw tuples (g, s, a, target, k, degrees) by nested loops
+    over every type that exists, asking oracle_admissibility_failure of each."""
     out = set()
     for g in range(g_max + 1):
         for k in range(k_min, k_max + 1):
             for s in range(g + 2):
                 for a in (0, 1):
-                    if a == 1 and not 0 <= s <= g:
+                    if not oracle_type_exists(g, s, a):
                         continue
-                    if a == 0 and not (s % 2 == (g + 1) % 2 and 1 <= s <= g + 1):
-                        continue
-                    for raw in itertools.combinations_with_replacement(range(k + 1), s):
-                        d = tuple(sorted(raw, reverse=True))
-                        total = sum(d)
-                        if total > k:
-                            continue
-                        if (k - total) % 2 != 0:
-                            continue
-                        if d and d[-1] == 0 and total > k - 2:
-                            continue
-                        if a == 1 and total > k - 2:
-                            continue
-                        out.add((g, s, a, "P1", k, d))
-                    if s == 0 and a == 1 and (k - g - 1) % 2 == 0:
-                        out.add((g, 0, 1, "R0", k, ()))
+                    # Every non-increasing vector of s entries in 0..k, once.
+                    for d in itertools.combinations_with_replacement(range(k, -1, -1), s):
+                        if oracle_admissibility_failure(g, s, a, "P1", k, d) is None:
+                            out.add((g, s, a, "P1", k, d))
+                    if oracle_admissibility_failure(g, s, a, "R0", k, ()) is None:
+                        out.add((g, s, a, "R0", k, ()))
     return out
 
 

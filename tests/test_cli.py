@@ -354,6 +354,12 @@ class TestCovnum:
         assert code == 2
         assert "infeasible" in doc
 
+    def test_impossible_type_is_named_by_its_numbers(self, capsys):
+        # As the seed catalog names it, not by a Python repr of TopType.
+        code, out = invoke(capsys, "covnum", '{"g":2,"s":2,"a":0,"kcov":1}')
+        assert code == 2
+        assert out == '{"infeasible":"type (2, 2, 0) fails the existence bounds"}\n'
+
     def test_malformed_target(self, capsys):
         for target, error in (
             ('{"g":2,"s":3,"a":0}', "target.kcov: missing"),
@@ -529,6 +535,24 @@ class TestEnumerate:
         code, out = invoke(capsys, "enumerate", *map(str, box))
         assert code == 0
         assert out == json.dumps(whole, separators=(",", ":")) + "\n"
+
+    @pytest.mark.parametrize("chunk", [1, 7, 1000])
+    def test_writes_hold_one_chunk_and_join_to_one_dump(self, monkeypatch, chunk):
+        # Memory stays bounded because no write holds more than one chunk of
+        # specs; the chunks still join into the bytes of one dump.
+        writes = []
+
+        class Recorder(io.StringIO):
+            def write(self, text):
+                writes.append(text)
+                return super().write(text)
+
+        monkeypatch.setattr(cli, "_ENUMERATE_CHUNK", chunk)
+        monkeypatch.setattr(sys, "stdout", Recorder())
+        assert run(["enumerate", "5", "6"]) == 0
+        whole = [spec_to_json(s) for s in enumerate_admissible(5, 6)]
+        assert sys.stdout.getvalue() == json.dumps(whole, separators=(",", ":")) + "\n"
+        assert max(text.count('{"g":') for text in writes) == min(chunk, len(whole))
 
     def test_census_box_bytes_are_pinned(self, capsys):
         # The one-dump comparison above moves with the library's order; this

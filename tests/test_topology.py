@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -17,7 +19,7 @@ from realcover.topology import (
     weichold_admissible,
 )
 
-from oracles import oracle_admissible_tuples
+from oracles import oracle_admissibility_failure, oracle_admissible_tuples
 
 
 def spec(g, s, a, target, k, deg=()):
@@ -75,7 +77,7 @@ class TestDegreeAdmissible:
     )
     def test_appending_zero_is_monotone(self, deg, k):
         vec = DegreeVector.canonical(deg)
-        if self.failure(vec.entries, k) is None and vec.total <= k - 2:
+        if self.failure(vec.entries, k) is None and sum(vec.entries) <= k - 2:
             assert self.failure(vec.entries + (0,), k) is None
 
 
@@ -101,6 +103,42 @@ class TestTargetAdmissible:
         assert admissibility_failure(spec(4, 2, 0, "P1", 4, (1, 1))) == "weichold"
         assert admissibility_failure(spec(3, 2, 0, "P1", 3, (3, 2))) == "sum"
         assert admissibility_failure(spec(5, 2, 0, "P1", 4, (4, 0))) == "zero_tail"
+
+
+def _answer(check, *args):
+    """What one check says of one tuple: its reason, or its ValueError text."""
+    try:
+        return check(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+class TestPointwiseOracle:
+    def test_every_tuple_of_a_box_agrees(self):
+        # The box holds what the enumeration never builds: types that fail
+        # the existence bounds (g = -1, s = -1, s past g + 1, a = 2), vector
+        # lengths s - 1 and s + 1, unsorted and negative entries, both
+        # targets and degrees below 2.  Vectors of up to three entries take
+        # every value in -1..k+1, longer ones every value in -1..1.
+        seen = set()
+        for g in range(-1, 4):
+            for s in range(-1, g + 3):
+                for a in (0, 1, 2):
+                    for k in range(6):
+                        for n in range(max(s - 1, 0), s + 2):
+                            values = range(-1, k + 2) if n <= 3 else range(-1, 2)
+                            for deg in itertools.product(values, repeat=n):
+                                for target in CoverTarget:
+                                    got = _answer(admissibility_failure, CoverSpec(
+                                        TopType(g, s, a), target, k, DegreeVector(deg)))
+                                    want = _answer(oracle_admissibility_failure,
+                                                   g, s, a, target.value, k, deg)
+                                    assert got == want, (g, s, a, target.value, k, deg)
+                                    seen.add(got.split(":")[0] if got else None)
+        assert seen == {
+            None, "ValueError", "weichold", "degree_length", "sum", "parity", "zero_tail",
+            "separating", "r0_nonempty_real_locus", "r0_parity",
+        }
 
 
 class TestEnumerate:
@@ -163,7 +201,7 @@ class TestEnumerate:
     def test_parity_invariant_on_output(self):
         for s in enumerate_admissible(4, 5):
             if s.target is CoverTarget.PROJ_LINE:
-                defect = s.k - s.degrees.total
+                defect = s.k - sum(s.degrees.entries)
                 assert defect >= 0 and defect % 2 == 0
                 if s.top.a == 1:
                     assert defect >= 2

@@ -1,0 +1,139 @@
+"""Alternated benchmark pairs: a parent checkout against a change checkout.
+
+    python3 tools/alternate.py PARENT_DIR CHANGE_DIR --workload census --seeds 4 5 --pairs 10
+
+Runs the benchmark command that CHANGE_DIR/BENCHMARK.json declares (its
+`command`, for its `run_seconds`) in each checkout by turns, one process at a time: pair i runs at seed
+seeds[i % len(seeds)], the parent first in even pairs and the change first
+in odd ones.  It reads only the last line of each run's standard output,
+the benchmark's JSON result, and writes nothing into either checkout
+beyond what the benchmark itself writes there.
+
+For each pair it prints every end-to-end metric that BENCHMARK.json lists,
+with the run's correct/failed counts.  Then, per metric, each side's median
+and quartiles, the change's median against the parent's as a ratio, the
+pairs the change won (a tie counts for neither side), and whether a gain
+may be claimed: every change run answered correctly, the change failed no
+more operations in total than the parent, at least ten pairs ran, the
+change won at least nine tenths of them, and the medians differ by more
+than the parent's interquartile range.  A verdict of "no" names the first
+of these that does not hold.  The last line of output is the same summary as one
+JSON object.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+
+def run_once(checkout: Path, command: list, workload: str, seed: int, seconds: float) -> dict:
+    argv = [*command, "--workload", workload, "--seed", str(seed), "--seconds", f"{seconds:g}"]
+    done = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
+    if done.returncode != 0:
+        sys.exit(f"{checkout}: {' '.join(argv)} exited {done.returncode}:\n{done.stderr}")
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def quartiles(values: list) -> tuple:
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, median, q3
+
+
+def summarize(metric: dict, parent: list, change: list, unsound: str | None) -> dict:
+    """Medians, quartiles, wins and the gain verdict for one metric.
+
+    ``unsound`` names why the change's runs cannot carry a gain (a wrong
+    answer or more failed operations than the parent), or is None.
+    """
+    lower = metric["better"] == "lower"
+    wins = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
+    p1, pm, p3 = quartiles(parent)
+    c1, cm, c3 = quartiles(change)
+    gap = (pm - cm) if lower else (cm - pm)
+    if unsound:
+        why = unsound
+    elif len(parent) < 10:
+        why = "fewer than 10 pairs"
+    elif wins < 0.9 * len(parent):
+        why = "change won fewer than 9 in 10 pairs"
+    elif gap <= p3 - p1:
+        why = "median gap within the parent's interquartile range"
+    else:
+        why = None
+    return {
+        "parent": {"q1": p1, "median": pm, "q3": p3},
+        "change": {"q1": c1, "median": cm, "q3": c3},
+        "ratio": cm / pm if pm else None,
+        "wins": wins,
+        "pairs": len(parent),
+        "gain": why is None,
+        "why_not": why,
+    }
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("parent", type=Path, help="checkout of the parent commit")
+    ap.add_argument("change", type=Path, help="checkout of the change")
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--seeds", type=int, nargs="+", required=True)
+    ap.add_argument("--pairs", type=int, required=True)
+    args = ap.parse_args(argv)
+
+    bench = json.loads((args.change / "BENCHMARK.json").read_text())
+    seconds = bench["run_seconds"]
+    metrics = bench["end_to_end"]
+    sides = {"parent": args.parent, "change": args.change}
+    values = {side: {m["name"]: [] for m in metrics} for side in sides}
+    correct = {side: [] for side in sides}
+    failed = {side: [] for side in sides}
+    for i in range(args.pairs):
+        seed = args.seeds[i % len(args.seeds)]
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        row = []
+        for side in order:
+            result = run_once(sides[side], bench["command"], args.workload, seed, seconds)
+            for m in metrics:
+                values[side][m["name"]].append(result["metrics"][m["name"]]["value"])
+            correct[side].append(result["correct"])
+            failed[side].append(result["failed"])
+            row.append(f"{side} correct={result['correct']} failed={result['failed']}")
+        shown = "  ".join(
+            f"{m['name']} {values['parent'][m['name']][-1]:.6g} -> "
+            f"{values['change'][m['name']][-1]:.6g}" for m in metrics)
+        print(f"pair {i + 1} seed {seed} ({order[0]} first): {shown}  [{'; '.join(row)}]",
+              flush=True)
+
+    if not all(correct["change"]):
+        unsound = "a change run was not correct"
+    elif sum(failed["change"]) > sum(failed["parent"]):
+        unsound = "change failed more operations than the parent"
+    else:
+        unsound = None
+    summary = {}
+    for m in metrics:
+        name = m["name"]
+        s = summary[name] = summarize(
+            m, values["parent"][name], values["change"][name], unsound)
+        p, c = s["parent"], s["change"]
+        ratio = f"{s['ratio'] - 1:+.1%}" if s["ratio"] is not None else "n/a"
+        print(f"{name} ({m['unit']}, {m['better']} is better): "
+              f"parent {p['median']:.6g} [{p['q1']:.6g}, {p['q3']:.6g}]  "
+              f"change {c['median']:.6g} [{c['q1']:.6g}, {c['q3']:.6g}]  {ratio}  "
+              f"change won {s['wins']}/{s['pairs']}  "
+              f"gain {'yes' if s['gain'] else 'no (' + s['why_not'] + ')'}")
+    print(json.dumps({"workload": args.workload, "seeds": args.seeds, "seconds": seconds,
+                      "values": values, "correct": correct, "failed": failed,
+                      "summary": summary}))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
