@@ -105,7 +105,12 @@ def admissibility_failure(spec: CoverSpec) -> Optional[str]:
     r0_nonempty_real_locus, r0_parity.  Raises ValueError for structurally
     malformed input (non-canonical degree vector, k < 2).
     """
-    k, top, degrees = spec.k, spec.top, spec.degrees
+    return _failure(spec.top, spec.target, spec.k, spec.degrees)
+
+
+def _failure(top: TopType, target: CoverTarget, k: int, degrees: DegreeVector) -> Optional[str]:
+    # The predicate on a spec's parts, so that enumeration can check a
+    # candidate before it builds a CoverSpec for it.
     entries = degrees.entries
     if k < 2:
         raise ValueError(f"covering degree must be >= 2, got {k}")
@@ -115,7 +120,7 @@ def admissibility_failure(spec: CoverSpec) -> Optional[str]:
         return "weichold"
     if len(entries) != top.s:
         return "degree_length"
-    if spec.target is _P1:
+    if target is _P1:
         total = sum(entries)
         if total > k:
             return "sum"
@@ -166,9 +171,9 @@ def enumerate_admissible_genus(g: int, k_max: int) -> Iterator[CoverSpec]:
             # admissible specs are kept and yielded in reverse.
             found = []
             for deg in combinations_with_replacement(range(k, -1, -1), top.s):
-                spec = CoverSpec(top, _P1, k, DegreeVector(deg))
-                if target_admissible(spec):
-                    found.append(spec)
+                degrees = DegreeVector(deg)
+                if _failure(top, _P1, k, degrees) is None:
+                    found.append(CoverSpec(top, _P1, k, degrees))
             yield from reversed(found)
         spec = CoverSpec(TopType(g, 0, 1), CoverTarget.ANISOTROPIC_CONIC, k, DegreeVector())
         if target_admissible(spec):

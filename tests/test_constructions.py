@@ -33,7 +33,7 @@ from realcover.constructions import (
 )
 from realcover.topology import CoverSpec, CoverTarget, DegreeVector, TopType, weichold_admissible
 
-from oracles import catalog_seeds, execute, expand, oracle_admissible_tuples, reachable_specs
+from oracles import catalog_seeds, execute, expand, reachable_specs
 
 RAM = Variant.WITH_REAL_RAM
 NORAM = Variant.WITHOUT_REAL_RAM
@@ -397,10 +397,10 @@ class TestReachability:
     every catalog seed and every applicable step, independent of the
     planner and of topology's predicates, against the nested-loop oracle."""
 
-    def test_reachable_specs_are_the_admissible_ones(self):
+    def test_reachable_specs_are_the_admissible_ones(self, box_tuples):
         paths = reachable_specs(10, 8)  # asserts the invariant on every state
         reached = {spec for spec in paths if spec[4] >= 3}
-        admissible = oracle_admissible_tuples(10, 3, 8)
+        admissible = box_tuples
         for spec in sorted(reached - admissible):
             seed, steps = paths[spec]
             path = [seed_to_json(seed)] + [step_to_json(step) for step in steps]

@@ -24,7 +24,7 @@ from realcover.planner import (
 )
 from realcover.topology import CoverSpec, CoverTarget, DegreeVector, TopType, enumerate_admissible
 
-from oracles import execute, expand, oracle_admissible_tuples
+from oracles import execute, expand
 
 
 def spec(g, s, a, target, k, deg=()):
@@ -118,21 +118,13 @@ class TestBranchGuards:
 SINGLE_STEP_PLANS_SHA256 = "605d9233da2c1830724226007c3cc589f7ecb49dbea20e728a7917f117e98b8e"
 
 
-def p1_box_plans():
-    """(spec, plan) for every plan over P1 in g <= 10, 3 <= k <= 8."""
-    for g, s, a, target, k, deg in sorted(oracle_admissible_tuples(10, 3, 8)):
-        if target == "P1":
-            target_spec = spec(g, s, a, target, k, deg)
-            yield target_spec, plan(target_spec)
-
-
 class TestPlanShape:
-    def test_no_fold_at_winding_zero(self):
+    def test_no_fold_at_winding_zero(self, p1_box_plans):
         # Spare sheets go to wraps first, then folds, so no plan folds a
         # circle of winding 0 and realize never turns a circle around: a
         # record of m folds starts at winding m or more.
         n = 0
-        for target, result in p1_box_plans():
+        for target, result in p1_box_plans:
             states = execute_states(result.seed, result.steps)
             for i, (state, step) in enumerate(zip(states, result.steps)):
                 if step.kind is StepKind.I and step.variant is Variant.WITH_REAL_RAM:
@@ -141,12 +133,12 @@ class TestPlanShape:
             n += 1
         assert n == 3625
 
-    def test_records_are_the_single_steps_of_before(self):
+    def test_records_are_the_single_steps_of_before(self, p1_box_plans):
         # Written out as single steps, every plan is the step list the
         # planner emitted before it wrote runs as records, and no two
         # consecutive records are equal steps.
         digest = hashlib.sha256()
-        for _, result in p1_box_plans():
+        for _, result in p1_box_plans:
             for a, b in zip(result.steps, result.steps[1:]):
                 assert (a.kind, a.variant, a.placement) != (b.kind, b.variant, b.placement)
             single = Plan(result.seed, tuple(expand(result.steps)), result.provenance)
@@ -187,11 +179,11 @@ class TestPlanShape:
         single = [wrap] * wraps + [fold] * sum(folds)
         assert expand(tail)[-len(single) :] == single
 
-    def test_zero_circles_open_before_the_fold_run(self):
+    def test_zero_circles_open_before_the_fold_run(self, p1_box_plans):
         # Case4 and Case5 add their winding-0 circles (II/ram) when C1 has
         # folded once, so placing them reads a cover of a few breakpoints
         n = 0
-        for _, result in p1_box_plans():
+        for _, result in p1_box_plans:
             if result.provenance in ("Case4", "Case5"):
                 steps = list(result.steps)
                 kinds = [(st.kind, st.variant) for st in steps]

@@ -180,13 +180,13 @@ class TestEnumerate:
         # The first spec comes out once the candidates of k = 2 are checked,
         # before any of k >= 3: the block is not built whole first.
         checked = []
-        check = topology.admissibility_failure
+        check = topology._failure
 
-        def counted(spec):
-            checked.append(spec.k)
-            return check(spec)
+        def counted(top, target, k, degrees):
+            checked.append(k)
+            return check(top, target, k, degrees)
 
-        monkeypatch.setattr(topology, "admissibility_failure", counted)
+        monkeypatch.setattr(topology, "_failure", counted)
         block = enumerate_admissible_genus(4, 8)
         first = next(block)
         assert first.k == 2 and set(checked) == {2}

@@ -10,7 +10,9 @@ the benchmark's JSON result, and writes nothing into either checkout
 beyond what the benchmark itself writes there.
 
 For each pair it prints every end-to-end metric that BENCHMARK.json lists,
-with the run's correct/failed counts.  Then, per metric, each side's median
+with the run's correct/failed counts and the operations it attempted (a
+run that fits more passes attempts more, and its `peak_rss_mb` grows with
+them).  Then each side's median attempted count and, per metric, its median
 and quartiles, the change's median against the parent's as a ratio, the
 pairs the change won (a tie counts for neither side), and whether a gain
 may be claimed: every change run answered correctly, the change failed no
@@ -18,7 +20,7 @@ more operations in total than the parent, at least ten pairs ran, the
 change won at least nine tenths of them, and the medians differ by more
 than the parent's interquartile range.  A verdict of "no" names the first
 of these that does not hold.  The last line of output is the same summary as one
-JSON object.
+JSON object, with the median attempted counts under `median_attempted`.
 """
 
 from __future__ import annotations
@@ -94,6 +96,7 @@ def main(argv=None) -> int:
     values = {side: {m["name"]: [] for m in metrics} for side in sides}
     correct = {side: [] for side in sides}
     failed = {side: [] for side in sides}
+    attempted = {side: [] for side in sides}
     for i in range(args.pairs):
         seed = args.seeds[i % len(args.seeds)]
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
@@ -104,7 +107,9 @@ def main(argv=None) -> int:
                 values[side][m["name"]].append(result["metrics"][m["name"]]["value"])
             correct[side].append(result["correct"])
             failed[side].append(result["failed"])
-            row.append(f"{side} correct={result['correct']} failed={result['failed']}")
+            attempted[side].append(result["attempted"])
+            row.append(f"{side} correct={result['correct']} failed={result['failed']} "
+                       f"attempted={result['attempted']}")
         shown = "  ".join(
             f"{m['name']} {values['parent'][m['name']][-1]:.6g} -> "
             f"{values['change'][m['name']][-1]:.6g}" for m in metrics)
@@ -117,6 +122,9 @@ def main(argv=None) -> int:
         unsound = "change failed more operations than the parent"
     else:
         unsound = None
+    median_attempted = {side: statistics.median(attempted[side]) for side in sides}
+    print(f"attempted operations: parent {median_attempted['parent']:g}  "
+          f"change {median_attempted['change']:g} (medians)")
     summary = {}
     for m in metrics:
         name = m["name"]
@@ -131,7 +139,7 @@ def main(argv=None) -> int:
               f"gain {'yes' if s['gain'] else 'no (' + s['why_not'] + ')'}")
     print(json.dumps({"workload": args.workload, "seeds": args.seeds, "seconds": seconds,
                       "values": values, "correct": correct, "failed": failed,
-                      "summary": summary}))
+                      "summary": summary, "median_attempted": median_attempted}))
     return 0
 
 
