@@ -147,7 +147,8 @@ def plan(target: CoverSpec) -> Union[Plan, Infeasible]:
     failure = admissibility_failure(target)
     if failure is not None:
         return Infeasible(failure)
-    if target.target is CoverTarget.PROJ_LINE and target.k == 2:
+    kind = CoverTarget(target.target)
+    if kind is CoverTarget.PROJ_LINE and target.k == 2:
         return Infeasible("k=2 out of scope")
 
     g, s, a = target.top.g, target.top.s, target.top.a
@@ -155,7 +156,7 @@ def plan(target: CoverSpec) -> Union[Plan, Infeasible]:
     degrees = target.degrees.entries
     total = sum(degrees)
 
-    if target.target is CoverTarget.ANISOTROPIC_CONIC:
+    if kind is CoverTarget.ANISOTROPIC_CONIC:
         if k >= g + 1:
             return Plan(GenericR0Pencil(g, k), (), "R0-big-k")
         seed = HyperellipticToR0(g - k + 2)

@@ -40,13 +40,18 @@ class TopType:
     a: int
 
 
+def _is_canonical(e: tuple[int, ...]) -> bool:
+    # Non-increasing with a nonnegative last entry, in one C-level pass.
+    return not e or (e[-1] >= 0 and all(map(ge, e, e[1:])))
+
+
 @dataclass(frozen=True, order=True, slots=True)
 class DegreeVector:
     """Winding numbers of the real circles, canonically sorted non-increasing.
 
     The constructor stores entries verbatim; use :meth:`canonical` to sort,
-    and :func:`admissibility_failure` to validate.  Keeping raw construction
-    cheap lets rejected candidates flow through enumeration code.
+    and :func:`admissibility_failure` to validate.  Enumeration checks each
+    candidate as a bare tuple and wraps only the ones that pass.
     """
 
     entries: tuple[int, ...] = ()
@@ -56,9 +61,7 @@ class DegreeVector:
         return cls(tuple(sorted(values, reverse=True)))
 
     def is_canonical(self) -> bool:
-        # Non-increasing with a nonnegative last entry, in one C-level pass.
-        e = self.entries
-        return not e or (e[-1] >= 0 and all(map(ge, e, e[1:])))
+        return _is_canonical(self.entries)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -103,18 +106,20 @@ def admissibility_failure(spec: CoverSpec) -> Optional[str]:
     Check order: weichold, degree_length, then for the projective line
     sum, parity, zero_tail, separating; for the anisotropic conic
     r0_nonempty_real_locus, r0_parity.  Raises ValueError for structurally
-    malformed input (non-canonical degree vector, k < 2).
+    malformed input (a target other than "P1"/"R0", non-canonical degree
+    vector, k < 2).  A target given by its string value is read as the
+    CoverTarget member.
     """
-    return _failure(spec.top, spec.target, spec.k, spec.degrees)
+    return _failure(spec.top, CoverTarget(spec.target), spec.k, spec.degrees.entries)
 
 
-def _failure(top: TopType, target: CoverTarget, k: int, degrees: DegreeVector) -> Optional[str]:
-    # The predicate on a spec's parts, so that enumeration can check a
-    # candidate before it builds a CoverSpec for it.
-    entries = degrees.entries
+def _failure(top: TopType, target: CoverTarget, k: int, entries: tuple[int, ...]) -> Optional[str]:
+    # The predicate on a spec's parts, the windings a bare tuple, so that
+    # enumeration can check a candidate before it wraps it.  target must
+    # be a CoverTarget member.
     if k < 2:
         raise ValueError(f"covering degree must be >= 2, got {k}")
-    if not degrees.is_canonical():
+    if not _is_canonical(entries):
         raise ValueError(f"degree vector not in canonical sorted form: {entries}")
     if not weichold_admissible(top.g, top.s, top.a):
         return "weichold"
@@ -171,9 +176,8 @@ def enumerate_admissible_genus(g: int, k_max: int) -> Iterator[CoverSpec]:
             # admissible specs are kept and yielded in reverse.
             found = []
             for deg in combinations_with_replacement(range(k, -1, -1), top.s):
-                degrees = DegreeVector(deg)
-                if _failure(top, _P1, k, degrees) is None:
-                    found.append(CoverSpec(top, _P1, k, degrees))
+                if _failure(top, _P1, k, deg) is None:
+                    found.append(CoverSpec(top, _P1, k, DegreeVector(deg)))
             yield from reversed(found)
         spec = CoverSpec(TopType(g, 0, 1), CoverTarget.ANISOTROPIC_CONIC, k, DegreeVector())
         if target_admissible(spec):
@@ -190,7 +194,7 @@ def spec_to_json(spec: CoverSpec) -> dict:
         "g": spec.top.g,
         "s": spec.top.s,
         "a": spec.top.a,
-        "target": spec.target.value,
+        "target": CoverTarget(spec.target).value,
         "k": spec.k,
         "deg": list(spec.degrees.entries),
     }

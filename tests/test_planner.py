@@ -22,13 +22,52 @@ from realcover.planner import (
     plan_to_json,
     verify_plan,
 )
-from realcover.topology import CoverSpec, CoverTarget, DegreeVector, TopType, enumerate_admissible
+from realcover.topology import (
+    CoverSpec,
+    CoverTarget,
+    DegreeVector,
+    TopType,
+    admissibility_failure,
+    enumerate_admissible,
+    spec_to_json,
+)
 
 from oracles import execute, expand
 
 
 def spec(g, s, a, target, k, deg=()):
     return CoverSpec(TopType(g, s, a), CoverTarget(target), k, DegreeVector(tuple(deg)))
+
+
+class TestStringTargets:
+    """A spec whose target is the string "P1" or "R0" gets the answers of
+    the one holding the CoverTarget member; any other target is refused."""
+
+    def test_string_targets_answer_like_members(self):
+        for member in enumerate_admissible(4, 5):
+            text = replace(member, target=member.target.value)
+            assert type(text.target) is str
+            assert admissibility_failure(text) == admissibility_failure(member) is None
+            assert spec_to_json(text) == spec_to_json(member)
+            result = plan(text)
+            assert result == plan(member)
+            if isinstance(result, Plan):
+                assert verify_plan(result, text) and verify_plan(result, member)
+
+    def test_string_targets_of_inadmissible_specs(self):
+        for target in ("P1", "R0"):
+            for deg in ((2,), (1,), (0,)):
+                for k in (2, 3, 4):
+                    text = CoverSpec(TopType(0, 1, 0), target, k, DegreeVector(deg))
+                    member = replace(text, target=CoverTarget(target))
+                    assert admissibility_failure(text) == admissibility_failure(member)
+                    assert plan(text) == plan(member)
+
+    def test_other_targets_raise(self):
+        bad = CoverSpec(TopType(0, 1, 0), "Q", 2, DegreeVector((2,)))
+        for call in (admissibility_failure, plan, spec_to_json):
+            with pytest.raises(ValueError, match="'Q'"):
+                call(bad)
 
 
 class TestDispatch:

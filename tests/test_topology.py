@@ -178,18 +178,58 @@ class TestEnumerate:
 
     def test_genus_block_streams(self, monkeypatch):
         # The first spec comes out once the candidates of k = 2 are checked,
-        # before any of k >= 3: the block is not built whole first.
+        # before any of k >= 3: the block is not built whole first.  Each
+        # candidate reaches the check as a bare tuple, not a DegreeVector.
         checked = []
         check = topology._failure
 
-        def counted(top, target, k, degrees):
+        def counted(top, target, k, entries):
+            assert type(entries) is tuple
             checked.append(k)
-            return check(top, target, k, degrees)
+            return check(top, target, k, entries)
 
         monkeypatch.setattr(topology, "_failure", counted)
         block = enumerate_admissible_genus(4, 8)
         first = next(block)
         assert first.k == 2 and set(checked) == {2}
+        list(block)
+        assert set(checked) == set(range(2, 9))
+
+    def test_parts_predicate_matches_the_spec_predicate(self):
+        # Every canonical candidate of the enumeration's shape, on every
+        # (s, a) of each genus and both targets: the bare-tuple check says
+        # what the spec check says.
+        seen = set()
+        for g in range(7):
+            for s in range(g + 2):
+                for a in (0, 1):
+                    top = TopType(g, s, a)
+                    for k in range(2, 8):
+                        for deg in itertools.combinations_with_replacement(
+                                range(k, -1, -1), s):
+                            for target in CoverTarget:
+                                got = topology._failure(top, target, k, deg)
+                                assert got == admissibility_failure(
+                                    CoverSpec(top, target, k, DegreeVector(deg))
+                                ), (top, target, k, deg)
+                                seen.add(got)
+        # A candidate's length is always s, so degree_length cannot fail.
+        assert seen == {
+            None, "weichold", "sum", "parity", "zero_tail", "separating",
+            "r0_nonempty_real_locus", "r0_parity",
+        }
+
+    @pytest.mark.parametrize("k,deg,text", [
+        (3, (1, 2), "degree vector not in canonical sorted form: (1, 2)"),
+        (3, (0, -1), "degree vector not in canonical sorted form: (0, -1)"),
+        (1, (1, 0), "covering degree must be >= 2, got 1"),
+    ])
+    def test_parts_predicate_refuses_malformed_input(self, k, deg, text):
+        top = TopType(1, 2, 0)
+        for target in CoverTarget:
+            assert _answer(topology._failure, top, target, k, deg) == f"ValueError: {text}"
+            assert _answer(admissibility_failure, CoverSpec(
+                top, target, k, DegreeVector(deg))) == f"ValueError: {text}"
 
     @pytest.mark.parametrize("bounds", [(-1, 2), (0, 1), (-3, -3)])
     def test_bad_bounds_raise_at_the_call(self, bounds):

@@ -19,8 +19,13 @@ may be claimed: every change run answered correctly, the change failed no
 more operations in total than the parent, at least ten pairs ran, the
 change won at least nine tenths of them, and the medians differ by more
 than the parent's interquartile range.  A verdict of "no" names the first
-of these that does not hold.  The last line of output is the same summary as one
-JSON object, with the median attempted counts under `median_attempted`.
+of these that does not hold.  Each metric also gets a regression verdict:
+"yes" when the change's median is worse than the parent's by more than the
+metric's `bound` in BENCHMARK.json (a share of the parent's median), "no"
+otherwise, and "unresolved" where the parent's interquartile range is wider
+than the bound, unless every change run beats every parent run.  The last
+line of output is the same summary as one JSON object, with the median
+attempted counts under `median_attempted`.
 """
 
 from __future__ import annotations
@@ -49,16 +54,30 @@ def quartiles(values: list) -> tuple:
 
 
 def summarize(metric: dict, parent: list, change: list, unsound: str | None) -> dict:
-    """Medians, quartiles, wins and the gain verdict for one metric.
+    """Medians, quartiles, wins, the gain verdict and the regression
+    verdict for one metric.
 
     ``unsound`` names why the change's runs cannot carry a gain (a wrong
-    answer or more failed operations than the parent), or is None.
+    answer or more failed operations than the parent), or is None.  The
+    regression verdict is "yes" when the change's median is worse than the
+    parent's by more than the metric's ``bound`` (a share of the parent's
+    median); otherwise "no", unless the parent's interquartile range is
+    wider than the bound and some change run does not beat every parent
+    run, which is "unresolved".
     """
     lower = metric["better"] == "lower"
     wins = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
     p1, pm, p3 = quartiles(parent)
     c1, cm, c3 = quartiles(change)
     gap = (pm - cm) if lower else (cm - pm)
+    allowed = metric["bound"] * abs(pm)
+    beats_all = max(change) < min(parent) if lower else min(change) > max(parent)
+    if -gap > allowed:
+        regression = "yes"
+    elif p3 - p1 > allowed and not beats_all:
+        regression = "unresolved"
+    else:
+        regression = "no"
     if unsound:
         why = unsound
     elif len(parent) < 10:
@@ -77,6 +96,7 @@ def summarize(metric: dict, parent: list, change: list, unsound: str | None) -> 
         "pairs": len(parent),
         "gain": why is None,
         "why_not": why,
+        "regression": regression,
     }
 
 
@@ -136,7 +156,8 @@ def main(argv=None) -> int:
               f"parent {p['median']:.6g} [{p['q1']:.6g}, {p['q3']:.6g}]  "
               f"change {c['median']:.6g} [{c['q1']:.6g}, {c['q3']:.6g}]  {ratio}  "
               f"change won {s['wins']}/{s['pairs']}  "
-              f"gain {'yes' if s['gain'] else 'no (' + s['why_not'] + ')'}")
+              f"gain {'yes' if s['gain'] else 'no (' + s['why_not'] + ')'}  "
+              f"regression {s['regression']} (bound {m['bound']:+.0%})")
     print(json.dumps({"workload": args.workload, "seeds": args.seeds, "seconds": seconds,
                       "values": values, "correct": correct, "failed": failed,
                       "summary": summary, "median_attempted": median_attempted}))
