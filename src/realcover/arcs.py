@@ -24,7 +24,7 @@ class FullCircle:
     """The whole target circle, the image of any circle with nonzero winding."""
 
 
-@dataclass(frozen=True, slots=True, init=False, repr=False)
+@dataclass(frozen=True, slots=True, init=False)
 class Arc:
     """Proper closed arc from lo / den to hi / den counterclockwise.
 
@@ -47,9 +47,6 @@ class Arc:
         object.__setattr__(self, "den", den // g)
         object.__setattr__(self, "lo", lo // g)
         object.__setattr__(self, "hi", hi // g)
-
-    def __repr__(self):
-        return f"{type(self).__qualname__}({self.den!r}, {self.lo!r}, {self.hi!r})"
 
 
 ArcLike = Union[Arc, FullCircle]

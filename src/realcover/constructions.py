@@ -273,13 +273,16 @@ class _Replay:
     the sum of the absolute windings and the count of N circles that
     _check_step and the invariants read.  A record updates them in O(1),
     or O(repeat) when it creates circles; plsim's span form is this state
-    plus the geometry of each circle."""
+    plus the geometry of each circle.  A target given by its string value
+    is read as the CoverTarget member, once per replay; any other value
+    raises ValueError."""
 
     __slots__ = ("g", "a", "k", "target", "windings", "total", "new")
 
     def __init__(self, state: LabeledState):
         comps = state.components
-        self.g, self.a, self.k, self.target = state.g, state.a, state.k, state.target
+        self.g, self.a, self.k = state.g, state.a, state.k
+        self.target = CoverTarget(state.target)
         self.windings = dict(comps)
         if len(self.windings) != len(comps):
             raise ValueError("circle labels must be distinct")

@@ -162,6 +162,8 @@ def plan(target: CoverSpec) -> Union[Plan, Infeasible]:
         seed = HyperellipticToR0(g - k + 2)
         return Plan(seed, _records([(_V, k - 2)]), "R0-small-k")
 
+    # The canonical vector lists its nonzero windings first.
+    s_prime = s - degrees.count(0)
     if a == 1:
         if s == 0:
             if g < k:
@@ -173,7 +175,6 @@ def plan(target: CoverSpec) -> Union[Plan, Infeasible]:
         # remainder as wraps followed by as many folds: on the first zero
         # circle when there is one (0 -> spare -> 0), otherwise on the first
         # nonzero circle.
-        s_prime = sum(1 for d in degrees if d != 0)
         nonzero = degrees[:s_prime]
         seed = Hyperelliptic(
             TopType(g - s_prime, s - s_prime, 1), DegreeVector((0,) * (s - s_prime))
@@ -186,19 +187,16 @@ def plan(target: CoverSpec) -> Union[Plan, Infeasible]:
 
     # Separating case (a = 0); here s >= 1.
     if total == k:
-        if s == 1:
-            seed = Hyperelliptic(TopType(g, 1, 0), DegreeVector((2,)))
-            return Plan(seed, _records([(_noram("C1"), k - 2)]), "Case1")
         if degrees[0] == 1:
             seed = Hyperelliptic(TopType(g - k + 2, 2, 0), DegreeVector((1, 1)))
             return Plan(seed, _records([(_III, k - 2)]), "Case2-all1")
+        # Case1 is the one-circle instance: no spin-ups, C1 pumped to k.
         seed = Hyperelliptic(TopType(g - s + 1, 1, 0), DegreeVector((2,)))
         labels = [f"N{i + 1}" for i in range(s - 1)]
         runs = [(_III, s - 1), (_noram("C1"), degrees[0] - 2)]
         runs.extend(_pump_to_degrees(labels, degrees[1:]))
-        return Plan(seed, _records(runs), "Case2-big")
+        return Plan(seed, _records(runs), "Case1" if s == 1 else "Case2-big")
 
-    s_prime = sum(1 for d in degrees if d != 0)
     if s_prime == 0:
         # All windings vanish: take C1 from winding 2 up to (k - 4) / 2 + 2,
         # fold it once, add each other circle by a fold over a non-real
@@ -209,13 +207,10 @@ def plan(target: CoverSpec) -> Union[Plan, Infeasible]:
         runs = _wraps_then_folds("C1", spare, 1)
         runs += [(_II_RAM, s - 1), (_ram("C1"), spare + 1)]
         return Plan(seed, _records(runs), "Case5")
-    if s_prime == s:
-        seed, runs = _case3_recipe(g, k, degrees)
-        return Plan(seed, _records(runs), "Case3")
-    # Some windings vanish: the all-nonzero recipe, with each zero circle
-    # added by a fold over a non-real point right after the spin-ups.
+    # Case4 is Case3 with zero circles: each added by a fold over a
+    # non-real point right after the spin-ups.
     seed, runs = _case3_recipe(g, k, degrees[:s_prime], s - s_prime)
-    return Plan(seed, _records(runs), "Case4")
+    return Plan(seed, _records(runs), "Case3" if s_prime == s else "Case4")
 
 
 def verify_plan(plan_: Plan, target: CoverSpec, trail: Optional[List[str]] = None) -> bool:

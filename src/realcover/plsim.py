@@ -49,7 +49,7 @@ class BudgetExceeded(Exception):
     """A surgery would force more real preimages than the sheet budget allows."""
 
 
-@dataclass(frozen=True, slots=True, init=False, repr=False)
+@dataclass(frozen=True, slots=True, init=False)
 class PLMap:
     """Piecewise-linear circle map: breakpoint lifts xs / den, breakpoint i
     of n at t = i/n, closed up by the integer winding closure.
@@ -86,9 +86,6 @@ class PLMap:
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "closure", closure)
 
-    def __repr__(self):
-        return f"{type(self).__qualname__}({self.den!r}, {self.xs!r}, {self.closure!r})"
-
     @property
     def breakpoints(self) -> Tuple[Tuple[Fraction, Fraction], ...]:
         n, den = len(self.xs), self.den
@@ -105,12 +102,11 @@ class PLCover:
 
 
 def critical_values(cover: PLCover) -> List[Fraction]:
-    """Sorted residues of all breakpoint lifts; fibers are constant in
-    between.  A cover of R0 has no target circle, so none."""
-    if cover.target is not CoverTarget.PROJ_LINE:
-        return []
-    den, circles = _circles(cover)
-    return [Fraction(c, den) for c in sorted(_tally(den, circles)[1])]
+    """Sorted residues of all breakpoint lifts, the starts of the
+    fiber_profile's intervals; fibers are constant in between.  A cover
+    without circles, and so a cover of R0, has none."""
+    den, profile = _profile(cover)
+    return [Fraction(a, den) for a, _, _ in profile] if cover.components else []
 
 
 # ---------------------------------------------------------------------------
@@ -177,8 +173,10 @@ def _sweep(den: int, circles) -> List[Tuple[int, int, int]]:
 
 def _profile(cover: PLCover) -> Tuple[int, List[Tuple[int, int, int]]]:
     """The cover's _sweep with its den; a cover of R0 has no target circle,
-    so no intervals."""
-    if cover.target is not CoverTarget.PROJ_LINE:
+    so no intervals.  The one place a fiber view reads the target: a target
+    given by its string value is read as the CoverTarget member, and any
+    other value raises ValueError."""
+    if CoverTarget(cover.target) is not CoverTarget.PROJ_LINE:
         return 1, []
     den, circles = _circles(cover)
     return den, _sweep(den, circles)
@@ -531,7 +529,7 @@ def cover_to_json(cover: PLCover) -> dict:
             "winding": m.closure,
             "breakpoints": list(map(list, zip(t, _ratios(m.xs, m.den)))),
         })
-    return {"target": cover.target.value, "k": cover.k, "components": components}
+    return {"target": CoverTarget(cover.target).value, "k": cover.k, "components": components}
 
 
 def fiber_csv(cover: PLCover) -> str:

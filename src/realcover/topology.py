@@ -66,9 +66,6 @@ class DegreeVector:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def __iter__(self):
-        return iter(self.entries)
-
 
 @dataclass(frozen=True, slots=True)
 class CoverSpec:

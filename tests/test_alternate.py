@@ -1,9 +1,11 @@
 """tools/alternate.py's per-metric verdicts, on made-up runs.
 
-The tool is loaded by path; no benchmark runs and no subprocess starts.
+The tool is loaded by path; no benchmark runs and no subprocess starts:
+the several-workload run replaces run_once with made-up results.
 """
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -72,3 +74,51 @@ def test_one_pair():
     assert s["parent"] == {"q1": 1.0, "median": 1.0, "q3": 1.0}
     assert s["wins"] == 1 and s["regression"] == "no"
     assert s["why_not"] == "fewer than 10 pairs"
+
+
+def test_several_workloads_in_one_run(tmp_path, monkeypatch, capsys):
+    # Each pair runs every workload on both sides, the parent first in even
+    # pairs; the last line holds one summary per workload.
+    bench = {"command": ["bench"], "run_seconds": 3, "end_to_end": [WALL, RSS]}
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    parent.mkdir()
+    change.mkdir()
+    (change / "BENCHMARK.json").write_text(json.dumps(bench))
+    calls = []
+
+    def fake_run(checkout, command, workload, seed, seconds):
+        calls.append((checkout.name, workload, seed))
+        assert (command, seconds) == (["bench"], 3)
+        slow = 2.0 if workload == "covnum" else 1.0
+        wall = slow * (0.9 if checkout == change else 1.0) + 0.01 * len(calls)
+        return {"correct": True, "failed": int(workload == "census"),
+                "attempted": 10 * len(calls),
+                "metrics": {"wall_s": {"value": wall}, "peak_rss_mb": {"value": 30.0}}}
+
+    monkeypatch.setattr(alternate, "run_once", fake_run)
+    argv = [str(parent), str(change), "--workload", "census", "covnum", "census",
+            "--seeds", "4", "5", "--pairs", "3"]
+    assert alternate.main(argv) == 0
+    assert calls == [
+        ("parent", "census", 4), ("change", "census", 4),
+        ("parent", "covnum", 4), ("change", "covnum", 4),
+        ("change", "census", 5), ("parent", "census", 5),
+        ("change", "covnum", 5), ("parent", "covnum", 5),
+        ("parent", "census", 4), ("change", "census", 4),
+        ("parent", "covnum", 4), ("change", "covnum", 4),
+    ]
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if line.startswith("== ")] == ["== census", "== covnum"]
+    assert sum(line.startswith("pair ") for line in lines) == 6
+    doc = json.loads(lines[-1])
+    assert list(doc) == ["census", "covnum"]
+    for workload, got in doc.items():
+        assert got["workload"] == workload and got["seeds"] == [4, 5] and got["seconds"] == 3
+        assert got["failed"] == {"parent": [int(workload == "census")] * 3,
+                                 "change": [int(workload == "census")] * 3}
+        walls = got["values"]["parent"]["wall_s"], got["values"]["change"]["wall_s"]
+        assert got["summary"]["wall_s"] == alternate.summarize(WALL, *walls, None)
+        assert got["summary"]["wall_s"]["wins"] == 3
+        assert set(got["summary"]) == {"wall_s", "peak_rss_mb"}
+    assert doc["covnum"]["values"]["parent"]["wall_s"][0] == pytest.approx(2.03)
+    assert doc["census"]["median_attempted"] == {"parent": 60, "change": 50}

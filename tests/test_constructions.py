@@ -226,6 +226,55 @@ class TestExecute:
         assert LabeledState(3, 0, k, target, comps).invariant_failure() == failure
 
 
+class TestStringTargets:
+    """A state whose target is the string "P1" or "R0" steps and checks like
+    the one holding the CoverTarget member; any other target is refused by
+    name."""
+
+    STEPS = (
+        ConstructionStep(StepKind.I, NORAM, "C1"),
+        ConstructionStep(StepKind.I, RAM, "C1", 2),
+        ConstructionStep(StepKind.II, RAM),
+        ConstructionStep(StepKind.II, NORAM),
+        ConstructionStep(StepKind.III, repeat=3),
+        ConstructionStep(StepKind.IV),
+        ConstructionStep(StepKind.V, repeat=2),
+    )
+
+    @staticmethod
+    def outcome(state, step):
+        try:
+            return apply_step(state, step, 4)
+        except PreconditionViolated as exc:
+            return str(exc)
+
+    @pytest.mark.parametrize("member", list(CoverTarget))
+    @pytest.mark.parametrize("comps", [(("C1", 1),), (("C1", 0), ("C2", 2)), ()])
+    def test_string_targets_step_and_check_like_members(self, member, comps):
+        state = LabeledState(1, 0, 3, member, comps)
+        text = replace(state, target=member.value)
+        assert type(text.target) is str
+        assert text.invariant_failure() == state.invariant_failure()
+        for step in self.STEPS:
+            out = self.outcome(text, step)
+            assert out == self.outcome(state, step)
+            if isinstance(out, LabeledState):
+                assert out.target is member
+
+    def test_the_string_p1_state_takes_a_wrap(self):
+        state = LabeledState(1, 0, 3, "P1", (("C1", 1),))
+        assert state.invariant_failure() is None
+        out = apply_step(state, ConstructionStep(StepKind.I, NORAM, "C1"))
+        assert out == LabeledState(1, 0, 4, CoverTarget.PROJ_LINE, (("C1", 2),))
+
+    def test_other_targets_are_refused_by_name(self):
+        state = LabeledState(1, 0, 3, "Q", (("C1", 1),))
+        with pytest.raises(ValueError, match="'Q'"):
+            state.invariant_failure()
+        with pytest.raises(ValueError, match="'Q'"):
+            apply_step(state, ConstructionStep(StepKind.I, NORAM, "C1"))
+
+
 class TestReplay:
     @pytest.mark.parametrize("labels", [("C1", "C1"), ("C1", "N2")])
     def test_repeated_labels_refused(self, labels):

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 from dataclasses import replace
 
@@ -15,6 +16,7 @@ from realcover.constructions import (
     execute_states,
 )
 from realcover.planner import (
+    PROVENANCE_TAGS,
     Infeasible,
     Plan,
     plan,
@@ -22,6 +24,7 @@ from realcover.planner import (
     plan_to_json,
     verify_plan,
 )
+from realcover.plsim import fiber_budget_violations, realize
 from realcover.topology import (
     CoverSpec,
     CoverTarget,
@@ -32,7 +35,7 @@ from realcover.topology import (
     spec_to_json,
 )
 
-from oracles import execute, expand
+from oracles import execute, expand, oracle_admissibility_failure
 
 
 def spec(g, s, a, target, k, deg=()):
@@ -148,6 +151,88 @@ class TestBranchGuards:
         assert isinstance(result, Plan)
         for i in range(len(result.steps) + 1):
             execute(result.seed, result.steps[:i])  # must not raise
+
+
+def dispatch_tag(g, s, a, target, k, deg):
+    """The branch planner.plan takes for an admissible tuple, restated from
+    the dispatch conditions."""
+    total, nonzero = sum(deg), sum(d > 0 for d in deg)
+    if target == "R0":
+        return "R0-big-k" if k >= g + 1 else "R0-small-k"
+    if a == 1:
+        if s == 0:
+            return "A1-s0-small-g" if g < k else "A1-s0-big-g"
+        return "A1-sPos"
+    if total == k:
+        if s == 1:
+            return "Case1"
+        return "Case2-all1" if deg[0] == 1 else "Case2-big"
+    if nonzero == 0:
+        return "Case5"
+    return "Case3" if nonzero == s else "Case4"
+
+
+def lattice_vectors(s, k):
+    """Canonical vectors of s windings: every one with entries in 0..3, and
+    every one with s - 1 entries in 0..3 and one more that brings the sum
+    to k - 4 .. k + 1, astride the sum, parity, zero-tail, separating and
+    total == k thresholds."""
+    out = set(itertools.combinations_with_replacement(range(3, -1, -1), s))
+    if s:
+        for rest in itertools.combinations_with_replacement(range(3, -1, -1), s - 1):
+            for delta in range(-4, 2):
+                big = k - sum(rest) + delta
+                if big >= 0:
+                    out.add(tuple(sorted((big, *rest), reverse=True)))
+    return sorted(out)
+
+
+def boundary_lattice(G):
+    """Every tuple of the lattice around genus G: g in G - 2 .. G; k in
+    3..6 and around g + 1, where the R0 branches and the a = 1, s = 0
+    branches part; s <= 4 over P1 (s <= 1 over R0, whose real locus must be
+    empty); both a."""
+    for g in (G - 2, G - 1, G):
+        for k in sorted({3, 4, 5, 6} | {g + d for d in range(-1, 4)}):
+            for target in ("P1", "R0"):
+                for a in (0, 1):
+                    for s in range(5 if target == "P1" else 2):
+                        for deg in lattice_vectors(s, k):
+                            yield g, s, a, target, k, deg
+
+
+class TestBoundaryLattice:
+    """The planner at huge genus, on every point of a lattice around each
+    dispatch threshold; plans have O(s) records and verify in closed form,
+    so a point costs about the same at g = 10**100 as at g = 8."""
+
+    @pytest.mark.parametrize("G", [10**3, 10**9, 10**100], ids=["1e3", "1e9", "1e100"])
+    def test_every_lattice_point(self, G):
+        tags, planned = set(), 0
+        for t in boundary_lattice(G):
+            point = spec(*t)
+            failure = admissibility_failure(point)
+            assert failure == oracle_admissibility_failure(*t), t
+            result = plan(point)
+            if failure is not None:
+                assert result == Infeasible(failure), t
+                continue
+            assert isinstance(result, Plan) and verify_plan(result, point), t
+            assert len(result.steps) <= point.top.s + 4, t
+            assert result.provenance == dispatch_tag(*t), t
+            tags.add(result.provenance)
+            planned += 1
+            if G == 10**3 and point.target is CoverTarget.PROJ_LINE:
+                assert fiber_budget_violations(realize(result.seed, result.steps)) == [], t
+        assert tags == set(PROVENANCE_TAGS)
+        assert planned > 2500
+
+    def test_box_plans_take_the_restated_branch(self, box_tuples):
+        # The box is g <= 10, 3 <= k <= 8.
+        for t in box_tuples:
+            result = plan(spec(*t))
+            assert result.provenance == dispatch_tag(*t), t
+            assert len(result.steps) <= t[1] + 4, t
 
 
 # sha256 of the plans over P1 in g <= 10, 3 <= k <= 8, one JSON line each

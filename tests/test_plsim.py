@@ -42,7 +42,14 @@ from realcover.plsim import (
     regular_samples,
     surgery,
 )
-from realcover.topology import CoverSpec, CoverTarget, DegreeVector, TopType, weichold_admissible
+from realcover.topology import (
+    CoverSpec,
+    CoverTarget,
+    DegreeVector,
+    TopType,
+    enumerate_admissible,
+    weichold_admissible,
+)
 
 from oracles import (
     all_box_tuples,
@@ -504,6 +511,68 @@ class TestSampling:
         assert fiber_budget_violations(cover) == []
         over_p1 = replace(cover, target=CoverTarget.PROJ_LINE)
         assert critical_values(over_p1) == [F(1, 4), F(3, 4)]
+
+
+class TestStringTargets:
+    """A cover whose target is the string "P1" or "R0" gets the answers of
+    the one holding the CoverTarget member, on every fiber view, the wire
+    form and surgery; any other target is refused by name."""
+
+    VIEWS = (
+        critical_values,
+        fiber_profile,
+        regular_samples,
+        fiber_budget_violations,
+        fiber_csv,
+        cover_to_json,
+    )
+
+    def test_realized_p1_plans_answer_like_members(self):
+        checked = 0
+        for spec in enumerate_admissible(6, 6):
+            result = plan(spec)
+            if spec.target is not CoverTarget.PROJ_LINE or not isinstance(result, Plan):
+                continue
+            member = realize(result.seed, result.steps)
+            text = replace(member, target=member.target.value)
+            assert type(text.target) is str
+            for view in self.VIEWS:
+                assert view(text) == view(member), (spec, view.__name__)
+            if member.components:
+                step = ConstructionStep(StepKind.I, RAM, member.components[0][0])
+                folded = surgery(text, step)
+                assert folded == surgery(member, step)
+                assert folded.target is CoverTarget.PROJ_LINE
+            checked += 1
+        assert checked > 300
+
+    def test_a_budget_violation_over_the_string_target_is_reported(self):
+        # One monotone circle over a degree-2 budget: one real point where
+        # the parity asks for an even count, on both regular intervals.
+        m = PLMap(4, [0, 2], 1)
+        text = PLCover((("C1", m),), 2, "P1")
+        bad = fiber_budget_violations(text)
+        assert bad == fiber_budget_violations(replace(text, target=CoverTarget.PROJ_LINE))
+        assert len(bad) == 2 and all("parity differs" in line for line in bad)
+        assert critical_values(text) == [F(0), F(1, 2)]
+        assert fiber_csv(text) == "x,fiber_count\n1/4,1\n3/4,1\n"
+        assert cover_to_json(text)["target"] == "P1"
+
+    def test_string_r0_covers_have_no_fiber_views(self):
+        member = PLCover((("C1", PLMap(4, [1, 3], 0)),), 3, CoverTarget.ANISOTROPIC_CONIC)
+        text = replace(member, target="R0")
+        for view in self.VIEWS:
+            assert view(text) == view(member)
+        assert critical_values(text) == fiber_profile(text) == []
+        assert cover_to_json(text)["target"] == "R0"
+
+    def test_other_targets_are_refused_by_name(self):
+        cover = PLCover((("C1", PLMap(4, [0, 2], 1)),), 3, "Q")
+        for view in (critical_values, fiber_profile, regular_samples, fiber_csv, cover_to_json):
+            with pytest.raises(ValueError, match="'Q'"):
+                view(cover)
+        with pytest.raises(ValueError, match="'Q'"):
+            surgery(cover, ConstructionStep(StepKind.I, NORAM, "C1"))
 
 
 class TestFiberProfile:

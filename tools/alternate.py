@@ -1,31 +1,34 @@
 """Alternated benchmark pairs: a parent checkout against a change checkout.
 
-    python3 tools/alternate.py PARENT_DIR CHANGE_DIR --workload census --seeds 4 5 --pairs 10
+    python3 tools/alternate.py PARENT_DIR CHANGE_DIR --workload census requests --seeds 4 5 --pairs 10
 
 Runs the benchmark command that CHANGE_DIR/BENCHMARK.json declares (its
-`command`, for its `run_seconds`) in each checkout by turns, one process at a time: pair i runs at seed
-seeds[i % len(seeds)], the parent first in even pairs and the change first
-in odd ones.  It reads only the last line of each run's standard output,
-the benchmark's JSON result, and writes nothing into either checkout
-beyond what the benchmark itself writes there.
+`command`, for its `run_seconds`) in each checkout by turns, one process at
+a time: pair i runs at seed seeds[i % len(seeds)] every listed workload, in
+the order given, on both sides, the parent first in even pairs and the
+change first in odd ones.  So one command checks every workload, and a
+drift of the host's speed reaches them all alike.  It reads only the last
+line of each run's standard output, the benchmark's JSON result, and writes
+nothing into either checkout beyond what the benchmark itself writes there.
 
-For each pair it prints every end-to-end metric that BENCHMARK.json lists,
-with the run's correct/failed counts and the operations it attempted (a
-run that fits more passes attempts more, and its `peak_rss_mb` grows with
-them).  Then each side's median attempted count and, per metric, its median
-and quartiles, the change's median against the parent's as a ratio, the
-pairs the change won (a tie counts for neither side), and whether a gain
-may be claimed: every change run answered correctly, the change failed no
-more operations in total than the parent, at least ten pairs ran, the
-change won at least nine tenths of them, and the medians differ by more
-than the parent's interquartile range.  A verdict of "no" names the first
-of these that does not hold.  Each metric also gets a regression verdict:
-"yes" when the change's median is worse than the parent's by more than the
-metric's `bound` in BENCHMARK.json (a share of the parent's median), "no"
-otherwise, and "unresolved" where the parent's interquartile range is wider
-than the bound, unless every change run beats every parent run.  The last
-line of output is the same summary as one JSON object, with the median
-attempted counts under `median_attempted`.
+For each pair and workload it prints every end-to-end metric that
+BENCHMARK.json lists, with the run's correct/failed counts and the
+operations it attempted (a run that fits more passes attempts more, and its
+`peak_rss_mb` grows with them).  Then one block per workload: each side's
+median attempted count and, per metric, its median and quartiles, the
+change's median against the parent's as a ratio, the pairs the change won
+(a tie counts for neither side), and whether a gain may be claimed: every
+change run answered correctly, the change failed no more operations in
+total than the parent, at least ten pairs ran, the change won at least nine
+tenths of them, and the medians differ by more than the parent's
+interquartile range.  A verdict of "no" names the first of these that does
+not hold.  Each metric also gets a regression verdict: "yes" when the
+change's median is worse than the parent's by more than the metric's
+`bound` in BENCHMARK.json (a share of the parent's median), "no" otherwise,
+and "unresolved" where the parent's interquartile range is wider than the
+bound, unless every change run beats every parent run.  The last line of
+output is one JSON object keyed by workload; each value is that workload's
+summary, with the median attempted counts under `median_attempted`.
 """
 
 from __future__ import annotations
@@ -100,53 +103,55 @@ def summarize(metric: dict, parent: list, change: list, unsound: str | None) -> 
     }
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("parent", type=Path, help="checkout of the parent commit")
-    ap.add_argument("change", type=Path, help="checkout of the change")
-    ap.add_argument("--workload", required=True)
-    ap.add_argument("--seeds", type=int, nargs="+", required=True)
-    ap.add_argument("--pairs", type=int, required=True)
-    args = ap.parse_args(argv)
+_COUNTS = ("correct", "failed", "attempted")
 
-    bench = json.loads((args.change / "BENCHMARK.json").read_text())
-    seconds = bench["run_seconds"]
+
+def collect(sides: dict, bench: dict, workloads: list, seeds: list, pairs: int) -> dict:
+    """Run the pairs and gather, per workload, each side's metric values,
+    correct and failed counts and attempted operations, printing a line per
+    workload per pair.  Pair i runs every workload, in the order given, on
+    both sides, the parent first in even pairs."""
     metrics = bench["end_to_end"]
-    sides = {"parent": args.parent, "change": args.change}
-    values = {side: {m["name"]: [] for m in metrics} for side in sides}
-    correct = {side: [] for side in sides}
-    failed = {side: [] for side in sides}
-    attempted = {side: [] for side in sides}
-    for i in range(args.pairs):
-        seed = args.seeds[i % len(args.seeds)]
+    runs = {}
+    for w in workloads:
+        runs[w] = {"values": {side: {m["name"]: [] for m in metrics} for side in sides}}
+        runs[w].update({key: {side: [] for side in sides} for key in _COUNTS})
+    for i in range(pairs):
+        seed = seeds[i % len(seeds)]
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        row = []
-        for side in order:
-            result = run_once(sides[side], bench["command"], args.workload, seed, seconds)
-            for m in metrics:
-                values[side][m["name"]].append(result["metrics"][m["name"]]["value"])
-            correct[side].append(result["correct"])
-            failed[side].append(result["failed"])
-            attempted[side].append(result["attempted"])
-            row.append(f"{side} correct={result['correct']} failed={result['failed']} "
-                       f"attempted={result['attempted']}")
-        shown = "  ".join(
-            f"{m['name']} {values['parent'][m['name']][-1]:.6g} -> "
-            f"{values['change'][m['name']][-1]:.6g}" for m in metrics)
-        print(f"pair {i + 1} seed {seed} ({order[0]} first): {shown}  [{'; '.join(row)}]",
-              flush=True)
+        for w in workloads:
+            got, row = runs[w], []
+            for side in order:
+                result = run_once(sides[side], bench["command"], w, seed, bench["run_seconds"])
+                for m in metrics:
+                    got["values"][side][m["name"]].append(result["metrics"][m["name"]]["value"])
+                for key in _COUNTS:
+                    got[key][side].append(result[key])
+                row.append(f"{side} correct={result['correct']} failed={result['failed']} "
+                           f"attempted={result['attempted']}")
+            shown = "  ".join(
+                f"{m['name']} {got['values']['parent'][m['name']][-1]:.6g} -> "
+                f"{got['values']['change'][m['name']][-1]:.6g}" for m in metrics)
+            print(f"pair {i + 1} {w} seed {seed} ({order[0]} first): {shown}  "
+                  f"[{'; '.join(row)}]", flush=True)
+    return runs
 
+
+def report(workload: str, got: dict, bench: dict, seeds: list) -> dict:
+    """Print the summary block of one workload and return its summary object."""
+    values, correct, failed, attempted = (got[key] for key in ("values", *_COUNTS))
     if not all(correct["change"]):
         unsound = "a change run was not correct"
     elif sum(failed["change"]) > sum(failed["parent"]):
         unsound = "change failed more operations than the parent"
     else:
         unsound = None
-    median_attempted = {side: statistics.median(attempted[side]) for side in sides}
+    median_attempted = {side: statistics.median(attempted[side]) for side in attempted}
+    print(f"== {workload}")
     print(f"attempted operations: parent {median_attempted['parent']:g}  "
           f"change {median_attempted['change']:g} (medians)")
     summary = {}
-    for m in metrics:
+    for m in bench["end_to_end"]:
         name = m["name"]
         s = summary[name] = summarize(
             m, values["parent"][name], values["change"][name], unsound)
@@ -158,9 +163,25 @@ def main(argv=None) -> int:
               f"change won {s['wins']}/{s['pairs']}  "
               f"gain {'yes' if s['gain'] else 'no (' + s['why_not'] + ')'}  "
               f"regression {s['regression']} (bound {m['bound']:+.0%})")
-    print(json.dumps({"workload": args.workload, "seeds": args.seeds, "seconds": seconds,
-                      "values": values, "correct": correct, "failed": failed,
-                      "summary": summary, "median_attempted": median_attempted}))
+    return {"workload": workload, "seeds": seeds, "seconds": bench["run_seconds"],
+            "values": values, "correct": correct, "failed": failed,
+            "summary": summary, "median_attempted": median_attempted}
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("parent", type=Path, help="checkout of the parent commit")
+    ap.add_argument("change", type=Path, help="checkout of the change")
+    ap.add_argument("--workload", nargs="+", required=True)
+    ap.add_argument("--seeds", type=int, nargs="+", required=True)
+    ap.add_argument("--pairs", type=int, required=True)
+    args = ap.parse_args(argv)
+
+    bench = json.loads((args.change / "BENCHMARK.json").read_text())
+    workloads = list(dict.fromkeys(args.workload))
+    sides = {"parent": args.parent, "change": args.change}
+    runs = collect(sides, bench, workloads, args.seeds, args.pairs)
+    print(json.dumps({w: report(w, runs[w], bench, args.seeds) for w in workloads}))
     return 0
 
 
