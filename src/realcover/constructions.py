@@ -281,8 +281,7 @@ class _Replay:
 
     def __init__(self, state: LabeledState):
         comps = state.components
-        self.g, self.a, self.k = state.g, state.a, state.k
-        self.target = CoverTarget(state.target)
+        self.g, self.a, self.k, self.target = state.g, state.a, state.k, CoverTarget(state.target)
         self.windings = dict(comps)
         if len(self.windings) != len(comps):
             raise ValueError("circle labels must be distinct")

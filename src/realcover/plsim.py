@@ -103,8 +103,8 @@ class PLCover:
 
 def critical_values(cover: PLCover) -> List[Fraction]:
     """Sorted residues of all breakpoint lifts, the starts of the
-    fiber_profile's intervals; fibers are constant in between.  A cover
-    without circles, and so a cover of R0, has none."""
+    fiber_profile's intervals; fibers are constant in between.  A cover of
+    R0, or one without circles, has none."""
     den, profile = _profile(cover)
     return [Fraction(a, den) for a, _, _ in profile] if cover.components else []
 

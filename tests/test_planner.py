@@ -225,7 +225,7 @@ class TestBoundaryLattice:
             if G == 10**3 and point.target is CoverTarget.PROJ_LINE:
                 assert fiber_budget_violations(realize(result.seed, result.steps)) == [], t
         assert tags == set(PROVENANCE_TAGS)
-        assert planned > 2500
+        assert planned == 2688
 
     def test_box_plans_take_the_restated_branch(self, box_tuples):
         # The box is g <= 10, 3 <= k <= 8.
