@@ -25,8 +25,12 @@ with room for the two non-real sheets wherever only one arc passes.
 
 Each builder writes the layout these smoothings produce in closed form:
 per circle its breakpoint lifts as integers over one known denominator,
-which build_covnum hands to PLMap(den, xs, 0).  Fractions are built only
-when a caller reads the breakpoints.
+which build_covnum hands to PLMap._unchecked(den, xs, 0).  That builds the
+map PLMap(den, xs, 0) builds without checking its refusals again, which
+the closed forms pass by construction: den = 8 m h > 0, the winding is 0
+and no two consecutive lifts, the closing pair included, are equal.
+tests/test_plsim.py builds every target of g <= 25 both ways.
+Fractions are built only when a caller reads the breakpoints.
 """
 
 from __future__ import annotations
@@ -185,5 +189,5 @@ def build_covnum(target: CoveringNumberTarget) -> Tuple[PLCover, CoverSpec]:
     spec = CoverSpec(
         target.top, CoverTarget.PROJ_LINE, 4, DegreeVector((0,) * s)
     )
-    comps = tuple([(lbl, PLMap(den, xs, 0)) for lbl, xs in circles])
+    comps = tuple([(lbl, PLMap._unchecked(den, xs, 0)) for lbl, xs in circles])
     return PLCover(comps, 4, CoverTarget.PROJ_LINE), spec

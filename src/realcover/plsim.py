@@ -54,11 +54,17 @@ class PLMap:
     """Piecewise-linear circle map: breakpoint lifts xs / den, breakpoint i
     of n at t = i/n, closed up by the integer winding closure.
 
-    PLMap(den, xs, closure) re-anchors the lifts so the lowest lies in
-    [0, 1), reduces them to their least common denominator and refuses a
-    den that is not a positive int, a closure that is not an int, a map
-    without breakpoints or with a zero-slope segment.  The Fraction view
-    breakpoints is built when read, not kept.
+    PLMap(den, xs, closure) refuses a den that is not a positive int, a
+    closure that is not an int, a map without breakpoints or with a
+    zero-slope segment; then _normalize re-anchors the lifts so the lowest
+    lies in [0, 1) and reduces them to their least common denominator.
+    The Fraction view breakpoints is built when read, not kept.
+
+    PLMap._unchecked runs only _normalize, for the two callers whose lifts
+    pass the refusals by construction, where checking them again was most
+    of the cost of building a map: covering4.build_covnum, whose closed
+    forms have den = 8 m h > 0, closure 0 and distinct consecutive lifts,
+    and _decode, whose span forms have no zero span (see there).
     """
 
     den: int
@@ -72,16 +78,30 @@ class PLMap:
             raise ValueError("closure must be an int")
         if not xs:
             raise ValueError("a circle map needs at least one breakpoint")
-        # Tuples are built from lists: tuple() of a generator starts at ten
-        # slots and shrinks, and the shrunk tuples pile up on the
-        # interpreter's tuple free lists, which shows as peak memory.
-        shift = min(xs) // den * den
-        xs = tuple([x - shift for x in xs]) if shift else tuple(xs)
         if any(map(eq, xs, xs[1:])) or xs[-1] == xs[0] + closure * den:
             raise ValueError("zero-slope segment: folds must be isolated breakpoints")
+        self._normalize(den, xs, closure)
+
+    @classmethod
+    def _unchecked(cls, den: int, xs: Sequence[int], closure: int) -> "PLMap":
+        """The map PLMap(den, xs, closure) builds, for arguments known to
+        pass its refusals, which are not checked again."""
+        m = object.__new__(cls)
+        m._normalize(den, xs, closure)
+        return m
+
+    def _normalize(self, den: int, xs: Sequence[int], closure: int) -> None:
+        # Shifting by a multiple of den keeps the gcd, so one pass both
+        # shifts and reduces.  Tuples are built from lists: tuple() of a
+        # generator starts at ten slots and shrinks, and the shrunk tuples
+        # pile up on the interpreter's tuple free lists, which shows as peak
+        # memory.
+        shift = min(xs) // den * den
         g = gcd(den, *xs)
-        if g != 1:
-            den, xs = den // g, tuple([x // g for x in xs])
+        if shift or g != 1:
+            den, xs = den // g, tuple([(x - shift) // g for x in xs])
+        else:
+            xs = tuple(xs)
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "closure", closure)
@@ -173,9 +193,10 @@ def _sweep(den: int, circles) -> List[Tuple[int, int, int]]:
 
 def _profile(cover: PLCover) -> Tuple[int, List[Tuple[int, int, int]]]:
     """The cover's _sweep with its den; a cover of R0 has no target circle,
-    so no intervals.  The one place a fiber view reads the target: a target
-    given by its string value is read as the CoverTarget member, and any
-    other value raises ValueError."""
+    so no intervals.  A target given by its string value is read as the
+    CoverTarget member, and any other value raises ValueError.  Every fiber
+    view reads the target here, but fiber_budget_violations, which reads it
+    the same way before its tally."""
     if CoverTarget(cover.target) is not CoverTarget.PROJ_LINE:
         return 1, []
     den, circles = _circles(cover)
@@ -210,17 +231,20 @@ def fiber_budget_violations(cover: PLCover) -> List[str]:
     empty when clean.
 
     The tally answers a clean cover without laying its intervals.  A cover
-    of R0 has no target circle, so no interval to check.
+    of R0 has no target circle, so no interval to check; it is answered
+    before any span is built.  A target given by its string value is read
+    as the CoverTarget member, and any other value raises ValueError.
     """
+    if CoverTarget(cover.target) is not CoverTarget.PROJ_LINE:
+        return []
     k = cover.k
     den, circles = _circles(cover)
     base, delta = _tally(den, circles)
     highest = base + max(accumulate(map(delta.get, sorted(delta)), initial=0))
     if (k - base) % 2 == 0 and highest <= k:
         return []
-    den, profile = _profile(cover)
     bad = []
-    for a, gap, n in profile:
+    for a, gap, n in _sweep(den, circles):
         if n > k or (k - n) % 2 != 0:
             where = f"fiber over ({Fraction(a, den)}, {Fraction(a + gap, den)})"
             if n > k:
@@ -282,10 +306,21 @@ def _cover_spans(cover: PLCover) -> _Spans:
 def _decode(form: _Spans) -> PLCover:
     """The cover of the span form: each circle's lifts summed up from x0,
     closed up by its spans' own winding sum(d) / den, re-anchored and
-    validated as PLMaps."""
+    reduced as PLMaps.
+
+    The maps skip PLMap's refusals (PLMap._unchecked), which the form
+    cannot break: den is a positive int, the lcm of positive dens times
+    strides; every circle has two spans or more, so a breakpoint or more;
+    and no span is zero, so no segment has zero slope.  A seed writes
+    d * den/2 twice for d > 0 or 2q, -2q with q >= 1, and a map read in
+    writes the nonzero spans of its valid lifts.  No surgery writes a zero
+    span: a fold writes a, h/4 - den, a, with a = (4w - h)/8 >= 1 from
+    w >= h > 0, and h/4 - den < 0 from h <= 2 den; a splice widens a
+    positive climb; a new fold writes 2q, -2q with q >= 1; III writes
+    den/2 twice; a refinement scales and a reversal negates every span."""
     replay, den = form.replay, form.den
     comps = [
-        (lbl, PLMap(den, list(accumulate(d[:-1], initial=x0)), sum(d) // den))
+        (lbl, PLMap._unchecked(den, list(accumulate(d[:-1], initial=x0)), sum(d) // den))
         for lbl, (x0, d) in form.spans.items()
     ]
     return PLCover(tuple(comps), replay.k, replay.target)
@@ -488,9 +523,10 @@ def realize(seed: BaseSeed, steps: Sequence[ConstructionStep]) -> PLCover:
     once and splits its intervals in a heap.  A planner plan of B
     breakpoints thus realizes in O(B log B) steps on the integers.
     Consecutive equal records are one run (constructions.runs), so a plan
-    written one record per step gets the same splices.  The result is decoded and validated, at its
-    least denominator, once at the end.  A refused record raises
-    PreconditionViolated carrying its index, the first of its run.
+    written one record per step gets the same splices.  The result is
+    decoded, at its least denominator, once at the end (see _decode).  A
+    refused record raises PreconditionViolated carrying its index, the
+    first of its run.
     """
     form = _seed_spans(seed)
     for i, step in runs(steps):

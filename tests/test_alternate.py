@@ -1,7 +1,9 @@
-"""tools/alternate.py's per-metric verdicts, on made-up runs.
+"""tools/alternate.py's per-metric verdicts and its stop on a failed run,
+on made-up runs.
 
 The tool is loaded by path; no benchmark runs and no subprocess starts:
-the several-workload run replaces run_once with made-up results.
+the runs of main replace run_once with made-up results, and run_once's own
+test replaces subprocess.run.
 """
 
 import importlib.util
@@ -122,3 +124,67 @@ def test_several_workloads_in_one_run(tmp_path, monkeypatch, capsys):
         assert set(got["summary"]) == {"wall_s", "peak_rss_mb"}
     assert doc["covnum"]["values"]["parent"]["wall_s"][0] == pytest.approx(2.03)
     assert doc["census"]["median_attempted"] == {"parent": 60, "change": 50}
+
+
+def test_a_failed_run_stops_the_pairs(tmp_path, monkeypatch, capsys):
+    # The change's covnum run fails in pair 2, after pair 2's census ran:
+    # no later run starts, the summaries and the JSON line cover pair 1
+    # alone, the failed run is named, and the tool exits 1.
+    bench = {"command": ["bench"], "run_seconds": 3, "end_to_end": [WALL]}
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    parent.mkdir()
+    change.mkdir()
+    (change / "BENCHMARK.json").write_text(json.dumps(bench))
+    calls = []
+
+    def fake_run(checkout, command, workload, seed, seconds):
+        calls.append((checkout.name, workload, seed))
+        if len(calls) == 7:
+            raise alternate.RunFailed(3, "Traceback: boom\n")
+        return {"correct": True, "failed": 0, "attempted": 10,
+                "metrics": {"wall_s": {"value": float(len(calls))}}}
+
+    monkeypatch.setattr(alternate, "run_once", fake_run)
+    argv = [str(parent), str(change), "--workload", "census", "covnum",
+            "--seeds", "4", "5", "--pairs", "3"]
+    assert alternate.main(argv) == 1
+    assert calls[4:] == [("change", "census", 5), ("parent", "census", 5),
+                         ("change", "covnum", 5)]
+    out, err = capsys.readouterr()
+    lines = out.splitlines()
+    assert [line for line in lines if line.startswith("== ")] == ["== census", "== covnum"]
+    doc = json.loads(lines[-1])
+    assert list(doc) == ["census", "covnum"]
+    assert doc["census"]["values"] == {"parent": {"wall_s": [1.0]}, "change": {"wall_s": [2.0]}}
+    assert doc["covnum"]["values"] == {"parent": {"wall_s": [3.0]}, "change": {"wall_s": [4.0]}}
+    assert all(got["summary"]["wall_s"]["pairs"] == 1 for got in doc.values())
+    assert "the change run of covnum at seed 5 in pair 2 exited 3" in err
+    assert "Traceback: boom" in err
+
+
+def test_a_failure_in_the_first_pair_summarizes_nothing(tmp_path, monkeypatch, capsys):
+    bench = {"command": ["bench"], "run_seconds": 3, "end_to_end": [WALL]}
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(bench))
+
+    def fake_run(checkout, command, workload, seed, seconds):
+        raise alternate.RunFailed(1, "")
+
+    monkeypatch.setattr(alternate, "run_once", fake_run)
+    argv = [str(tmp_path), str(tmp_path), "--workload", "census", "--seeds", "1",
+            "--pairs", "10"]
+    assert alternate.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out.splitlines() == ["{}"]
+    assert "the parent run of census at seed 1 in pair 1 exited 1" in err
+
+
+def test_run_once_raises_on_a_nonzero_exit(monkeypatch):
+    # run_once reports a failed run to its caller instead of exiting; the
+    # process it would start is replaced here.
+    class Done:
+        returncode, stdout, stderr = 2, "", "usage: run.py\n"
+
+    monkeypatch.setattr(alternate.subprocess, "run", lambda *args, **kwargs: Done())
+    with pytest.raises(alternate.RunFailed) as caught:
+        alternate.run_once(Path("."), ["bench"], "census", 1, 25)
+    assert (caught.value.returncode, caught.value.stderr) == (2, "usage: run.py\n")

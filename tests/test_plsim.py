@@ -73,6 +73,7 @@ from oracles import (
     reverse,
     windings,
 )
+from test_golden import COVNUM_DIGESTS, covnum_digest
 
 F = Fraction
 RAM = Variant.WITH_REAL_RAM
@@ -267,6 +268,43 @@ class TestPLMap:
         r = reverse(m)
         assert r.closure == -2
         assert fiber_profile(single(m, 2)) == fiber_profile(single(r, 2))
+
+
+@pytest.fixture
+def both_constructors(monkeypatch):
+    """Make every PLMap._unchecked call also build PLMap(den, xs, closure)
+    from the same arguments and assert that the two maps are equal; returns
+    the list of the calls' maps."""
+    maps = []
+    unchecked = PLMap._unchecked
+
+    def checked(cls, den, xs, closure):
+        m = unchecked(den, xs, closure)
+        assert m == PLMap(den, xs, closure), (den, xs, closure)
+        maps.append(m)
+        return m
+
+    monkeypatch.setattr(PLMap, "_unchecked", classmethod(checked))
+    return maps
+
+
+class TestUncheckedMaps:
+    """The two callers of PLMap._unchecked, build_covnum and realize (through
+    _decode), give the maps the public constructor gives."""
+
+    def test_covnum_targets(self, both_constructors):
+        # Every target of the golden corpus, g <= 25, with the same bytes.
+        for g, want in enumerate(COVNUM_DIGESTS):
+            assert covnum_digest(g) == want, g
+        assert len(both_constructors) > 50_000
+
+    def test_realized_box_plans(self, p1_box_plans, both_constructors):
+        circles = 0
+        for spec, result in p1_box_plans:
+            assert isinstance(result, Plan), spec
+            circles += len(realize(result.seed, result.steps).components)
+        assert len(both_constructors) == circles > 0
+        assert len(p1_box_plans) == 3625
 
 
 class TestFiber:
@@ -573,6 +611,23 @@ class TestStringTargets:
                 view(cover)
         with pytest.raises(ValueError, match="'Q'"):
             surgery(cover, ConstructionStep(StepKind.I, NORAM, "C1"))
+
+    def test_a_budget_clean_cover_over_another_target_is_refused(self):
+        # One monotone circle over a degree-3 budget is clean, so the tally
+        # alone would answer it; the target is read first.
+        cover = PLCover((("C1", PLMap(4, [0, 2], 1)),), 3, "Q")
+        with pytest.raises(ValueError, match="'Q'"):
+            fiber_budget_violations(cover)
+        assert fiber_budget_violations(replace(cover, target="P1")) == []
+
+    def test_r0_budget_is_answered_without_spans(self, monkeypatch):
+        def no_spans(cover):
+            raise AssertionError("spans built for a cover of R0")
+
+        monkeypatch.setattr(plsim, "_circles", no_spans)
+        m = PLMap(4, [0, 2], 1)  # over a degree-2 budget, a parity violation over P1
+        for target in ("R0", CoverTarget.ANISOTROPIC_CONIC):
+            assert fiber_budget_violations(PLCover((("C1", m),), 2, target)) == []
 
 
 class TestFiberProfile:

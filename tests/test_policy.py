@@ -121,30 +121,52 @@ def test_constructions_are_found():
     assert constructions_of(tree, "E") == [(None, 1), ("m", 4), ("g", 7), ("f", 8)]
 
 
-def uses(tree, module):
-    """Names of the package module that the tree imports from it, as
-    .module or realcover.module, or reads as module.name."""
-    names = set()
+def imported_names(tree, module):
+    """{local name: name} of the names the tree imports from the package
+    module, as .module or realcover.module."""
+    names = {}
     sources = {(1, module), (0, f"realcover.{module}")}
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and (node.level, node.module) in sources:
-            names |= {alias.name for alias in node.names}
-        elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == module:
+            names.update({alias.asname or alias.name: alias.name for alias in node.names})
+    return names
+
+
+def uses(tree, module):
+    """Names of the package module that the tree imports from it, as
+    .module or realcover.module, or reads as module.name."""
+    names = set(imported_names(tree, module).values())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == module:
             names.add(node.attr)
     return names
 
 
 def private_uses(tree, module):
-    """The underscore names among uses(tree, module)."""
-    return {name for name in uses(tree, module) if name.startswith("_")}
+    """The underscore names among uses(tree, module), and as "name._attr"
+    every underscore attribute that the tree reads on a name imported from
+    the module or on module.name."""
+    found = {name for name in uses(tree, module) if name.startswith("_")}
+    local = imported_names(tree, module)
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Attribute) or not node.attr.startswith("_"):
+            continue
+        owner = node.value
+        if isinstance(owner, ast.Name) and owner.id in local:
+            found.add(f"{local[owner.id]}.{node.attr}")
+        elif isinstance(owner, ast.Attribute) and getattr(owner.value, "id", None) == module:
+            found.add(f"{owner.attr}.{node.attr}")
+    return found
 
 
 def test_covering4_builds_on_public_plsim_names():
-    # The covnum builds write their layouts and hand them to PLMap, and
-    # covering_number hands the maps' image ends to the cover search; they
-    # reach into no plsim or arcs internals.
+    # The covnum builds write their layouts and hand them to
+    # PLMap._unchecked, the one plsim internal they use: their closed forms
+    # pass PLMap's refusals by construction.  covering_number hands the
+    # maps' image ends to the cover search.  No other plsim or arcs
+    # internal is reached.
     tree = parse(next(p for p in SOURCES if p.name == "covering4.py"))
-    assert private_uses(tree, "plsim") == set()
+    assert private_uses(tree, "plsim") == {"PLMap._unchecked"}
     assert private_uses(tree, "arcs") == set()
 
 
@@ -157,6 +179,18 @@ def test_private_uses_are_found():
     assert private_uses(tree, "plsim") == {"_Spans", "_z", "_merge"}
     assert private_uses(tree, "arcs") == {"_x"}
     assert uses(tree, "plsim") == {"PLMap", "_Spans", "_z", "fiber_csv", "_merge"}
+    # Underscore attributes read on imported names, aliased or not, or on
+    # module.name, count for the module the name comes from.
+    tree = ast.parse(
+        "from .plsim import PLMap, cover_to_json as dump\nfrom realcover.arcs import Arc as A\n"
+        "from . import plsim\nfrom .topology import TopType\n"
+        "PLMap._unchecked(4, [0, 2], 0); dump._cache; A._half; plsim.PLCover._x\n"
+        "TopType._y; PLMap.den; plsim._merge\n"
+    )
+    assert private_uses(tree, "plsim") == {
+        "PLMap._unchecked", "cover_to_json._cache", "PLCover._x", "_merge"}
+    assert private_uses(tree, "arcs") == {"Arc._half"}
+    assert private_uses(tree, "topology") == {"TopType._y"}
 
 
 def test_oracles_count_fibers_themselves():

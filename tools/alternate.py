@@ -29,6 +29,11 @@ and "unresolved" where the parent's interquartile range is wider than the
 bound, unless every change run beats every parent run.  The last line of
 output is one JSON object keyed by workload; each value is that workload's
 summary, with the median attempted counts under `median_attempted`.
+
+A run that exits nonzero stops the pairs.  The summary blocks and the JSON
+line then cover the pairs that completed before it, the failed run is named
+on standard error (side, workload, seed, pair, exit code, and its standard
+error), and the tool exits 1.
 """
 
 from __future__ import annotations
@@ -41,11 +46,19 @@ import sys
 from pathlib import Path
 
 
+class RunFailed(Exception):
+    """A benchmark run exited nonzero."""
+
+    def __init__(self, returncode: int, stderr: str):
+        super().__init__(returncode, stderr)
+        self.returncode, self.stderr = returncode, stderr
+
+
 def run_once(checkout: Path, command: list, workload: str, seed: int, seconds: float) -> dict:
     argv = [*command, "--workload", workload, "--seed", str(seed), "--seconds", f"{seconds:g}"]
     done = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
     if done.returncode != 0:
-        sys.exit(f"{checkout}: {' '.join(argv)} exited {done.returncode}:\n{done.stderr}")
+        raise RunFailed(done.returncode, done.stderr)
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
@@ -106,11 +119,15 @@ def summarize(metric: dict, parent: list, change: list, unsound: str | None) -> 
 _COUNTS = ("correct", "failed", "attempted")
 
 
-def collect(sides: dict, bench: dict, workloads: list, seeds: list, pairs: int) -> dict:
+def collect(sides: dict, bench: dict, workloads: list, seeds: list, pairs: int) -> tuple:
     """Run the pairs and gather, per workload, each side's metric values,
     correct and failed counts and attempted operations, printing a line per
     workload per pair.  Pair i runs every workload, in the order given, on
-    both sides, the parent first in even pairs."""
+    both sides, the parent first in even pairs.
+
+    Returns the gathered runs of the completed pairs and None, or, when a
+    run fails, those of the pairs completed before it and the failed run's
+    description; no later run starts."""
     metrics = bench["end_to_end"]
     runs = {}
     for w in workloads:
@@ -119,22 +136,32 @@ def collect(sides: dict, bench: dict, workloads: list, seeds: list, pairs: int) 
     for i in range(pairs):
         seed = seeds[i % len(seeds)]
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        pair = {}  # gathered only once every workload of the pair has run
         for w in workloads:
-            got, row = runs[w], []
+            results = pair[w] = {}
             for side in order:
-                result = run_once(sides[side], bench["command"], w, seed, bench["run_seconds"])
+                try:
+                    results[side] = run_once(
+                        sides[side], bench["command"], w, seed, bench["run_seconds"])
+                except RunFailed as exc:
+                    return runs, (f"the {side} run of {w} at seed {seed} in pair {i + 1} "
+                                  f"exited {exc.returncode}:\n{exc.stderr}")
+            shown = "  ".join(
+                f"{m['name']} {results['parent']['metrics'][m['name']]['value']:.6g} -> "
+                f"{results['change']['metrics'][m['name']]['value']:.6g}" for m in metrics)
+            row = "; ".join(
+                f"{side} correct={results[side]['correct']} failed={results[side]['failed']} "
+                f"attempted={results[side]['attempted']}" for side in order)
+            print(f"pair {i + 1} {w} seed {seed} ({order[0]} first): {shown}  [{row}]",
+                  flush=True)
+        for w, results in pair.items():
+            got = runs[w]
+            for side, result in results.items():
                 for m in metrics:
                     got["values"][side][m["name"]].append(result["metrics"][m["name"]]["value"])
                 for key in _COUNTS:
                     got[key][side].append(result[key])
-                row.append(f"{side} correct={result['correct']} failed={result['failed']} "
-                           f"attempted={result['attempted']}")
-            shown = "  ".join(
-                f"{m['name']} {got['values']['parent'][m['name']][-1]:.6g} -> "
-                f"{got['values']['change'][m['name']][-1]:.6g}" for m in metrics)
-            print(f"pair {i + 1} {w} seed {seed} ({order[0]} first): {shown}  "
-                  f"[{'; '.join(row)}]", flush=True)
-    return runs
+    return runs, None
 
 
 def report(workload: str, got: dict, bench: dict, seeds: list) -> dict:
@@ -180,8 +207,12 @@ def main(argv=None) -> int:
     bench = json.loads((args.change / "BENCHMARK.json").read_text())
     workloads = list(dict.fromkeys(args.workload))
     sides = {"parent": args.parent, "change": args.change}
-    runs = collect(sides, bench, workloads, args.seeds, args.pairs)
-    print(json.dumps({w: report(w, runs[w], bench, args.seeds) for w in workloads}))
+    runs, failure = collect(sides, bench, workloads, args.seeds, args.pairs)
+    done = [w for w in workloads if runs[w]["correct"]["parent"]]
+    print(json.dumps({w: report(w, runs[w], bench, args.seeds) for w in done}))
+    if failure:
+        print(f"stopped: {failure}", file=sys.stderr)
+        return 1
     return 0
 
 
