@@ -20,7 +20,7 @@ import itertools
 import json
 import os
 import sys
-from typing import List, Optional
+from typing import Iterable, List, Optional
 
 from . import brill_noether, covering4, planner, plsim, topology
 from .constructions import (
@@ -56,10 +56,9 @@ _COVNUM_MAX_G = 104_999
 # str(), and realize refuses to print it (see the README).
 _PLAN_MAX_CIRCLES, _REALIZE_MAX_BREAKPOINTS = 100_000, 40_000
 
-# enumerate encodes and writes its array this many specs at a time.  A genus
-# block holds about K**2 / 4 specs at g = 0, so writing a block at once made
-# `enumerate 0 2000` peak near 500 MiB.
-_ENUMERATE_CHUNK = 1_000
+# realize and covnum write their documents in pieces of about this many
+# characters, so that no whole document is held as one string.
+_PIECE = 1 << 16
 
 
 class _HelpRequested(Exception):
@@ -89,6 +88,20 @@ _JSON = json.JSONEncoder(separators=(",", ":"))
 def _emit(doc: dict) -> None:
     sys.stdout.write(_JSON.encode(doc))
     sys.stdout.write("\n")
+
+
+def _write_pieces(chunks: Iterable[str]) -> None:
+    """Write the text chunks to stdout, joined into pieces of about _PIECE
+    characters."""
+    write = sys.stdout.write
+    piece, size = [], 0
+    for chunk in chunks:
+        piece.append(chunk)
+        size += len(chunk)
+        if size >= _PIECE:
+            write("".join(piece))
+            piece, size = [], 0
+    write("".join(piece))
 
 
 def _too_large_to_print(what: str, holder: str) -> ValueError:
@@ -187,15 +200,16 @@ def _cmd_realize(args) -> int:
     except (PreconditionViolated, plsim.BudgetExceeded) as exc:
         _emit({"rejected": str(exc)})
         return 2
-    # Nothing is written before fiber_csv or _emit's encoding returns, and
-    # their one ValueError is an integer past Python's digit limit for str().
+    # Nothing is written before fiber_csv or cover_text returns, and their
+    # one ValueError is an integer past Python's digit limit for str().
     try:
         if args.format == "csv":
-            sys.stdout.write(plsim.fiber_csv(cover))
+            chunks = [plsim.fiber_csv(cover)]
         else:
-            _emit(plsim.cover_to_json(cover))
+            chunks = itertools.chain(plsim.cover_text(cover), ["\n"])
     except ValueError:
         raise _too_large_to_print("plan", "the realization") from None
+    _write_pieces(chunks)
     return 0
 
 
@@ -214,29 +228,25 @@ def _cmd_covnum(args) -> int:
     if obj["g"] > _COVNUM_MAX_G:
         raise ValueError(f"target: too large to build; covnum takes g <= {_COVNUM_MAX_G}")
     cover, spec = covering4.build_covnum(target)
-    _emit(
-        {
-            "cover": plsim.cover_to_json(cover),
-            "spec": topology.spec_to_json(spec),
-            "covering_number": covering4.covering_number(cover),
-        }
-    )
+    number = covering4.covering_number(cover)
+    tail = f',"spec":{topology.spec_text(spec)},"covering_number":{number}}}\n'
+    _write_pieces(itertools.chain(['{"cover":'], plsim.cover_text(cover), [tail]))
     return 0
 
 
 def _cmd_enumerate(args) -> int:
     # One array, the same bytes as dumping the whole list at once, written
-    # _ENUMERATE_CHUNK specs per dump so that memory stays bounded however
-    # large a genus block grows; a dump per spec would take about twice the
-    # encoding time.  Bad bounds raise at the call, before the "[" is written.
-    specs = topology.enumerate_admissible(args.g_max, args.k_max)
-    sys.stdout.write("[")
+    # one (k, type) block per write, straight from the walk's parts: no spec
+    # becomes a CoverSpec or a dict.  Bad bounds raise at the call, before
+    # the "[" is written.
+    parts = topology.admissible_parts(args.g_max, args.k_max)
+    write = sys.stdout.write
+    write("[")
     sep = ""
-    while chunk := list(itertools.islice(specs, _ENUMERATE_CHUNK)):
-        chunk_json = _JSON.encode([topology.spec_to_json(s) for s in chunk])
-        sys.stdout.write(sep + chunk_json[1:-1])
+    for part in parts:
+        write(sep + topology.part_text(*part))
         sep = ","
-    sys.stdout.write("]\n")
+    write("]\n")
     return 0
 
 

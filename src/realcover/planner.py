@@ -14,7 +14,6 @@ out of scope here.
 
 from __future__ import annotations
 
-import json
 import sys
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Tuple, Union
@@ -42,7 +41,7 @@ from .topology import (
     DegreeVector,
     TopType,
     admissibility_failure,
-    spec_to_json,
+    spec_text,
 )
 
 PROVENANCE_TAGS = (
@@ -244,8 +243,8 @@ def verify_plan(plan_: Plan, target: CoverSpec, trail: Optional[List[str]] = Non
     outcome = state.state().canonical_spec()
     if outcome != target:
         try:
-            shown = json.dumps(spec_to_json(outcome), separators=(",", ":"))
-        except ValueError:  # an integer past Python's digit limit for str() and json
+            shown = spec_text(outcome)
+        except ValueError:  # an integer past Python's digit limit for str()
             shown = f"a spec with an integer over {sys.get_int_max_str_digits()} digits"
         return note(f"plan executes to {shown}, not the target")
     return True

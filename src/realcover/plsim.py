@@ -24,10 +24,12 @@ most k and has the parity of k (coverings of the projective line).
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import accumulate
+from json.encoder import encode_basestring_ascii as _quote
 from math import gcd, lcm
 from operator import eq, neg, sub
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -552,20 +554,53 @@ def _ratios(ps: Iterable[int], q: int) -> Iterator[str]:
         yield f"{p // g}/{q // g}"
 
 
-def cover_to_json(cover: PLCover) -> dict:
+def cover_text(cover: PLCover) -> Iterator[str]:
+    """The cover's wire document as compact JSON text, in chunks: a head,
+    one chunk per circle, then the close.
+
+        {"target": "P1"|"R0", "k": int,
+         "components": [{"label": str, "winding": int,
+                         "breakpoints": [["i/n", "p/q"], ...]}, ...]}
+
+    Every refusal raises ValueError here, at the call, before any chunk: a
+    target that is not a CoverTarget value, and an integer past Python's
+    digit limit for str().  So a pre-pass proves each printed integer
+    short enough: k is printed into the head; a winding, a map's den and
+    its highest lift (the lowest lies in [0, den)) by their bit lengths.
+    A reduced "p/q" is no longer than its lift over den, so only a map
+    whose den or highest lift could pass the limit has its ratios reduced
+    in the pre-pass, where they raise if they do.  Each n of a t = i/n
+    counts breakpoints held in memory, far below the limit.
+    """
+    head = f'{{"target":"{CoverTarget(cover.target).value}","k":{cover.k},"components":['
+    reduced = {}
+    limit = sys.get_int_max_str_digits()
+    if limit:  # 0 is no limit
+        bits = limit * 100_000 // 30_103  # 2**bits < 10**limit, as log10(2) < 0.30103
+        for i, (_, m) in enumerate(cover.components):
+            if m.closure.bit_length() > bits:
+                str(m.closure)  # raises past the limit
+            if m.den.bit_length() > bits or max(m.xs).bit_length() > bits:
+                reduced[i] = list(_ratios(m.xs, m.den))
+    return _cover_chunks(cover, head, reduced)
+
+
+def _cover_chunks(cover: PLCover, head: str, reduced: dict) -> Iterator[str]:
+    yield head
     ts = {}  # the t strings i/n of every n in the cover, one table each
-    components = []
-    for lbl, m in cover.components:
+    sep = ""
+    for i, (lbl, m) in enumerate(cover.components):
         n = len(m.xs)
         t = ts.get(n)
         if t is None:
             t = ts[n] = list(_ratios(range(n), n))
-        components.append({
-            "label": lbl,
-            "winding": m.closure,
-            "breakpoints": list(map(list, zip(t, _ratios(m.xs, m.den)))),
-        })
-    return {"target": CoverTarget(cover.target).value, "k": cover.k, "components": components}
+        xs = reduced.get(i)
+        if xs is None:
+            xs = _ratios(m.xs, m.den)
+        points = '"],["'.join(map('","'.join, zip(t, xs)))
+        yield f'{sep}{{"label":{_quote(lbl)},"winding":{m.closure},"breakpoints":[["{points}"]]}}'
+        sep = ","
+    yield "]}"
 
 
 def fiber_csv(cover: PLCover) -> str:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, combinations_with_replacement
 from operator import ge
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 
 class CoverTarget(str, Enum):
@@ -147,6 +147,13 @@ def target_admissible(spec: CoverSpec) -> bool:
     return admissibility_failure(spec) is None
 
 
+def _genera(g_max: int, k_max: int) -> range:
+    """The genera of a scan up to g_max; bad bounds raise ValueError."""
+    if g_max < 0 or k_max < 2:
+        raise ValueError("enumerate: need g_max >= 0 and k_max >= 2")
+    return range(g_max + 1)
+
+
 def enumerate_admissible(g_max: int, k_max: int) -> Iterator[CoverSpec]:
     """Every admissible CoverSpec with g <= g_max and 2 <= k <= k_max, as
     an iterator; bad bounds raise ValueError at the call, before any spec.
@@ -155,14 +162,29 @@ def enumerate_admissible(g_max: int, k_max: int) -> Iterator[CoverSpec]:
     (g, k, target, s, a, degrees); blocks are independent per genus, so a
     scan can be partitioned by g.
     """
-    if g_max < 0 or k_max < 2:
-        raise ValueError("enumerate: need g_max >= 0 and k_max >= 2")
-    return chain.from_iterable(enumerate_admissible_genus(g, k_max) for g in range(g_max + 1))
+    return chain.from_iterable(enumerate_admissible_genus(g, k_max) for g in _genera(g_max, k_max))
 
 
 def enumerate_admissible_genus(g: int, k_max: int) -> Iterator[CoverSpec]:
     """The genus-g block of :func:`enumerate_admissible`, yielded in stream
     order as it is found: per k, the P1 types (s, a) in order, then R0."""
+    for top, target, k, degs in _genus_parts(g, k_max):
+        for deg in degs:
+            yield CoverSpec(top, target, k, DegreeVector(deg))
+
+
+_Part = Tuple[TopType, CoverTarget, int, List[Tuple[int, ...]]]
+
+
+def admissible_parts(g_max: int, k_max: int) -> Iterator[_Part]:
+    """The stream of :func:`enumerate_admissible` in parts, one per (g, k,
+    type) block: (top, target, k, [deg, ...]) with every admissible winding
+    tuple of the block in stream order, and no empty block.  Bad bounds
+    raise ValueError at the call."""
+    return chain.from_iterable(_genus_parts(g, k_max) for g in _genera(g_max, k_max))
+
+
+def _genus_parts(g: int, k_max: int) -> Iterator[_Part]:
     # One TopType per (s, a), shared by every spec of that type.
     tops = [TopType(g, s, a) for s in range(g + 2) for a in (0, 1)
             if weichold_admissible(g, s, a)]
@@ -170,31 +192,42 @@ def enumerate_admissible_genus(g: int, k_max: int) -> Iterator[CoverSpec]:
         for top in tops:
             # Every canonical vector of length s with entries in 0..k once,
             # in descending order; the stream ascends, so the type's
-            # admissible specs are kept and yielded in reverse.
-            found = []
-            for deg in combinations_with_replacement(range(k, -1, -1), top.s):
-                if _failure(top, _P1, k, deg) is None:
-                    found.append(CoverSpec(top, _P1, k, DegreeVector(deg)))
-            yield from reversed(found)
-        spec = CoverSpec(TopType(g, 0, 1), CoverTarget.ANISOTROPIC_CONIC, k, DegreeVector())
-        if target_admissible(spec):
-            yield spec
+            # admissible vectors are kept and yielded in reverse.
+            found = [deg for deg in combinations_with_replacement(range(k, -1, -1), top.s)
+                     if _failure(top, _P1, k, deg) is None]
+            if found:
+                found.reverse()
+                yield top, _P1, k, found
+        r0 = CoverSpec(TopType(g, 0, 1), CoverTarget.ANISOTROPIC_CONIC, k, DegreeVector())
+        if target_admissible(r0):
+            yield r0.top, r0.target, k, [()]
 
 
 # ---------------------------------------------------------------------------
 # JSON wire format, shared by every module and the CLI:
 #   {"g": int, "s": int, "a": 0|1, "target": "P1"|"R0", "k": int, "deg": [int, ...]}
+# written as compact JSON text straight from the fields.  An integer past
+# Python's digit limit for str() raises ValueError, as json does.
 
 
-def spec_to_json(spec: CoverSpec) -> dict:
-    return {
-        "g": spec.top.g,
-        "s": spec.top.s,
-        "a": spec.top.a,
-        "target": CoverTarget(spec.target).value,
-        "k": spec.k,
-        "deg": list(spec.degrees.entries),
-    }
+def _spec_head(top: TopType, target: CoverTarget, k: int) -> str:
+    return f'{{"g":{top.g},"s":{top.s},"a":{top.a},"target":"{target.value}","k":{k},"deg":['
+
+
+def spec_text(spec: CoverSpec) -> str:
+    """The spec's wire object as compact JSON text.  A target given by its
+    string value is read as the CoverTarget member, and any other value
+    raises ValueError."""
+    head = _spec_head(spec.top, CoverTarget(spec.target), spec.k)
+    return head + ",".join(map(str, spec.degrees.entries)) + "]}"
+
+
+def part_text(top: TopType, target: CoverTarget, k: int, degs: List[Tuple[int, ...]]) -> str:
+    """The specs of one part of :func:`admissible_parts` as compact JSON
+    text, comma-separated: one head for the block, then each winding
+    tuple."""
+    head = _spec_head(top, target, k)
+    return head + ("]}," + head).join([",".join(map(str, deg)) for deg in degs]) + "]}"
 
 
 def check_int_fields(obj: dict, where: str, fields: Iterable[str]) -> None:

@@ -808,3 +808,45 @@ def fraction_build_covnum(target):
     if kcov < s:
         return _fraction_m_split(g, kcov)
     return _fraction_m_max(g)
+
+
+# ---------------------------------------------------------------------------
+# Reference wire objects: the documents the library's text writers print,
+# built as dicts of lists.  json.dumps(obj, separators=(",", ":")) of each
+# must equal the writer's text.
+
+
+def spec_to_json(spec):
+    """The spec's wire object; the target read as its CoverTarget member."""
+    return {
+        "g": spec.top.g,
+        "s": spec.top.s,
+        "a": spec.top.a,
+        "target": CoverTarget(spec.target).value,
+        "k": spec.k,
+        "deg": list(spec.degrees.entries),
+    }
+
+
+def cover_to_json(cover):
+    """The cover's wire object, every ratio printed from its Fraction in
+    lowest terms as "p/q", whole numbers included."""
+
+    def ratio(f):
+        return f"{f.numerator}/{f.denominator}"
+
+    return {
+        "target": CoverTarget(cover.target).value,
+        "k": cover.k,
+        "components": [
+            {
+                "label": lbl,
+                "winding": m.closure,
+                "breakpoints": [
+                    [ratio(Fraction(i, len(m.xs))), ratio(Fraction(x, m.den))]
+                    for i, x in enumerate(m.xs)
+                ],
+            }
+            for lbl, m in cover.components
+        ],
+    }

@@ -1,6 +1,7 @@
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import os
 import re
@@ -17,9 +18,25 @@ from hypothesis import strategies as st
 
 from realcover import cli
 from realcover.cli import run
-from realcover.planner import plan, plan_from_json, plan_to_json
-from realcover.plsim import fiber_profile, realize
-from realcover.topology import enumerate_admissible, spec_from_json, spec_to_json
+from realcover.covering4 import (
+    CoveringNumberTarget,
+    InfeasibleTarget,
+    build_covnum,
+    covering_number,
+)
+from realcover.planner import Infeasible, plan, plan_from_json, plan_to_json
+from realcover.plsim import PLCover, PLMap, cover_text, fiber_profile, realize
+from realcover.topology import (
+    CoverTarget,
+    TopType,
+    admissible_parts,
+    enumerate_admissible,
+    part_text,
+    spec_from_json,
+    spec_text,
+)
+
+from oracles import cover_to_json, spec_to_json
 
 
 def invoke(capsys, *argv):
@@ -155,6 +172,13 @@ class TestPlanVerifyRealize:
         code, doc = invoke_json(capsys, command, write_plan(tmp_path, seed), *extra)
         assert code == 1
         assert doc["error"].startswith(path + ":")
+
+    @pytest.mark.parametrize("command", ["verify", "realize"])
+    def test_plan_seed_without_deg_exits_one(self, capsys, tmp_path, command):
+        seed = {name: value for name, value in HYPER_2.items() if name != "deg"}
+        extra = [SPEC_6333] if command == "verify" else []
+        code, out = invoke(capsys, command, write_plan(tmp_path, seed), *extra)
+        assert (code, out) == (1, '{"error":"seed.deg: missing"}\n')
 
     def test_realize_refuses_uncataloged_seed(self, capsys, tmp_path):
         seed = {**HYPER_2, "deg": [3]}
@@ -517,6 +541,112 @@ class TestUnprintable:
         assert invoke_json(capsys, "verify", plan_file, SPEC_6333) == (2, verdict)
 
 
+def dump(obj):
+    return json.dumps(obj, separators=(",", ":"))
+
+
+def cover_wire(cover):
+    return "".join(cover_text(cover))
+
+
+class TestTextWriters:
+    """The library writes specs and covers as text straight from the
+    records; each writer prints the compact JSON of the reference dict
+    builder in tests/oracles.py, whose cover ratios come from Fraction."""
+
+    def test_specs_and_realized_covers_of_a_box(self):
+        specs = covers = 0
+        for spec in enumerate_admissible(6, 6):
+            assert spec_text(spec) == dump(spec_to_json(spec))
+            specs += 1
+            result = plan(spec)
+            if isinstance(result, Infeasible):
+                continue
+            cover = realize(result.seed, result.steps)
+            assert cover_wire(cover) == dump(cover_to_json(cover)), spec
+            covers += 1
+        assert (specs, covers) == (637, 586)
+
+    def test_parts_join_to_the_specs(self):
+        parts = ",".join(part_text(*part) for part in admissible_parts(6, 6))
+        assert "[" + parts + "]" == dump([spec_to_json(s) for s in enumerate_admissible(6, 6)])
+
+    def test_covnum_targets(self):
+        built = 0
+        for g in range(13):
+            for s in range(g + 3):
+                for a in (0, 1):
+                    for kcov in range(s + 2):
+                        try:
+                            target = CoveringNumberTarget(TopType(g, s, a), kcov)
+                        except InfeasibleTarget:
+                            continue
+                        cover, spec = build_covnum(target)
+                        assert cover_wire(cover) == dump(cover_to_json(cover)), target
+                        assert spec_text(spec) == dump(spec_to_json(spec)), target
+                        built += 1
+        assert built == 616
+
+    def test_covnum_prints_one_document(self, capsys):
+        target = CoveringNumberTarget(TopType(12, 7, 0), 4)
+        cover, spec = build_covnum(target)
+        doc = {"cover": cover_to_json(cover), "spec": spec_to_json(spec),
+               "covering_number": covering_number(cover)}
+        assert invoke(capsys, "covnum", '{"g":12,"s":7,"a":0,"kcov":4}') == (0, dump(doc) + "\n")
+
+    def test_reduced_ratios_print_when_den_does_not(self, digit_limit):
+        # den = p q has 801 digits, past the limit of 640, but the lifts p
+        # and q over it are 1/q and 1/p, of 401 digits each.
+        p, q = 10**400 + 1, 10**400 + 3
+        m = PLMap(p * q, [p, q], 0)
+        assert len(str(q)) == 401 and m.den == p * q
+        cover = PLCover((("C1", m),), 2, CoverTarget.PROJ_LINE)
+        text = cover_wire(cover)
+        assert text == dump(cover_to_json(cover))
+        points = [["0/1", f"1/{q}"], ["1/2", f"1/{p}"]]
+        assert json.loads(text)["components"][0]["breakpoints"] == points
+
+    def test_the_limit_is_exact(self, digit_limit):
+        # A den of 640 digits has more bits than the pre-pass's bound, so its
+        # ratios are reduced there, and print; one of 641 digits does not.
+        for digits, printable in ((640, True), (641, False)):
+            cover = PLCover((("C1", PLMap(10**digits - 1, [0, 1], 0)),), 2, CoverTarget.PROJ_LINE)
+            if printable:
+                assert cover_wire(cover) == dump(cover_to_json(cover))
+            else:
+                with pytest.raises(ValueError):
+                    cover_text(cover)  # at the call, before any chunk
+
+    @pytest.mark.parametrize("k, xs, closure", [
+        (10**640, [1, 3], 0),
+        (2, [1, 3], 10**640),
+        (2, [1, 10**641], 0),
+    ], ids=["k", "winding", "lift"])
+    def test_long_integers_raise_at_the_call(self, digit_limit, k, xs, closure):
+        cover = PLCover((("C1", PLMap(4, xs, closure)),), k, CoverTarget.PROJ_LINE)
+        with pytest.raises(ValueError):
+            cover_text(cover)
+        with pytest.raises(ValueError):
+            dump(cover_to_json(cover))
+
+    @pytest.mark.parametrize("fmt", [[], ["--format", "csv"]], ids=["json", "csv"])
+    def test_refused_realize_writes_only_its_error(self, monkeypatch, tmp_path, digit_limit, fmt):
+        writes = []
+
+        class Recorder(io.StringIO):
+            def write(self, text):
+                writes.append(text)
+                return super().write(text)
+
+        fold = {"kind": "I", "variant": "ram", "placement": "C1"}
+        wrap = {**fold, "variant": "noram"}
+        seed = {"kind": "Hyperelliptic", "g": 0, "s": 1, "a": 0, "deg": [2]}
+        plan_file = write_plan(tmp_path, seed, [fold] + [fold, wrap] * 720)
+        monkeypatch.setattr(sys, "stdout", Recorder())
+        assert run(["realize", plan_file, *fmt]) == 1
+        assert writes == [dump({"error": TestUnprintable.REFUSAL}), "\n"]
+
+
 class TestEnumerate:
     def test_deterministic_bytes(self, capsys):
         code, first = invoke(capsys, "enumerate", "3", "4")
@@ -536,10 +666,10 @@ class TestEnumerate:
         assert code == 0
         assert out == json.dumps(whole, separators=(",", ":")) + "\n"
 
-    @pytest.mark.parametrize("chunk", [1, 7, 1000])
-    def test_writes_hold_one_chunk_and_join_to_one_dump(self, monkeypatch, chunk):
-        # Memory stays bounded because no write holds more than one chunk of
-        # specs; the chunks still join into the bytes of one dump.
+    @pytest.mark.parametrize("box", [(0, 2), (5, 6), (0, 40)])
+    def test_writes_hold_one_block_and_join_to_one_dump(self, monkeypatch, box):
+        # Memory stays bounded because no write holds more than one (k, type)
+        # block of specs; the blocks still join into the bytes of one dump.
         writes = []
 
         class Recorder(io.StringIO):
@@ -547,12 +677,19 @@ class TestEnumerate:
                 writes.append(text)
                 return super().write(text)
 
-        monkeypatch.setattr(cli, "_ENUMERATE_CHUNK", chunk)
         monkeypatch.setattr(sys, "stdout", Recorder())
-        assert run(["enumerate", "5", "6"]) == 0
-        whole = [spec_to_json(s) for s in enumerate_admissible(5, 6)]
+        assert run(["enumerate", *map(str, box)]) == 0
+        whole = [spec_to_json(s) for s in enumerate_admissible(*box)]
         assert sys.stdout.getvalue() == json.dumps(whole, separators=(",", ":")) + "\n"
-        assert max(text.count('{"g":') for text in writes) == min(chunk, len(whole))
+
+        def block(doc):
+            return doc["g"], doc["k"], doc["target"], doc["s"], doc["a"]
+
+        assert (writes[0], writes[-1]) == ("[", "]\n")
+        blocks = [json.loads("[" + text.removeprefix(",") + "]") for text in writes[1:-1]]
+        assert [{block(doc) for doc in docs} for docs in blocks] == [
+            {key} for key, _ in itertools.groupby(whole, block)
+        ]
 
     def test_census_box_bytes_are_pinned(self, capsys):
         # The one-dump comparison above moves with the library's order; this

@@ -64,6 +64,13 @@ HELP_ARGV = (
     ["dims", "-h"], ["facts", "-h"], ["realize", "x.json", "-h"], ["rho", "3", "-h"],
 )
 
+
+
+def _plan(seed, steps=(), provenance="Case1"):
+    """A plan document; written as JSON, so a tuple of steps is a list."""
+    return {"seed": seed, "steps": steps, "provenance": provenance}
+
+
 # (argv, files to write by name); "@name" in argv is the path of that file.
 MALFORMED_INPUTS = (
     ([], {}),
@@ -88,27 +95,23 @@ MALFORMED_INPUTS = (
     (["verify", "@missing.json", SPEC_ARG], {}),
     (["realize", "@badjson.json"], {"badjson.json": "{oops"}),
     (["realize", "@list.json"], {"list.json": []}),
-    (["verify", "@nosteps.json", SPEC_ARG], {"nosteps.json": {"seed": HYPER_2, "provenance": "Case1"}}),
-    (["realize", "@prov.json"], {"prov.json": {"seed": HYPER_2, "steps": [], "provenance": "Nope"}}),
-    (["realize", "@stepsobj.json"], {"stepsobj.json": {"seed": HYPER_2, "steps": {}, "provenance": "Case1"}}),
-    (["verify", "@stepkind.json", SPEC_ARG],
-     {"stepkind.json": {"seed": HYPER_2, "steps": [{"kind": "VI"}], "provenance": "Case1"}}),
+    (["verify", "@nosteps.json", SPEC_ARG],
+     {"nosteps.json": {"seed": HYPER_2, "provenance": "Case1"}}),
+    (["realize", "@prov.json"], {"prov.json": _plan(HYPER_2, provenance="Nope")}),
+    (["realize", "@stepsobj.json"], {"stepsobj.json": _plan(HYPER_2, {})}),
+    (["verify", "@stepkind.json", SPEC_ARG], {"stepkind.json": _plan(HYPER_2, [{"kind": "VI"}])}),
     (["realize", "@stepfield.json"],
-     {"stepfield.json": {"seed": HYPER_2, "steps": [{"kind": "III", "at": 1}], "provenance": "Case1"}}),
-    (["realize", "@novariant.json"],
-     {"novariant.json": {"seed": HYPER_2, "steps": [{"kind": "II"}], "provenance": "Case1"}}),
+     {"stepfield.json": _plan(HYPER_2, [{"kind": "III", "at": 1}])}),
+    (["realize", "@novariant.json"], {"novariant.json": _plan(HYPER_2, [{"kind": "II"}])}),
     (["verify", "@repeat0.json", SPEC_ARG],
-     {"repeat0.json": {"seed": HYPER_2, "steps": [{"kind": "III", "repeat": 0}], "provenance": "Case1"}}),
-    (["realize", "@seedkind.json"], {"seedkind.json": {"seed": {"kind": "Torus"}, "steps": [], "provenance": "Case1"}}),
+     {"repeat0.json": _plan(HYPER_2, [{"kind": "III", "repeat": 0}])}),
+    (["realize", "@seedkind.json"], {"seedkind.json": _plan({"kind": "Torus"})}),
     (["verify", "@seednog.json", SPEC_ARG],
-     {"seednog.json": {"seed": {"kind": "Hyperelliptic", "s": 1, "a": 0, "deg": [2]},
-                       "steps": [], "provenance": "Case1"}}),
-    (["verify", "@gstr.json", SPEC_ARG],
-     {"gstr.json": {"seed": {**HYPER_2, "g": "2"}, "steps": [], "provenance": "Case1"}}),
-    (["realize", "@gstr.json"], {"gstr.json": {"seed": {**HYPER_2, "g": "2"}, "steps": [], "provenance": "Case1"}}),
-    (["verify", "@degint.json", SPEC_ARG],
-     {"degint.json": {"seed": {**HYPER_2, "deg": 5}, "steps": [], "provenance": "Case1"}}),
-    (["realize", "@degint.json"], {"degint.json": {"seed": {**HYPER_2, "deg": 5}, "steps": [], "provenance": "Case1"}}),
+     {"seednog.json": _plan({"kind": "Hyperelliptic", "s": 1, "a": 0, "deg": [2]})}),
+    (["verify", "@gstr.json", SPEC_ARG], {"gstr.json": _plan({**HYPER_2, "g": "2"})}),
+    (["realize", "@gstr.json"], {"gstr.json": _plan({**HYPER_2, "g": "2"})}),
+    (["verify", "@degint.json", SPEC_ARG], {"degint.json": _plan({**HYPER_2, "deg": 5})}),
+    (["realize", "@degint.json"], {"degint.json": _plan({**HYPER_2, "deg": 5})}),
     (["realize", "@plan0.json", "--format", "xml"], {}),
     (["realize", "@plan0.json", "--format"], {}),
     (["covnum", "[1]"], {}),
@@ -191,7 +194,7 @@ def stream(seed=STREAM_SEED):
     hand = []
     for i in range(30):
         name = f"hand{i}.json"
-        files[name] = {"seed": rng.choice(SEEDS), "steps": _random_steps(rng), "provenance": "Case1"}
+        files[name] = _plan(rng.choice(SEEDS), _random_steps(rng))
         hand.append(f"@{name}")
     for i in range(10):
         files[f"spec{i}.json"] = json.dumps(_random_spec(rng))
@@ -218,7 +221,8 @@ def stream(seed=STREAM_SEED):
     for fmt, count in (([], REALIZE), (["--format", "csv"], REALIZE_CSV)):
         for _ in range(count):
             path = rng.choice(plans)[0] if rng.random() < 0.6 else rng.choice(hand)
-            reqs.append(["realize", path] + (fmt if fmt or rng.random() < 0.8 else ["--format", "json"]))
+            explicit = [] if fmt or rng.random() < 0.8 else ["--format", "json"]
+            reqs.append(["realize", path] + fmt + explicit)
     for _ in range(COVNUM):
         g = rng.randint(0, 30)
         s, a = rng.randint(0, g + 2), rng.randrange(2)

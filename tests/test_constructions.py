@@ -82,6 +82,11 @@ class TestSeeds:
         with pytest.raises(SeedNotInCatalog):
             seed_state(seed)
 
+    def test_an_object_that_is_no_seed_is_refused(self):
+        with pytest.raises(SeedNotInCatalog) as exc:
+            seed_state(object())
+        assert str(exc.value).startswith("unknown seed")
+
 
 class TestStepValidation:
     def test_kind_one_needs_variant_and_placement(self):
@@ -503,6 +508,13 @@ class TestSeedWire:
                 with pytest.raises(ValueError) as exc:
                     seed_from_json(obj)
                 assert str(exc.value) == f"seed.{name}: {reason}"
+
+    def test_hyperelliptic_without_deg_is_refused(self):
+        # seed_from_json checks deg after g, s and a, so only a seed holding
+        # all three reaches check_deg_field's own presence check.
+        with pytest.raises(ValueError) as exc:
+            seed_from_json({"kind": "Hyperelliptic", "g": 2, "s": 1, "a": 0})
+        assert str(exc.value) == "seed.deg: missing"
 
     def test_wire_kinds_are_the_seed_classes(self):
         classes = typing.get_args(BaseSeed)

@@ -18,7 +18,6 @@ from realcover.planner import plan
 from realcover.plsim import (
     PLCover,
     PLMap,
-    cover_to_json,
     fiber_budget_violations,
     image_arcs,
     realize,
@@ -26,7 +25,13 @@ from realcover.plsim import (
 from realcover.topology import CoverSpec, CoverTarget, DegreeVector, TopType, weichold_admissible
 from realcover.constructions import GenericPencil, Hyperelliptic
 
-from oracles import arcs_intersect, brute_min_circle_cover, fraction_build_covnum, windings
+from oracles import (
+    arcs_intersect,
+    brute_min_circle_cover,
+    cover_to_json,
+    fraction_build_covnum,
+    windings,
+)
 
 F = Fraction
 

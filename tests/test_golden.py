@@ -1,13 +1,14 @@
 """One golden byte corpus: sha256 digests of the library's outputs, one per block.
 
 The census corpus takes each genus block g = 0..9 of enumerate_admissible(9, 8)
-and digests, per spec in stream order, its wire form, then its plan_to_json or
+and digests, per spec in stream order, its spec_text, then its plan_to_json or
 its Infeasible reason, the verify_plan answer with its trail, and for a plan
-over P1 the realized cover's cover_to_json, critical_values, fiber_csv and
+over P1 the realized cover's cover_text, critical_values, fiber_csv and
 fiber_budget_violations.  The covnum corpus takes each genus g <= 25 and
 digests every target (g, s, a, kcov) with 0 <= s <= g + 2, a in {0, 1} and
-0 <= kcov <= s + 1: for a target that builds, its cover_to_json, spec_to_json
-and covering_number; for a refused one, the InfeasibleTarget text.
+0 <= kcov <= s + 1: for a target that builds, its cover_text, spec_text and
+covering_number; for a refused one, the InfeasibleTarget text.  The text
+writers' output is the compact JSON that the digests were computed from.
 
 A mismatch names the first block that differs.  An output change that is
 meant must replace the digests; print the new ones with
@@ -29,8 +30,8 @@ from realcover.covering4 import (
 )
 from realcover.planner import Infeasible, plan, plan_to_json, verify_plan
 from realcover.plsim import (
+    cover_text,
     critical_values,
-    cover_to_json,
     fiber_budget_violations,
     fiber_csv,
     realize,
@@ -39,7 +40,7 @@ from realcover.topology import (
     CoverTarget,
     TopType,
     enumerate_admissible_genus,
-    spec_to_json,
+    spec_text,
 )
 
 CENSUS_G_MAX, CENSUS_K_MAX = 9, 8
@@ -101,7 +102,7 @@ def census_digest(g):
     """The digest of the genus-g block of enumerate_admissible(9, 8)."""
     h = hashlib.sha256()
     for spec in enumerate_admissible_genus(g, CENSUS_K_MAX):
-        _feed(h, spec_to_json(spec))
+        _feed(h, spec_text(spec))
         result = plan(spec)
         if isinstance(result, Infeasible):
             _feed(h, "infeasible", result.reason)
@@ -112,7 +113,7 @@ def census_digest(g):
             cover = realize(result.seed, result.steps)
             _feed(
                 h,
-                cover_to_json(cover),
+                "".join(cover_text(cover)),
                 " ".join(map(str, critical_values(cover))),
                 fiber_csv(cover),
                 fiber_budget_violations(cover),
@@ -133,7 +134,7 @@ def covnum_digest(g):
                     _feed(h, "infeasible", str(exc))
                     continue
                 cover, spec = build_covnum(target)
-                _feed(h, cover_to_json(cover), spec_to_json(spec), covering_number(cover))
+                _feed(h, "".join(cover_text(cover)), spec_text(spec), covering_number(cover))
     return h.hexdigest()
 
 

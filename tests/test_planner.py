@@ -32,7 +32,7 @@ from realcover.topology import (
     TopType,
     admissibility_failure,
     enumerate_admissible,
-    spec_to_json,
+    spec_text,
 )
 
 from oracles import execute, expand, oracle_admissibility_failure
@@ -51,7 +51,7 @@ class TestStringTargets:
             text = replace(member, target=member.target.value)
             assert type(text.target) is str
             assert admissibility_failure(text) == admissibility_failure(member) is None
-            assert spec_to_json(text) == spec_to_json(member)
+            assert spec_text(text) == spec_text(member)
             result = plan(text)
             assert result == plan(member)
             if isinstance(result, Plan):
@@ -68,7 +68,7 @@ class TestStringTargets:
 
     def test_other_targets_raise(self):
         bad = CoverSpec(TopType(0, 1, 0), "Q", 2, DegreeVector((2,)))
-        for call in (admissibility_failure, plan, spec_to_json):
+        for call in (admissibility_failure, plan, spec_text):
             with pytest.raises(ValueError, match="'Q'"):
                 call(bad)
 

@@ -32,7 +32,7 @@ from realcover.plsim import (
     BudgetExceeded,
     PLCover,
     PLMap,
-    cover_to_json,
+    cover_text,
     critical_values,
     fiber_budget_violations,
     fiber_csv,
@@ -58,6 +58,7 @@ from oracles import (
     arc_start,
     brute_fiber_count,
     catalog_seeds,
+    cover_to_json,
     expand,
     fraction_budget_violations,
     fraction_fiber_profile,
@@ -78,6 +79,11 @@ from test_golden import COVNUM_DIGESTS, covnum_digest
 F = Fraction
 RAM = Variant.WITH_REAL_RAM
 NORAM = Variant.WITHOUT_REAL_RAM
+
+
+def cover_wire(cover):
+    """The library's text of the cover's wire document, joined."""
+    return "".join(cover_text(cover))
 
 
 def hyper(g, s, a, deg):
@@ -231,7 +237,7 @@ class TestPLMap:
 
         # the JSON prints each breakpoint in lowest terms, whatever the
         # breakpoint counts and denominators of the other circles
-        assert [comp["breakpoints"] for comp in cover_to_json(cover)["components"]] == [
+        assert [comp["breakpoints"] for comp in json.loads(cover_wire(cover))["components"]] == [
             [[printed(t), printed(x)] for t, x in m.breakpoints] for m in maps
         ]
         # and the CSV each regular interval's midpoint
@@ -562,7 +568,7 @@ class TestStringTargets:
         regular_samples,
         fiber_budget_violations,
         fiber_csv,
-        cover_to_json,
+        cover_wire,
     )
 
     def test_realized_p1_plans_answer_like_members(self):
@@ -594,7 +600,7 @@ class TestStringTargets:
         assert len(bad) == 2 and all("parity differs" in line for line in bad)
         assert critical_values(text) == [F(0), F(1, 2)]
         assert fiber_csv(text) == "x,fiber_count\n1/4,1\n3/4,1\n"
-        assert cover_to_json(text)["target"] == "P1"
+        assert json.loads(cover_wire(text))["target"] == "P1"
 
     def test_string_r0_covers_have_no_fiber_views(self):
         member = PLCover((("C1", PLMap(4, [1, 3], 0)),), 3, CoverTarget.ANISOTROPIC_CONIC)
@@ -602,11 +608,11 @@ class TestStringTargets:
         for view in self.VIEWS:
             assert view(text) == view(member)
         assert critical_values(text) == fiber_profile(text) == []
-        assert cover_to_json(text)["target"] == "R0"
+        assert json.loads(cover_wire(text))["target"] == "R0"
 
     def test_other_targets_are_refused_by_name(self):
         cover = PLCover((("C1", PLMap(4, [0, 2], 1)),), 3, "Q")
-        for view in (critical_values, fiber_profile, regular_samples, fiber_csv, cover_to_json):
+        for view in (critical_values, fiber_profile, regular_samples, fiber_csv, cover_text):
             with pytest.raises(ValueError, match="'Q'"):
                 view(cover)
         with pytest.raises(ValueError, match="'Q'"):
