@@ -40,7 +40,7 @@ _I, _III, _RAM = StepKind.I, StepKind.III, Variant.WITH_REAL_RAM
 _HELP_WIDTH = 80
 
 # covnum's time, memory and output are linear in g (see the README): a target
-# at the cap builds and prints in about 2 s and 170 MiB.  The cap is the
+# at the cap builds and prints in about 1.1 s and 100 MiB.  The cap is the
 # largest g that the earlier caps on s and on g + 1 - s admitted together, so
 # it refuses no target they accepted.
 _COVNUM_MAX_G = 104_999
