@@ -107,7 +107,10 @@ def min_lifted_cover(den: int, ends: Sequence[Tuple[int, int]]) -> Optional[int]
         goal, count = lo + den, 1
         while end < goal and (best is None or count < best):
             nxt = reach[bisect_right(starts, end) - 1]
-            if nxt <= end:  # stalled: no chain from this arc gets through
+            # An unreachable guard: at a stall every arc over end + 1/2 covers
+            # it by its lift shifted by -den, so contains the start arc and p,
+            # and p would lie deeper than end + 1/2, yet p is least covered.
+            if nxt <= end:
                 break
             end, count = nxt, count + 1
         if end >= goal and (best is None or count < best):

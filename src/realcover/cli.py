@@ -326,6 +326,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("facts", help="recorded pencil facts")
     p.set_defaults(func=_cmd_facts)
 
+    # The 3.10-3.12 layout, which 3.13's argparse would wrap differently.
+    indent = "\n" + " " * len(f"usage: {parser.prog} ")
+    parser.usage = f"%(prog)s [-h]{indent}{{{','.join(sub.choices)}}}{indent}..."
     return parser
 
 

@@ -221,9 +221,15 @@ def verify_plan(plan_: Plan, target: CoverSpec, trail: Optional[List[str]] = Non
     within a run the defect k - sum|w| keeps its parity and never
     decreases, so the invariants hold after every step of a run iff they
     hold before it, and a run's steps change nothing its preconditions
-    read, so they hold at every step iff they hold at the first.  A
-    refusal names its record's index.  Diagnostics are appended to `trail`
-    when given; the return value alone answers the question.
+    read, so they hold at every step iff they hold at the first.  The
+    invariant check cannot fire, and stays as a guard: every catalog seed
+    meets the invariants (windings (2), (1,1) or all 0 at k = 2; pencils
+    over P1 with no circles and even k; seeds over R0 with no circles),
+    windings stay >= 0, each step changes the defect by 0 (I/noram, I/ram
+    at winding 0, II, III) or by +2 (I/ram at winding >= 1, IV), and V,
+    the one step on R0, adds no circle.  A record of m steps is m such
+    steps.  A refusal names its record's index.  Diagnostics are appended
+    to `trail` when given; the return value alone answers the question.
     """
 
     def note(msg: str) -> bool:

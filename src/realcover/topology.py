@@ -147,41 +147,28 @@ def target_admissible(spec: CoverSpec) -> bool:
     return admissibility_failure(spec) is None
 
 
-def _genera(g_max: int, k_max: int) -> range:
-    """The genera of a scan up to g_max; bad bounds raise ValueError."""
-    if g_max < 0 or k_max < 2:
-        raise ValueError("enumerate: need g_max >= 0 and k_max >= 2")
-    return range(g_max + 1)
+_Part = Tuple[TopType, CoverTarget, int, List[Tuple[int, ...]]]
 
 
 def enumerate_admissible(g_max: int, k_max: int) -> Iterator[CoverSpec]:
     """Every admissible CoverSpec with g <= g_max and 2 <= k <= k_max, as
-    an iterator; bad bounds raise ValueError at the call, before any spec.
-
-    Both targets are scanned.  The stream is deterministic, sorted by
-    (g, k, target, s, a, degrees); blocks are independent per genus, so a
-    scan can be partitioned by g.
-    """
-    return chain.from_iterable(enumerate_admissible_genus(g, k_max) for g in _genera(g_max, k_max))
-
-
-def enumerate_admissible_genus(g: int, k_max: int) -> Iterator[CoverSpec]:
-    """The genus-g block of :func:`enumerate_admissible`, yielded in stream
-    order as it is found: per k, the P1 types (s, a) in order, then R0."""
-    for top, target, k, degs in _genus_parts(g, k_max):
-        for deg in degs:
-            yield CoverSpec(top, target, k, DegreeVector(deg))
-
-
-_Part = Tuple[TopType, CoverTarget, int, List[Tuple[int, ...]]]
+    an iterator: the stream of :func:`admissible_parts`, each winding
+    tuple wrapped in a DegreeVector and a CoverSpec.  Bad bounds raise
+    ValueError at the call, before any spec.  Both targets are scanned."""
+    return (CoverSpec(top, target, k, DegreeVector(deg))
+            for top, target, k, degs in admissible_parts(g_max, k_max) for deg in degs)
 
 
 def admissible_parts(g_max: int, k_max: int) -> Iterator[_Part]:
-    """The stream of :func:`enumerate_admissible` in parts, one per (g, k,
-    type) block: (top, target, k, [deg, ...]) with every admissible winding
-    tuple of the block in stream order, and no empty block.  Bad bounds
-    raise ValueError at the call."""
-    return chain.from_iterable(_genus_parts(g, k_max) for g in _genera(g_max, k_max))
+    """Every admissible spec with g <= g_max and 2 <= k <= k_max in parts,
+    one per (g, k, type) block: (top, target, k, [deg, ...]) with every
+    admissible winding tuple of the block, and no empty block.  The stream
+    is deterministic, sorted by (g, k, target, s, a, degrees): per g and k,
+    the P1 types (s, a) in order, then R0.  Bad bounds raise ValueError at
+    the call."""
+    if g_max < 0 or k_max < 2:
+        raise ValueError("enumerate: need g_max >= 0 and k_max >= 2")
+    return chain.from_iterable(_genus_parts(g, k_max) for g in range(g_max + 1))
 
 
 def _genus_parts(g: int, k_max: int) -> Iterator[_Part]:
@@ -210,23 +197,18 @@ def _genus_parts(g: int, k_max: int) -> Iterator[_Part]:
 # Python's digit limit for str() raises ValueError, as json does.
 
 
-def _spec_head(top: TopType, target: CoverTarget, k: int) -> str:
-    return f'{{"g":{top.g},"s":{top.s},"a":{top.a},"target":"{target.value}","k":{k},"deg":['
-
-
 def spec_text(spec: CoverSpec) -> str:
     """The spec's wire object as compact JSON text.  A target given by its
     string value is read as the CoverTarget member, and any other value
     raises ValueError."""
-    head = _spec_head(spec.top, CoverTarget(spec.target), spec.k)
-    return head + ",".join(map(str, spec.degrees.entries)) + "]}"
+    return part_text(spec.top, CoverTarget(spec.target), spec.k, [spec.degrees.entries])
 
 
 def part_text(top: TopType, target: CoverTarget, k: int, degs: List[Tuple[int, ...]]) -> str:
     """The specs of one part of :func:`admissible_parts` as compact JSON
     text, comma-separated: one head for the block, then each winding
     tuple."""
-    head = _spec_head(top, target, k)
+    head = f'{{"g":{top.g},"s":{top.s},"a":{top.a},"target":"{target.value}","k":{k},"deg":['
     return head + ("]}," + head).join([",".join(map(str, deg)) for deg in degs]) + "]}"
 
 

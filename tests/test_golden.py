@@ -21,6 +21,8 @@ is recorded.
 
 import hashlib
 import json
+from functools import cache
+from itertools import groupby
 
 from realcover.covering4 import (
     CoveringNumberTarget,
@@ -39,7 +41,7 @@ from realcover.plsim import (
 from realcover.topology import (
     CoverTarget,
     TopType,
-    enumerate_admissible_genus,
+    enumerate_admissible,
     spec_text,
 )
 
@@ -98,10 +100,17 @@ def _feed(h, *parts):
         h.update(b"\n")
 
 
+@cache
+def _census_blocks():
+    """The specs of enumerate_admissible(9, 8) by genus, from one walk."""
+    census = enumerate_admissible(CENSUS_G_MAX, CENSUS_K_MAX)
+    return {g: tuple(block) for g, block in groupby(census, key=lambda spec: spec.top.g)}
+
+
 def census_digest(g):
     """The digest of the genus-g block of enumerate_admissible(9, 8)."""
     h = hashlib.sha256()
-    for spec in enumerate_admissible_genus(g, CENSUS_K_MAX):
+    for spec in _census_blocks().get(g, ()):
         _feed(h, spec_text(spec))
         result = plan(spec)
         if isinstance(result, Infeasible):

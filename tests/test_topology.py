@@ -13,7 +13,6 @@ from realcover.topology import (
     TopType,
     admissibility_failure,
     enumerate_admissible,
-    enumerate_admissible_genus,
     spec_from_json,
     spec_text,
     target_admissible,
@@ -179,7 +178,7 @@ class TestEnumerate:
 
     def test_genus_block_streams(self, monkeypatch):
         # The first spec comes out once the candidates of k = 2 are checked,
-        # before any of k >= 3: the block is not built whole first.  Each
+        # before any of k >= 3: the stream is not built whole first.  Each
         # candidate reaches the check as a bare tuple, not a DegreeVector.
         checked = []
         check = topology._failure
@@ -190,7 +189,7 @@ class TestEnumerate:
             return check(top, target, k, entries)
 
         monkeypatch.setattr(topology, "_failure", counted)
-        block = enumerate_admissible_genus(4, 8)
+        block = enumerate_admissible(4, 8)
         first = next(block)
         assert first.k == 2 and set(checked) == {2}
         list(block)
