@@ -85,9 +85,6 @@ class Fact:
     note: str
     caveat: str
 
-    def key(self) -> tuple[int, int, int, int]:
-        return (self.g, self.s, self.a, self.k)
-
 
 _FACTS = (
     Fact(
@@ -125,7 +122,7 @@ def facts() -> tuple[Fact, ...]:
 def lookup_fact(g: int, s: int, a: int, k: int) -> Optional[Fact]:
     """The recorded fact for the given type and degree, or None if unlisted."""
     for fact in _FACTS:
-        if fact.key() == (g, s, a, k):
+        if fact.g == g and fact.s == s and fact.a == a and fact.k == k:
             return fact
     return None
 

@@ -160,14 +160,6 @@ def _build_separating(g: int, s: int, kcov: int) -> Tuple[int, _Layout]:
     return 8 * m * h, [("C1", _merged_c1(b, h))] + _chain(m, b + 1, h) + nested
 
 
-def _build_orientable(g: int, s: int, kcov: int) -> Tuple[int, _Layout]:
-    if s == g + 1:
-        if kcov == s:
-            return _build_m_max(g)
-        return _build_m_split(g, kcov)
-    return _build_separating(g, s, kcov)
-
-
 def build_covnum(target: CoveringNumberTarget) -> Tuple[PLCover, CoverSpec]:
     """Build a degree-4 covering of the target type with every winding zero
     and the prescribed covering number.
@@ -177,15 +169,18 @@ def build_covnum(target: CoveringNumberTarget) -> Tuple[PLCover, CoverSpec]:
     time and memory are linear in g: the cover has s <= g + 1 circles and
     at most 2 g + 6 breakpoints.
     """
-    g, s, a = target.top.g, target.top.s, target.top.a
-    if a == 0:
-        den, circles = _build_orientable(g, s, target.kcov)
-    else:
+    g, s, kcov = target.top.g, target.top.s, target.kcov
+    if target.top.a:
         # Drop to the separating case one or two genera lower (matching the
         # circle-count parity), then smooth one or two conjugate pairs of
         # nodes away from the real locus; the arc picture is unchanged.
-        down = 1 if (g - s) % 2 == 0 else 2
-        den, circles = _build_orientable(g - down, s, target.kcov)
+        g -= 1 if (g - s) % 2 == 0 else 2
+    if s < g + 1:
+        den, circles = _build_separating(g, s, kcov)
+    elif kcov == s:
+        den, circles = _build_m_max(g)
+    else:
+        den, circles = _build_m_split(g, kcov)
     spec = CoverSpec(
         target.top, CoverTarget.PROJ_LINE, 4, DegreeVector((0,) * s)
     )

@@ -114,7 +114,7 @@ def _pump_to_degrees(labels: List[str], degrees: tuple[int, ...]) -> List[Run]:
 
 
 def _case3_recipe(
-    g: int, k: int, nonzero: tuple[int, ...], zeros: int = 0
+    g: int, k: int, nonzero: tuple[int, ...], zeros: int
 ) -> tuple[BaseSeed, List[Run]]:
     """Separating target with every winding nonzero and winding sum < k,
     plus zeros circles of winding 0.

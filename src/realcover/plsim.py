@@ -179,10 +179,10 @@ def _tally(den: int, circles) -> Tuple[int, dict]:
     return base, delta
 
 
-def _sweep(den: int, circles) -> List[Tuple[int, int, int]]:
-    """fiber_profile on the integer form: (start, length, count) with start
-    and length in units of 1 / den, laid from the _tally in residue order."""
-    base, delta = _tally(den, circles)
+def _sweep(den: int, base: int, delta: dict) -> List[Tuple[int, int, int]]:
+    """fiber_profile on the integer form from its _tally (base, delta):
+    (start, length, count) with start and length in units of 1 / den, in
+    residue order."""
     crit = sorted(delta)
     if not crit:
         return [(0, den, 0)]
@@ -202,7 +202,7 @@ def _profile(cover: PLCover) -> Tuple[int, List[Tuple[int, int, int]]]:
     if CoverTarget(cover.target) is not CoverTarget.PROJ_LINE:
         return 1, []
     den, circles = _circles(cover)
-    return den, _sweep(den, circles)
+    return den, _sweep(den, *_tally(den, circles))
 
 
 def fiber_profile(cover: PLCover) -> List[Tuple[Fraction, Fraction, int]]:
@@ -232,10 +232,11 @@ def fiber_budget_violations(cover: PLCover) -> List[str]:
     """Violations of the budget/parity invariant on any regular interval;
     empty when clean.
 
-    The tally answers a clean cover without laying its intervals.  A cover
-    of R0 has no target circle, so no interval to check; it is answered
-    before any span is built.  A target given by its string value is read
-    as the CoverTarget member, and any other value raises ValueError.
+    The tally answers a clean cover without laying its intervals; a
+    violating cover lays them from the same tally.  A cover of R0 has no
+    target circle, so no interval to check; it is answered before any span
+    is built.  A target given by its string value is read as the
+    CoverTarget member, and any other value raises ValueError.
     """
     if CoverTarget(cover.target) is not CoverTarget.PROJ_LINE:
         return []
@@ -246,7 +247,7 @@ def fiber_budget_violations(cover: PLCover) -> List[str]:
     if (k - base) % 2 == 0 and highest <= k:
         return []
     bad = []
-    for a, gap, n in _sweep(den, circles):
+    for a, gap, n in _sweep(den, base, delta):
         if n > k or (k - n) % 2 != 0:
             where = f"fiber over ({Fraction(a, den)}, {Fraction(a + gap, den)})"
             if n > k:
@@ -440,7 +441,7 @@ def _new_folds(form: _Spans, labels: List[str]) -> None:
     for label in labels:
         if heap is None:
             ends = bool(form.spans)
-            profile = _sweep(form.den, form.spans.values())
+            profile = _sweep(form.den, *_tally(form.den, form.spans.values()))
             heap = [(-gap, a, n) for a, gap, n in profile if n <= room]
             heapify(heap)
         if not heap:
@@ -569,35 +570,33 @@ def cover_text(cover: PLCover) -> Iterator[str]:
     its highest lift (the lowest lies in [0, den)) by their bit lengths.
     A reduced "p/q" is no longer than its lift over den, so only a map
     whose den or highest lift could pass the limit has its ratios reduced
-    in the pre-pass, where they raise if they do.  Each n of a t = i/n
-    counts breakpoints held in memory, far below the limit.
+    in the pre-pass, where they raise if they do; they are reduced again
+    when printed.  Each n of a t = i/n counts breakpoints held in memory,
+    far below the limit.
     """
     head = f'{{"target":"{CoverTarget(cover.target).value}","k":{cover.k},"components":['
-    reduced = {}
     limit = sys.get_int_max_str_digits()
     if limit:  # 0 is no limit
         bits = limit * 100_000 // 30_103  # 2**bits < 10**limit, as log10(2) < 0.30103
-        for i, (_, m) in enumerate(cover.components):
+        for _, m in cover.components:
             if m.closure.bit_length() > bits:
                 str(m.closure)  # raises past the limit
             if m.den.bit_length() > bits or max(m.xs).bit_length() > bits:
-                reduced[i] = list(_ratios(m.xs, m.den))
-    return _cover_chunks(cover, head, reduced)
+                for _ in _ratios(m.xs, m.den):  # raises past the limit
+                    pass
+    return _cover_chunks(cover, head)
 
 
-def _cover_chunks(cover: PLCover, head: str, reduced: dict) -> Iterator[str]:
+def _cover_chunks(cover: PLCover, head: str) -> Iterator[str]:
     yield head
     ts = {}  # the t strings i/n of every n in the cover, one table each
     sep = ""
-    for i, (lbl, m) in enumerate(cover.components):
+    for lbl, m in cover.components:
         n = len(m.xs)
         t = ts.get(n)
         if t is None:
             t = ts[n] = list(_ratios(range(n), n))
-        xs = reduced.get(i)
-        if xs is None:
-            xs = _ratios(m.xs, m.den)
-        points = '"],["'.join(map('","'.join, zip(t, xs)))
+        points = '"],["'.join(map('","'.join, zip(t, _ratios(m.xs, m.den))))
         yield f'{sep}{{"label":{_quote(lbl)},"winding":{m.closure},"breakpoints":[["{points}"]]}}'
         sep = ","
     yield "]}"

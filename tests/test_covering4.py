@@ -22,7 +22,14 @@ from realcover.plsim import (
     image_arcs,
     realize,
 )
-from realcover.topology import CoverSpec, CoverTarget, DegreeVector, TopType, weichold_admissible
+from realcover.topology import (
+    CoverSpec,
+    CoverTarget,
+    DegreeVector,
+    TopType,
+    enumerate_admissible,
+    weichold_admissible,
+)
 from realcover.constructions import GenericPencil, Hyperelliptic
 
 from oracles import (
@@ -93,6 +100,33 @@ class TestCoveringNumberAgainstImageArcs:
     def test_matches_subset_bruteforce_over_image_arcs(self, cover):
         arcs = [a for _, a in image_arcs(cover)]
         assert covering_number(cover) == (brute_min_circle_cover(arcs) or 0)
+
+
+class TestCoveringNumberOnPlannerCovers:
+    """The cover search on the planner's geometry, beyond covering4's closed
+    forms and random arcs: every zero-winding P1 spec with a real circle and
+    k >= 3 in the g <= 8, k <= 8 box, planned and realized."""
+
+    # Covering numbers seen per k in this box: observations about the
+    # planner's canonical sites, not theorems.  In the g <= 10, k <= 10 box
+    # every k = 10 cover has covering number 1.
+    REACHED = {4: {0}, 6: {0, 1, 2}, 8: {0, 2}}
+
+    def test_matches_subset_bruteforce_over_image_arcs(self):
+        reached, n = {}, 0
+        for spec in enumerate_admissible(8, 8):
+            if (spec.target is not CoverTarget.PROJ_LINE or spec.top.s < 1 or spec.k < 3
+                    or any(spec.degrees.entries)):
+                continue
+            p = plan(spec)
+            cover = realize(p.seed, p.steps)
+            number = covering_number(cover)
+            arcs = [a for _, a in image_arcs(cover)]
+            assert number == (brute_min_circle_cover(arcs) or 0), spec
+            reached.setdefault(spec.k, set()).add(number)
+            n += 1
+        assert n == 183
+        assert reached == self.REACHED
 
 
 class TestTargetValidation:

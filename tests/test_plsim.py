@@ -1,5 +1,8 @@
 import json
 import random
+import sys
+import time
+import tracemalloc
 from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 from functools import lru_cache
@@ -519,6 +522,66 @@ class TestRealize:
             assert realize(seed, ()) == fraction_seed_cover(seed), seed
 
 
+def realize_work(p):
+    """Counted work of realize(p.seed, p.steps): Python-level and C-level
+    calls under sys.setprofile, the tracemalloc peak in bytes, the result's
+    largest denominator in bits, and the least wall time of three runs."""
+    calls = {"call": 0, "c_call": 0}
+
+    def count(frame, event, arg):
+        if event in calls:
+            calls[event] += 1
+
+    sys.setprofile(count)
+    try:
+        realize(p.seed, p.steps)
+    finally:
+        sys.setprofile(None)
+    tracemalloc.start()
+    try:
+        cover = realize(p.seed, p.steps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    walls = []
+    for _ in range(3):
+        start = time.perf_counter()
+        realize(p.seed, p.steps)
+        walls.append(time.perf_counter() - start)
+    bits = max(m.den.bit_length() for _, m in cover.components)
+    return calls["call"], calls["c_call"], peak, bits, min(walls)
+
+
+class TestRealizeGrowth:
+    """realize grows linearly in k on planner plans, by counted work: the
+    Python-level calls stay the same at every k (a run of m equal steps is
+    one splice or one fold run), the C-level calls and the peak memory grow
+    with the breakpoints.  A C-level scan is one call whatever its length,
+    so one wall-time ratio at a wide margin backs the counts: a linear step
+    grows 4x per 4x of k, a quadratic one 16x.
+
+    At k = 1,001 / 4,001 / 16,001 (Case5 one more, for parity) the counts
+    read 41 and 61 Python calls, 566 / 2,074 / 8,082 and 603 / 2,111 / 8,119
+    C calls, a 99 / 386 / 1,557 KiB peak, and at most 17 denominator bits."""
+
+    @pytest.mark.parametrize("provenance, top, deg, ks", [
+        pytest.param("A1-sPos", (2, 1, 1), (1,), (1001, 4001, 16001), id="a1spos"),
+        pytest.param("Case5", (3, 4, 0), (0, 0, 0, 0), (1002, 4002, 16002), id="case5"),
+    ])
+    def test_counted_work_is_linear_in_k(self, provenance, top, deg, ks):
+        work = []
+        for k in ks:
+            p = plan(CoverSpec(TopType(*top), CoverTarget.PROJ_LINE, k, DegreeVector(deg)))
+            assert p.provenance == provenance
+            work.append(realize_work(p))
+        py_calls, c_calls, peaks, bits, walls = zip(*work)
+        assert len(set(py_calls)) == 1
+        for grown in (c_calls, peaks):
+            assert all(b <= 4.5 * a for a, b in zip(grown, grown[1:])), grown
+        assert max(bits) <= 17
+        assert walls[2] <= 8 * walls[1]
+
+
 class TestSampling:
     def test_samples_are_interval_midpoints(self):
         cover = realize(hyper(3, 2, 0, (1, 1)), ())
@@ -719,7 +782,7 @@ class TestTally:
     def test_sweep_matches_the_fraction_profile(self):
         for cover in self.COVERS:
             den, circles = plsim._circles(cover)
-            profile = [(F(a, den), F(gap, den), n) for a, gap, n in plsim._sweep(den, circles)]
+            profile = [(F(a, den), F(gap, den), n) for a, gap, n in plsim._sweep(den, *plsim._tally(den, circles))]
             assert profile == fraction_fiber_profile(cover)
             for a, length, n in profile:
                 assert brute_fiber_count(cover, a + length / 2) == n
